@@ -41,12 +41,14 @@ cluster-test:
 obscheck:
 	go run ./cmd/obscheck
 
-# Short fuzz passes over the grid-spec parser and the lattice
-# configuration codec (the CI-sized budget; raise -fuzztime locally
-# for deeper exploration).
+# Short fuzz passes over the grid-spec parser, the lattice
+# configuration codec and the mono-region dilation kernel against its
+# BFS oracle (the CI-sized budget; raise -fuzztime locally for deeper
+# exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
+	go test -run '^$$' -fuzz FuzzCenteredRadii -fuzztime 30s ./internal/measure/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move

@@ -32,83 +32,14 @@ func SamplePoints(n, k int) []geom.Point {
 	return pts
 }
 
-// distanceToSpin fills dist (length Sites) with, for every site, the
-// Chebyshev (king-move) distance to the nearest site of the given
-// spin, via multi-source BFS over a pooled queue. Sites of the given
-// spin have distance 0; if the lattice contains no such site every
-// entry is Unreachable.
-func distanceToSpin(dist []int32, l *grid.Lattice, s grid.Spin) {
-	n := l.N()
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	qp := scratch.I32(l.Sites())
-	queue := (*qp)[:0]
-	for i := 0; i < l.Sites(); i++ {
-		if l.SpinAt(i) == s {
-			dist[i] = 0
-			queue = append(queue, int32(i))
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		i := int(queue[head])
-		d := dist[i]
-		x0, y0 := i%n, i/n
-		for dy := -1; dy <= 1; dy++ {
-			y := y0 + dy
-			if y < 0 {
-				y += n
-			} else if y >= n {
-				y -= n
-			}
-			row := y * n
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				x := x0 + dx
-				if x < 0 {
-					x += n
-				} else if x >= n {
-					x -= n
-				}
-				j := row + x
-				if dist[j] == Unreachable {
-					dist[j] = d + 1
-					queue = append(queue, int32(j))
-				}
-			}
-		}
-	}
-	*qp = queue
-	scratch.PutI32(qp)
-}
-
-// oppositeDistancesInto fills dst with, for every site, the Chebyshev
-// distance to the nearest agent of the opposite type, recycling its
-// BFS scratch.
-func oppositeDistancesInto(dst []int32, l *grid.Lattice) {
-	tp, tm := scratch.I32(l.Sites()), scratch.I32(l.Sites())
-	toPlus, toMinus := *tp, *tm
-	distanceToSpin(toPlus, l, grid.Plus)
-	distanceToSpin(toMinus, l, grid.Minus)
-	for i := range dst {
-		if l.SpinAt(i) == grid.Plus {
-			dst[i] = toMinus[i]
-		} else {
-			dst[i] = toPlus[i]
-		}
-	}
-	scratch.PutI32(tp)
-	scratch.PutI32(tm)
-}
-
-// OppositeDistances returns, for every site, the Chebyshev distance to
-// the nearest agent of the opposite type (>= 1), or Unreachable on a
-// monochromatic lattice.
+// OppositeDistances returns, for every site, the Chebyshev torus
+// distance to the nearest agent of the opposite type (>= 1), or
+// Unreachable on a lattice without one. Plus sites measure the
+// distance to Minus; every other site, vacancies included, measures
+// the distance to Plus.
 func OppositeDistances(l *grid.Lattice) []int32 {
 	out := make([]int32, l.Sites())
-	oppositeDistancesInto(out, l)
+	oppositeField(out, l, 0, Unreachable)
 	return out
 }
 
@@ -125,41 +56,29 @@ func CenteredRadii(l *grid.Lattice) []int32 {
 	return out
 }
 
-// centeredRadiiInto fills dst with the centered-radii field, reusing
-// dst for the intermediate opposite-distance pass (the radius
-// transform is elementwise).
-func centeredRadiiInto(dst []int32, l *grid.Lattice) {
-	oppositeDistancesInto(dst, l)
-	cap32 := int32(maxRadiusCap(l.N()))
-	for i, d := range dst {
-		switch {
-		case d == Unreachable:
-			dst[i] = cap32
-		default:
-			r := d - 1
-			if r > cap32 {
-				r = cap32
-			}
-			dst[i] = r
-		}
-	}
+// centeredRadiiInto fills dst with the centered-radii field and returns
+// its maximum. The radius is the opposite distance minus one, or the
+// cap where no opposite agent exists; a torus distance never exceeds
+// n/2, so no finite radius exceeds the cap.
+func centeredRadiiInto(dst []int32, l *grid.Lattice) int {
+	return int(oppositeField(dst, l, 1, int32(maxRadiusCap(l.N()))))
 }
 
 // MeanMonoRegionSize returns the mean M(u) over the probe points: the
 // estimator of E[M] the grid sweeps measure at fixation. It computes
 // the centered-radii field on a pooled buffer and recycles it before
-// returning, so per-cell measurement allocates nothing beyond the BFS
-// scratch (ownership of the pooled buffer never leaves this package).
+// returning, so per-cell measurement allocates nothing beyond pooled
+// scratch (ownership of the pooled buffers never leaves this package).
 func MeanMonoRegionSize(l *grid.Lattice, pts []geom.Point) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
 	rp := scratch.I32(l.Sites())
 	radii := *rp
-	centeredRadiiInto(radii, l)
+	rmax := centeredRadiiInto(radii, l)
 	var mean float64
 	for _, pt := range pts {
-		mean += float64(MonoRegionSize(l, radii, pt))
+		mean += float64(monoRegionSize(l, radii, pt, rmax))
 	}
 	scratch.PutI32(rp)
 	return mean / float64(len(pts))
@@ -173,23 +92,26 @@ func MeanMonoRegionSize(l *grid.Lattice, pts []geom.Point) float64 {
 // any monochromatic square of radius r(c) centered at c contains u
 // exactly when u is within Chebyshev distance r(c) of c.
 func MonoRegionSize(l *grid.Lattice, radii []int32, u geom.Point) int {
+	rmax := int32(0)
+	for _, r := range radii {
+		rmax = max(rmax, r)
+	}
+	return monoRegionSize(l, radii, u, int(rmax))
+}
+
+// monoRegionSize is MonoRegionSize given the field's maximum radius
+// rmax. It scans rings of centers outward from u; a center at ring d
+// qualifies iff r(c) >= d, so no center beyond ring rmax qualifies and
+// none can beat a best of rmax: the scan stops at either bound.
+func monoRegionSize(l *grid.Lattice, radii []int32, u geom.Point, rmax int) int {
 	tor := l.Torus()
-	rcap := maxRadiusCap(l.N())
-	best := int32(0) // radius r(u) >= 0 always qualifies at d = 0
-	// Scan rings of centers outward; a center at distance d qualifies
-	// iff r(c) >= d. No center beyond rcap can qualify.
-	for d := 0; d <= rcap; d++ {
-		scan := func(p geom.Point) {
-			r := radii[tor.Index(p)]
-			if int(r) >= d && r > best {
+	best := radii[tor.Index(u)] // r(u) >= 0 always qualifies at d = 0
+	for d := 1; d <= rmax && int(best) < rmax; d++ {
+		tor.SquarePerimeter(u, d, func(p geom.Point) {
+			if r := radii[tor.Index(p)]; int(r) >= d && r > best {
 				best = r
 			}
-		}
-		if d == 0 {
-			scan(u)
-			continue
-		}
-		tor.SquarePerimeter(u, d, scan)
+		})
 	}
 	return geom.SquareSize(int(best))
 }

@@ -67,7 +67,7 @@ func TestOppositeDistancesMatchBruteForce(t *testing.T) {
 			}
 		}
 		if opp[i] != want {
-			t.Fatalf("site %v: BFS %d, brute %d", p, opp[i], want)
+			t.Fatalf("site %v: kernel %d, brute %d", p, opp[i], want)
 		}
 	}
 }
@@ -340,14 +340,6 @@ func TestQuickAlmostMonoMonotoneInBeta(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkOppositeDistances(b *testing.B) {
-	l := grid.Random(256, 0.5, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = OppositeDistances(l)
 	}
 }
 
