@@ -137,8 +137,8 @@ func BenchmarkFlipThroughputOpenBoundary(b *testing.B) {
 }
 
 // BenchmarkFlipThroughputOpenBoundaryFast is the bit-packed engine on
-// the same open-boundary workload: the per-site boundary-table scan
-// with edge-clamped row bands (flip_open_fast in the trajectory).
+// the same open-boundary workload: the threshold/slack lane scan with
+// edge-clamped row bands (flip_open_fast in the trajectory).
 func BenchmarkFlipThroughputOpenBoundaryFast(b *testing.B) {
 	benchFlipThroughputScenario(b, 256, 10, 0.42, EngineFast, BoundaryOpen)
 }
@@ -176,6 +176,28 @@ func BenchmarkFlipThroughputVacanciesFast(b *testing.B) {
 // heterogeneous intolerance field (flip_taudist_fast).
 func BenchmarkFlipThroughputTauDistFast(b *testing.B) {
 	benchConfigThroughput(b, Config{N: 256, W: 10, Tau: 0.42, TauDist: "mix:0.35,0.45:0.5", Engine: EngineFast})
+}
+
+// BenchmarkFlipThroughputSweepVacanciesFast measures the fast engine
+// on the shape that dominates the sweep's CPU: a large vacancy-diluted
+// torus at horizon w=1, where nearly every lane of a flip's band sits
+// on a classification boundary. The BENCH_2 probes all run at w=10.
+func BenchmarkFlipThroughputSweepVacanciesFast(b *testing.B) {
+	benchConfigThroughput(b, Config{N: 1024, W: 1, Tau: 0.44, Rho: 0.05, Engine: EngineFast})
+}
+
+// BenchmarkFlipThroughputSweepVacanciesReference pins the reference
+// engine on the same sweep-shaped cell.
+func BenchmarkFlipThroughputSweepVacanciesReference(b *testing.B) {
+	benchConfigThroughput(b, Config{N: 1024, W: 1, Tau: 0.44, Rho: 0.05, Engine: EngineReference})
+}
+
+// BenchmarkSwapThroughputSweepKawasakiFast measures the fast swap
+// engine on a sweep-shaped cell: w=1, open walls, vacancies and a
+// mixed intolerance field.
+func BenchmarkSwapThroughputSweepKawasakiFast(b *testing.B) {
+	benchConfigThroughput(b, Config{N: 384, W: 1, Tau: 0.42, Rho: 0.1, Boundary: BoundaryOpen,
+		TauDist: "mix:0.40,0.48:0.5", Dynamic: Kawasaki, Engine: EngineFast})
 }
 
 // BenchmarkSwapThroughputKawasakiFast measures the fast swap engine's

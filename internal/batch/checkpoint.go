@@ -22,7 +22,7 @@ type checkpointFile struct {
 
 // checkpoint streams completed cells to disk so an interrupted run can
 // resume without recomputing them. It is the run-scoped counterpart of
-// store.Store: same content-addressed keys, but bundled in one file
+// store.Backend: same content-addressed keys, but bundled in one file
 // whose fingerprint pins the exact (grid, seed, scope, columns)
 // combination, and flushed in batches. put is called under the
 // engine's result mutex, so no additional locking is needed.

@@ -43,7 +43,7 @@ type Options struct {
 	// written back. Because cell seeds derive from the cell's identity
 	// — never its position in a grid — any grid containing the same
 	// cell hits the same key, so overlapping sweeps recompute nothing.
-	Store store.Store
+	Store store.Backend
 }
 
 // workers returns the effective worker count.
@@ -116,7 +116,7 @@ func (o Options) CellSpec(c Cell, extraName string, columns []string) store.Cell
 // aborting hours of sweep work. The first error is reported through
 // ResultSet.Cache.Err.
 type storeGuard struct {
-	store store.Store
+	store store.Backend
 	mu    sync.Mutex
 	err   error
 }

@@ -63,7 +63,7 @@ var acceptanceCells = []Cell{
 	// fast-vs-reference lockstep across open boundaries, vacancy
 	// fractions rho in {0.05, 0.3}, mix/uniform intolerance fields,
 	// scenario Kawasaki, and their combinations — the cells that pin
-	// the per-site boundary-table scan and the clamped row bands.
+	// the threshold/slack lane scan and the clamped row bands.
 	{N: 384, W: 1, Tau: 0.45, P: 0.5, Dynamic: gridseg.Glauber, Seed: 35, Boundary: gridseg.BoundaryOpen},
 	{N: 256, W: 2, Tau: 0.42, P: 0.5, Dynamic: gridseg.Glauber, Seed: 36, Boundary: gridseg.BoundaryOpen},
 	{N: 256, W: 2, Tau: 0.42, P: 0.5, Dynamic: gridseg.Glauber, Seed: 37, Rho: 0.05},
@@ -77,6 +77,22 @@ var acceptanceCells = []Cell{
 	{N: 128, W: 1, Tau: 0.45, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 45, Boundary: gridseg.BoundaryOpen},
 	{N: 96, W: 2, Tau: 0.45, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 46, Rho: 0.05},
 	{N: 96, W: 2, Tau: 0.42, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 47, Rho: 0.3, TauDist: "mix:0.35,0.45:0.5"},
+	// Lane-scan edge cells: rows whose last count word is partial
+	// (n=13) or that cross the 64-bit spin word (n=66); tau=0 and tau=1
+	// on vacancy lattices, and mixes reaching them, so threshold lanes
+	// T=0 and slack lanes D=0 occur mid-run; rho=0.6, where some windows
+	// hold only their own agent; and a sweep-shaped w=1 Kawasaki cell
+	// with open walls, vacancies and a tau mix.
+	{N: 13, W: 1, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 64, Boundary: gridseg.BoundaryOpen, Rho: 0.05},
+	{N: 13, W: 2, Tau: 0.45, P: 0.5, Dynamic: gridseg.Glauber, Seed: 65, Rho: 0.1},
+	{N: 66, W: 1, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 66, Boundary: gridseg.BoundaryOpen},
+	{N: 66, W: 2, Tau: 0.42, P: 0.5, Dynamic: gridseg.Glauber, Seed: 67, Rho: 0.1, TauDist: "mix:0.35,0.45:0.5"},
+	{N: 48, W: 1, Tau: 0, P: 0.5, Dynamic: gridseg.Glauber, Seed: 68, Rho: 0.1},
+	{N: 48, W: 1, Tau: 1, P: 0.5, Dynamic: gridseg.Glauber, Seed: 69, Rho: 0.1},
+	{N: 66, W: 1, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 70, Rho: 0.1, TauDist: "mix:0,0.5:0.5"},
+	{N: 66, W: 1, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 71, Boundary: gridseg.BoundaryOpen, Rho: 0.1, TauDist: "mix:0.4,1:0.5"},
+	{N: 64, W: 1, Tau: 0.45, P: 0.5, Dynamic: gridseg.Glauber, Seed: 72, Rho: 0.6},
+	{N: 96, W: 1, Tau: 0.42, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 73, Boundary: gridseg.BoundaryOpen, Rho: 0.1, TauDist: "mix:0.40,0.48:0.5"},
 	// Fast Move coverage cells (PR 6): fast-vs-reference lockstep for
 	// the relocation dynamic across both boundaries, sparse and dense
 	// vacancy fractions, heterogeneous intolerance, and the

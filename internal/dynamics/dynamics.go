@@ -32,7 +32,7 @@
 // lattices, and per-site intolerance fields — plus the relocation
 // dynamic Move, where unhappy agents migrate into vacant sites. The
 // bit-packed fast engine covers the same scenario space for all three
-// dynamics (per-site thresholds compiled into boundary tables for
+// dynamics (per-site thresholds and slacks held in packed lanes for
 // flip and swap, derived from packed occupancy lanes for Move; see
 // fastglauber).
 package dynamics

@@ -23,18 +23,24 @@
 // boundary count values are the same four lane-broadcast words for
 // every site. Open hard walls, vacancies, and per-site intolerance all
 // reduce to the same generalization: each site u gets its own integer
-// threshold ceil(tau_u * occ(u)) over its own occupied window count
-// occ(u), so the engine precomputes a per-site boundary table — four
-// 16-bit boundary values per count lane, stored as four table words
-// alongside each count word — and the SWAR scan tests the updated
-// lanes against their own boundaries instead of a broadcast value.
-// Occupancy and thresholds are static under flip and swap dynamics,
-// so the tables are built once at construction. Open boundaries
-// additionally clamp the flip's row band at the grid edges instead of
-// splitting it into wrapped segments.
+// threshold T = ceil(tau_u * occ(u)) over its own occupied window count
+// occ(u). The engine keeps two more packed 16-bit lane arrays in the
+// count layout — the threshold T and the slack D = occ(u) - T of every
+// site, with a sentinel on vacant sites — and the SWAR scan derives,
+// in-register and with additions only, the two boundary values of each
+// lane's own spin from the count word, T, D and the packed spin
+// nibble. Occupancy and thresholds are static
+// under flip and swap dynamics, so the lanes are built once at
+// construction, streamed from the occupied window-count rows. Open
+// boundaries additionally clamp the flip's row band at the grid edges
+// instead of splitting it into wrapped segments.
+//
+// Site reclassification is division-free: the segment scans know the
+// row and column of every lane they flag and hand them to refreshAt,
+// which addresses the spin, count and threshold words directly.
 //
 // The relocation dynamic Move changes occupancy, so it trades the
-// static boundary tables for a second packed lane array of occupied
+// static threshold and slack lanes for a packed lane array of occupied
 // window counts: a relocation is a vacate+occupy pair of masked band
 // additions against the count and occupancy lanes, followed by a
 // branch-free packed reclassification of the two windows with
@@ -124,32 +130,30 @@ type Process struct {
 	// Unused slots hold the unmatchable sentinel (counts never exceed
 	// 0x7fff), so the hot path always tests all four branch-free.
 	// They drive the default-scenario scan; scenarios use the per-site
-	// tables below instead.
+	// threshold and slack lanes below instead.
 	upVals   [4]uint64
 	downVals [4]uint64
 	nUp      int
 	nDown    int
-	// Scenario state, all nil in the default scenario: occA holds the
-	// occupied count of every site's (possibly edge-clamped) window,
-	// threshA the per-site integer thresholds ceil(tau_u * occ_u),
-	// tauOf the per-site intolerance. upTab/downTab are the per-site
-	// boundary tables: four words per count word (stride 4), lane l of
-	// word 4*k+s holding the s-th boundary count value of site 4k+l —
-	// the sentinel 0xffff in every lane of a vacant site, so vacancies
-	// are never flagged by the scan. Occupancy never changes under
-	// flip and swap dynamics, so all of this is immutable after New.
-	occA    []int32
-	threshA []int32
-	tauOf   []float64
-	upTab   []uint64
-	downTab []uint64
-	// Relocation representation, replacing occA/threshA under the Move
+	// Scenario state, all nil in the default scenario. thrL and slackL
+	// are packed 16-bit lanes in the counts layout: lane x&3 of word
+	// y*cpr + x>>2 holds, for the site at (x, y), its integer threshold
+	// T = ceil(tau_u * occ_u) and its slack D = occ_u - T, over the
+	// site's own (possibly edge-clamped) occupied window count occ_u.
+	// Vacant sites hold vacantLane in both, which no count c, c+1 or c+2
+	// can equal, so the boundary scan never flags them. tauOf is the
+	// per-site intolerance (nil under a global tau). Occupancy never
+	// changes under flip and swap dynamics, so all of this is immutable
+	// after New.
+	tauOf  []float64
+	thrL   []uint64
+	slackL []uint64
+	// Relocation representation, replacing thrL/slackL under the Move
 	// engine: occC holds the occupied-window counts in the same packed
 	// 16-bit lane layout as counts, so relocations maintain them with
-	// the masked band adds instead of per-site int32 rewrites, and
-	// thresholds are derived on read — threshTab memoizes ceil(tau*k)
-	// per occupancy under a global intolerance, per-site intolerance
-	// computes the ceil directly.
+	// the masked band adds, and thresholds are derived on read —
+	// threshTab memoizes ceil(tau*k) per occupancy under a global
+	// intolerance, per-site intolerance computes the ceil directly.
 	occC      []uint64
 	threshTab []int32
 	// Changed-site tracking for the swap (Kawasaki) and relocation
@@ -161,8 +165,8 @@ type Process struct {
 	changed  sampleset.List
 	flipSite int
 	// relocating marks a process backing the Move engine: occupancy
-	// changes under relocation, so the static boundary tables are not
-	// built and flips are forbidden (Move never flips spins in place).
+	// changes under relocation, so the static threshold and slack lanes
+	// are not built and flips are forbidden (Move never flips spins in place).
 	// The flippable sampler is likewise unmaintained (and empty): no
 	// caller consults it under the relocation dynamic, and skipping its
 	// per-site updates is most of the fast engine's advantage on the
@@ -173,18 +177,25 @@ type Process struct {
 	// shard branches below are ever taken. A shard of a ShardGroup owns
 	// the contiguous site range [ownLo, ownHi) of its strip rows; its
 	// flippable sampler indexes sites relative to sampBase = ownLo, and
-	// refreshSite routes sites outside the owned range through the
+	// refreshAt routes sites outside the owned range through the
 	// group: skipped under the deterministic phase protocol (the merge
 	// barrier re-derives them), applied to the owning shard under the
 	// free-running protocol (the caller holds the neighbor locks).
 	ownLo, ownHi int
 	sampBase     int
 	grp          *ShardGroup
+	// warm keeps the loads of warmBand alive.
+	warm uint64
 }
 
 // noBoundary is a lane-broadcast value no count lane can ever equal;
 // it pads unused boundary slots.
 const noBoundary = 0xffff * uint64(laneOnes)
+
+// vacantLane is the threshold and slack lane of a vacant site. Counts
+// never exceed 0x7fff, so c, c+1 and c+2 stay below it, and the scan's
+// D+1 and D+2 comparands formed from it still fit the lane.
+const vacantLane = 0xfff0
 
 // The fast engine satisfies the shared engine contract.
 var _ dynamics.Engine = (*Process)(nil)
@@ -215,7 +226,7 @@ func NewScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 
 // newScenario is the shared constructor body. With relocating set it
 // builds a process for the Move engine: occupancy is about to change,
-// so the per-site boundary tables — which are static under the flip
+// so the threshold and slack lanes — which are static under the flip
 // and swap dynamics and would go stale under relocation — are skipped,
 // and applyFlip panics if ever reached.
 func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source, relocating bool) (*Process, error) {
@@ -275,16 +286,19 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 	})
 	if sc.Open || p.agents < lat.Sites() || sc.Taus != nil {
 		// Some axis deviates from the paper's setting: materialize the
-		// per-site state and boundary tables; the broadcast upVals and
-		// downVals stay unused.
+		// per-site lanes; the broadcast upVals and downVals stay unused.
 		p.tauOf = sc.Taus
+		var tab []int32
+		if sc.Taus == nil {
+			tab = thresholdTable(tauTilde, nbhd)
+		}
 		if relocating {
 			// Occupancy changes on every relocation: keep the occupied
 			// counts in packed lanes maintained by the same masked band
-			// adds as the plus counts, and derive thresholds on read,
-			// instead of rewriting two int32 arrays across both windows
-			// of every move. Static boundary tables would go stale and
-			// are never built.
+			// adds as the plus counts, and derive thresholds on read.
+			// Static threshold and slack lanes would go stale and are
+			// never built.
+			p.threshTab = tab
 			p.occC = make([]uint64, n*p.cpr)
 			p.bits.VisitOccupiedWindowCounts(w, p.open, func(y int, row []int32) {
 				base := y * p.cpr
@@ -292,19 +306,8 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 					p.occC[base+x>>2] |= uint64(c) << uint(16*(x&3))
 				}
 			})
-			if sc.Taus == nil {
-				p.threshTab = make([]int32, p.nbhd+1)
-				for k := range p.threshTab {
-					p.threshTab[k] = int32(theory.Threshold(tauTilde, k))
-				}
-			}
 		} else {
-			p.occA = p.bits.OccupiedWindowCounts(w, p.open)
-			p.threshA = make([]int32, n*n)
-			for i := range p.threshA {
-				p.threshA[i] = int32(theory.Threshold(p.tauAt(i), int(p.occA[i])))
-			}
-			p.buildBoundaryTables()
+			p.buildThresholdLanes(tab)
 		}
 	} else {
 		// Classification boundaries: a +1 count update can change a
@@ -325,41 +328,52 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 			p.downVals[i] = noBoundary
 		}
 	}
-	for i := 0; i < n*n; i++ {
-		p.refreshSite(i, p.count(i))
+	for y := 0; y < n; y++ {
+		row := y * n
+		for x := 0; x < n; x++ {
+			p.refreshAt(row+x, x, y, p.lane(p.counts, x, y))
+		}
 	}
 	return p, nil
 }
 
-// buildBoundaryTables fills the per-site boundary tables from the
-// static occ/threshold arrays. Each occupied site gets the same eight
-// candidate boundary values the global addBoundary calls enumerate,
-// with occ_u and th_u in place of the constant N and global threshold;
-// values outside [0, occ_u] (masked to 16 bits) can never equal a
-// count lane, so they act as natural sentinels, and vacant sites keep
-// the unmatchable 0xffff in every slot — the scan never flags them.
-func (p *Process) buildBoundaryTables() {
-	p.upTab = make([]uint64, 4*len(p.counts))
-	p.downTab = make([]uint64, 4*len(p.counts))
-	for i := range p.upTab {
-		p.upTab[i] = noBoundary
-		p.downTab[i] = noBoundary
+// thresholdTable memoizes ceil(tau*k) for every occupancy k in [0, N]:
+// under a global intolerance the threshold of a site depends on its
+// occupied window count alone.
+func thresholdTable(tau float64, nbhd int) []int32 {
+	tab := make([]int32, nbhd+1)
+	for k := range tab {
+		tab[k] = int32(theory.Threshold(tau, k))
 	}
-	for i := 0; i < p.n*p.n; i++ {
-		if !p.bits.OccupiedBit(i) {
-			continue
+	return tab
+}
+
+// buildThresholdLanes fills the threshold and slack lanes from the
+// streamed occupied window-count rows: T = ceil(tau_u * occ_u), looked
+// up in tab under a global intolerance (tab nil means per-site tau),
+// and D = occ_u - T, with vacantLane in both lanes of a vacant site.
+func (p *Process) buildThresholdLanes(tab []int32) {
+	n := p.n
+	p.thrL = make([]uint64, n*p.cpr)
+	p.slackL = make([]uint64, n*p.cpr)
+	p.bits.VisitOccupiedWindowCounts(p.w, p.open, func(y int, row []int32) {
+		base := y * p.cpr
+		for x, occ := range row {
+			t, d := uint64(vacantLane), uint64(vacantLane)
+			if p.occupiedAt(x, y) {
+				var th int32
+				if tab != nil {
+					th = tab[occ]
+				} else {
+					th = int32(theory.Threshold(p.tauOf[y*n+x], int(occ)))
+				}
+				t, d = uint64(th), uint64(occ-th)
+			}
+			sh := uint(16 * (x & 3))
+			p.thrL[base+x>>2] |= t << sh
+			p.slackL[base+x>>2] |= d << sh
 		}
-		x, y := i%p.n, i/p.n
-		wi := 4 * (y*p.cpr + x>>2)
-		lane := uint(16 * (x & 3))
-		occ, th := int(p.occA[i]), int(p.threshA[i])
-		up := [4]int{th, occ + 2 - th, occ - th + 1, th - 1}
-		down := [4]int{th - 1, occ + 1 - th, occ - th, th - 2}
-		for s := 0; s < 4; s++ {
-			p.upTab[wi+s] = p.upTab[wi+s]&^(uint64(0xffff)<<lane) | uint64(up[s]&0xffff)<<lane
-			p.downTab[wi+s] = p.downTab[wi+s]&^(uint64(0xffff)<<lane) | uint64(down[s]&0xffff)<<lane
-		}
-	}
+	})
 }
 
 // addBoundary appends the lane-broadcast form of count value v if it is
@@ -399,23 +413,31 @@ func (p *Process) Time() float64 { return p.time }
 // Flips returns the number of effective flips so far.
 func (p *Process) Flips() int64 { return p.flips }
 
-// count returns the maintained +1 count of N(i).
-func (p *Process) count(i int) int {
-	x, y := i%p.n, i/p.n
-	return int(p.counts[y*p.cpr+x>>2] >> uint(16*(x&3)) & 0xffff)
+// lane returns the 16-bit lane of the site at (x, y) in a packed lane
+// array of the counts layout.
+func (p *Process) lane(lanes []uint64, x, y int) int {
+	return int(lanes[y*p.cpr+x>>2] >> uint(16*(x&3)) & 0xffff)
 }
 
-// occAt returns the occupied count of N(i) (the scenario-aware
-// generalization of the constant neighborhood size N).
-func (p *Process) occAt(i int) int {
-	if p.occC != nil {
-		x, y := i%p.n, i/p.n
-		return int(p.occC[y*p.cpr+x>>2] >> uint(16*(x&3)) & 0xffff)
+// count returns the maintained +1 count of N(i).
+func (p *Process) count(i int) int { return p.lane(p.counts, i%p.n, i/p.n) }
+
+// occupiedAt reports whether the site at (x, y) holds an agent.
+func (p *Process) occupiedAt(x, y int) bool {
+	return p.bits.OccupiedWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0
+}
+
+// occAt returns the occupied count of the window of the occupied site
+// at (x, y) (the scenario-aware generalization of the constant
+// neighborhood size N).
+func (p *Process) occAt(x, y int) int {
+	switch {
+	case p.occC != nil:
+		return p.lane(p.occC, x, y)
+	case p.thrL != nil:
+		return p.lane(p.thrL, x, y) + p.lane(p.slackL, x, y)
 	}
-	if p.occA == nil {
-		return p.nbhd
-	}
-	return int(p.occA[i])
+	return p.nbhd
 }
 
 // tauAt returns the intolerance in force at site i.
@@ -426,19 +448,31 @@ func (p *Process) tauAt(i int) float64 {
 	return p.tauOf[i]
 }
 
-// threshAt returns the integer happiness threshold of site i,
-// ceil(tau_i * occ_i), derived rather than stored under relocation.
-func (p *Process) threshAt(i int) int {
-	if p.threshA != nil {
-		return int(p.threshA[i])
-	}
-	if p.occC != nil {
+// threshAt returns the integer happiness threshold ceil(tau_u * occ_u)
+// of the occupied site at (x, y): read off its threshold lane under
+// flip and swap dynamics, derived from its occupancy lane under
+// relocation.
+func (p *Process) threshAt(x, y int) int {
+	switch {
+	case p.thrL != nil:
+		return p.lane(p.thrL, x, y)
+	case p.occC != nil:
 		if p.threshTab != nil {
-			return int(p.threshTab[p.occAt(i)])
+			return int(p.threshTab[p.occAt(x, y)])
 		}
-		return theory.Threshold(p.tauOf[i], p.occAt(i))
+		return theory.Threshold(p.tauOf[y*p.n+x], p.occAt(x, y))
 	}
 	return p.thresh
+}
+
+// sameAt returns the number of agents sharing the type of the
+// occupied site at (x, y) in its window, itself included.
+func (p *Process) sameAt(x, y int) int {
+	c := p.lane(p.counts, x, y)
+	if p.bits.SpinWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0 {
+		return c
+	}
+	return p.occAt(x, y) - c
 }
 
 // PlusCount returns the maintained count of +1 agents in N(i).
@@ -447,33 +481,29 @@ func (p *Process) PlusCount(i int) int { return p.count(i) }
 // SameCount returns the number of agents in N(u) sharing u's type,
 // including u itself. Vacant sites hold no agent and return 0.
 func (p *Process) SameCount(i int) int {
-	if !p.bits.OccupiedBit(i) {
+	x, y := i%p.n, i/p.n
+	if !p.occupiedAt(x, y) {
 		return 0
 	}
-	if p.bits.Bit(i) {
-		return p.count(i)
-	}
-	return p.occAt(i) - p.count(i)
+	return p.sameAt(x, y)
 }
 
 // Happy reports whether the agent at site i is happy: s(u) >= tau.
 // Vacant sites are vacuously happy.
 func (p *Process) Happy(i int) bool {
-	if !p.bits.OccupiedBit(i) {
-		return true
-	}
-	return p.SameCount(i) >= p.threshAt(i)
+	x, y := i%p.n, i/p.n
+	return !p.occupiedAt(x, y) || p.sameAt(x, y) >= p.threshAt(x, y)
 }
 
 // Flippable reports whether site i is an admissible flip. Vacant
 // sites are never flippable.
 func (p *Process) Flippable(i int) bool {
-	if !p.bits.OccupiedBit(i) {
+	x, y := i%p.n, i/p.n
+	if !p.occupiedAt(x, y) {
 		return false
 	}
-	same := p.SameCount(i)
-	th := p.threshAt(i)
-	return same < th && p.occAt(i)-same+1 >= th
+	same, th := p.sameAt(x, y), p.threshAt(x, y)
+	return same < th && p.occAt(x, y)-same+1 >= th
 }
 
 // FlippableCount returns the number of currently admissible flips.
@@ -497,38 +527,55 @@ func (p *Process) HappyFraction() float64 {
 // Fixated reports whether the process has terminated.
 func (p *Process) Fixated() bool { return p.flippable.Len() == 0 }
 
-// refreshSite recomputes the classification of site j from its current
-// count c and spin, and updates the unhappy bitset and flippable set —
-// the same transition the reference engine's refresh performs, applied
-// only to sites whose count crossed a classification boundary. Vacant
-// sites are neither unhappy nor flippable.
-func (p *Process) refreshSite(j, c int) {
+// refreshAt recomputes the classification of site j = y*n + x from its
+// current count c and spin, and updates the unhappy bitset and
+// flippable set — the same transition the reference engine's refresh
+// performs, applied only to sites whose count crossed a classification
+// boundary. The caller supplies the column and row, so every word is
+// addressed without a division. Vacant sites are neither unhappy nor
+// flippable.
+func (p *Process) refreshAt(j, x, y, c int) {
 	if j < p.ownLo || j >= p.ownHi {
 		// Shard routing: the site belongs to a neighboring strip. The
 		// deterministic protocol defers it to the merge barrier; the
 		// free-running protocol re-derives it on the owning shard (whose
 		// lock the caller holds).
 		if g := p.grp; g != nil && g.free {
-			g.owner(j).refreshSite(j, c)
+			g.owner(j).refreshAt(j, x, y, c)
 		}
 		return
 	}
+	plus := p.bits.SpinWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0
 	var unhappy, flippable bool
-	if p.threshA != nil || p.occC != nil {
-		if p.bits.OccupiedBit(j) {
-			occ, th := p.occAt(j), p.threshAt(j)
-			if p.bits.Bit(j) {
+	switch {
+	case p.thrL != nil:
+		// A vacant site reads as minus, and its sentinel slack exceeds
+		// every count, so it is never unhappy.
+		li, sh := y*p.cpr+x>>2, uint(16*(x&3))
+		th := int(p.thrL[li] >> sh & 0xffff)
+		d := int(p.slackL[li] >> sh & 0xffff)
+		if plus {
+			unhappy = c < th
+			flippable = unhappy && c <= d+1
+		} else {
+			unhappy = c > d
+			flippable = unhappy && c >= th-1
+		}
+	case p.occC != nil:
+		// The relocation engine classifies here only at construction;
+		// its flippable sampler stays unmaintained.
+		if p.occupiedAt(x, y) {
+			occ, th := p.lane(p.occC, x, y), p.threshAt(x, y)
+			if plus {
 				unhappy = c < th
-				flippable = unhappy && c <= occ+1-th
 			} else {
 				unhappy = c > occ-th
-				flippable = unhappy && c >= th-1
 			}
 		}
-	} else if p.bits.Bit(j) {
+	case plus:
 		unhappy = c < p.thresh
 		flippable = unhappy && c <= p.nbhd+1-p.thresh
-	} else {
+	default:
 		unhappy = c > p.nbhd-p.thresh
 		flippable = unhappy && c >= p.thresh-1
 	}
@@ -552,15 +599,33 @@ func (p *Process) refreshSite(j, c int) {
 	}
 }
 
+// segmentMask returns the SWAR ±1 pattern of count word k for the
+// column segment [a, b]: every lane inside the segment, partial words
+// at either end.
+func segmentMask(k, a, b int) uint64 {
+	w0, w1 := a>>2, b>>2
+	if k != w0 && k != w1 {
+		return laneOnes
+	}
+	lo, hi := 0, 3
+	if k == w0 {
+		lo = a & 3
+	}
+	if k == w1 {
+		hi = b & 3
+	}
+	return addMask[lo][hi]
+}
+
 // updateSegment applies the ±1 count update to columns [a, b] of row y
 // (no wrap within a segment) and refreshes, in ascending column order,
-// every site whose new count sits on a classification boundary.
+// every site whose new count sits on a classification boundary, tested
+// against the four lane-broadcast values of the default scenario.
 // forceX, when in [a, b], is unconditionally refreshed at its column
 // position — the flipped site changes class by spin, not by count.
 func (p *Process) updateSegment(y, a, b int, add bool, vals *[4]uint64, forceX int) {
 	base := y * p.cpr
 	row := y * p.n
-	w0, w1 := a>>2, b>>2
 	fk := -1
 	var fbit uint64
 	if forceX >= a && forceX <= b {
@@ -568,18 +633,8 @@ func (p *Process) updateSegment(y, a, b int, add bool, vals *[4]uint64, forceX i
 		fbit = 0x8000 << uint(16*(forceX&3))
 	}
 	v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-	for k := w0; k <= w1; k++ {
-		am := uint64(laneOnes)
-		if k == w0 || k == w1 {
-			lo, hi := 0, 3
-			if k == w0 {
-				lo = a & 3
-			}
-			if k == w1 {
-				hi = b & 3
-			}
-			am = addMask[lo][hi]
-		}
+	for k := a >> 2; k <= b>>2; k++ {
+		am := segmentMask(k, a, b)
 		idx := base + k
 		cw := p.counts[idx]
 		if add {
@@ -591,7 +646,7 @@ func (p *Process) updateSegment(y, a, b int, add bool, vals *[4]uint64, forceX i
 		// SWAR zero-lane scan of cw against the four boundary values.
 		// With lanes always <= 0x7fff the scan never misses an equal
 		// lane; borrow propagation can flag a non-matching neighbor
-		// lane, which is harmless because refreshSite is a no-op when
+		// lane, which is harmless because refreshAt is a no-op when
 		// the classification did not change.
 		x0 := cw ^ v0
 		x1 := cw ^ v1
@@ -604,42 +659,43 @@ func (p *Process) updateSegment(y, a, b int, add bool, vals *[4]uint64, forceX i
 			flags |= fbit
 		}
 		for flags != 0 {
-			l := bits.TrailingZeros64(flags) >> 4
-			p.refreshSite(row+k<<2+l, int(cw>>uint(16*l)&0xffff))
+			x := k<<2 + bits.TrailingZeros64(flags)>>4
+			p.refreshAt(row+x, x, y, int(cw>>uint(16*(x&3))&0xffff))
 			flags &= flags - 1
 		}
 	}
 }
 
-// updateSegmentTab is the scenario variant of updateSegment: instead
-// of four lane-broadcast boundary values shared by every site, each
-// count word scans against its own four boundary-table words (lane l
-// of tab[4*idx+s] holds the s-th boundary value of the site in lane
-// l). Everything else — the SWAR ±1 add, the zero-lane scan with its
-// harmless borrow false-positives, the ascending refresh order — is
-// identical.
-func (p *Process) updateSegmentTab(y, a, b int, add bool, tab []uint64, forceX int) {
+// updateSegmentLanes is the scenario variant of updateSegment: each
+// count word scans against boundary values derived in-register from
+// its own threshold and slack lanes and its spin nibble, instead of
+// four broadcast values. For a site with threshold T and slack
+// D = occ - T, a +1 update can change the class of a plus site only at
+// c = T (happy) and c = D+2 (no longer flippable), of a minus site only
+// at c = T-1 (flippable) and c = D+1 (unhappy); a -1 update changes a
+// plus site at c = T-1 and c = D+1, a minus site at c = T-2 and c = D.
+// The scan tests exactly the two values of each lane's own spin,
+//
+//	up:   plus c == T,   c == D+2;  minus c+1 == T, c == D+1
+//	down: plus c+1 == T, c == D+1;  minus c+2 == T, c+1 == D+1
+//
+// so every comparand is a sum of non-negative lanes and none can
+// borrow. Vacant lanes read as minus and hold vacantLane, which none
+// of c, c+1, c+2 reaches. The zero-lane test itself, its harmless
+// borrow false positives and the ascending refresh order are those of
+// updateSegment.
+func (p *Process) updateSegmentLanes(y, a, b int, add bool, forceX int) {
 	base := y * p.cpr
 	row := y * p.n
-	w0, w1 := a>>2, b>>2
+	srow := y * p.bits.WordsPerRow()
 	fk := -1
 	var fbit uint64
 	if forceX >= a && forceX <= b {
 		fk = forceX >> 2
 		fbit = 0x8000 << uint(16*(forceX&3))
 	}
-	for k := w0; k <= w1; k++ {
-		am := uint64(laneOnes)
-		if k == w0 || k == w1 {
-			lo, hi := 0, 3
-			if k == w0 {
-				lo = a & 3
-			}
-			if k == w1 {
-				hi = b & 3
-			}
-			am = addMask[lo][hi]
-		}
+	for k := a >> 2; k <= b>>2; k++ {
+		am := segmentMask(k, a, b)
 		idx := base + k
 		cw := p.counts[idx]
 		if add {
@@ -648,20 +704,27 @@ func (p *Process) updateSegmentTab(y, a, b int, add bool, tab []uint64, forceX i
 			cw -= am
 		}
 		p.counts[idx] = cw
-		t := tab[4*idx : 4*idx+4 : 4*idx+4]
-		x0 := cw ^ t[0]
-		x1 := cw ^ t[1]
-		x2 := cw ^ t[2]
-		x3 := cw ^ t[3]
-		flags := ((x0 - laneOnes) & ^x0) | ((x1 - laneOnes) & ^x1) |
-			((x2 - laneOnes) & ^x2) | ((x3 - laneOnes) & ^x3)
+		x4 := k << 2
+		sm := nibbleMask[p.bits.SpinWord(srow+x4>>6)>>uint(x4&63)&0xf]
+		mo := ^sm & laneOnes // 1 in every minus (or vacant) lane
+		t := p.thrL[idx]
+		d1 := p.slackL[idx] + laneOnes
+		var x0, x1 uint64
+		if add {
+			x0 = (cw + mo) ^ t
+			x1 = cw ^ (d1 + sm&laneOnes)
+		} else {
+			x0 = (cw + laneOnes + mo) ^ t
+			x1 = (cw + mo) ^ d1
+		}
+		flags := ((x0 - laneOnes) & ^x0) | ((x1 - laneOnes) & ^x1)
 		flags &= am << 15
 		if k == fk {
 			flags |= fbit
 		}
 		for flags != 0 {
-			l := bits.TrailingZeros64(flags) >> 4
-			p.refreshSite(row+k<<2+l, int(cw>>uint(16*l)&0xffff))
+			x := x4 + bits.TrailingZeros64(flags)>>4
+			p.refreshAt(row+x, x, y, int(cw>>uint(16*(x&3))&0xffff))
 			flags &= flags - 1
 		}
 	}
@@ -669,21 +732,17 @@ func (p *Process) updateSegmentTab(y, a, b int, add bool, tab []uint64, forceX i
 
 // segment applies the ±1 count update and boundary scan to columns
 // [a, b] of row y, routing to the broadcast scan (default scenario) or
-// the per-site table scan.
+// the threshold/slack lane scan.
 func (p *Process) segment(y, a, b int, add bool, forceX int) {
-	if p.upTab == nil {
-		vals := &p.downVals
-		if add {
-			vals = &p.upVals
-		}
-		p.updateSegment(y, a, b, add, vals, forceX)
+	if p.thrL != nil {
+		p.updateSegmentLanes(y, a, b, add, forceX)
 		return
 	}
-	tab := p.downTab
+	vals := &p.downVals
 	if add {
-		tab = p.upTab
+		vals = &p.upVals
 	}
-	p.updateSegmentTab(y, a, b, add, tab, forceX)
+	p.updateSegment(y, a, b, add, vals, forceX)
 }
 
 // applyFlip flips site i and updates counts and set membership of every
@@ -692,7 +751,7 @@ func (p *Process) segment(y, a, b int, add bool, forceX int) {
 // the open boundary — so the flippable slice evolves identically.
 func (p *Process) applyFlip(i int) {
 	if p.relocating {
-		panic("fastglauber: flip under the relocation dynamic (boundary tables are not built)")
+		panic("fastglauber: flip under the relocation dynamic (threshold lanes are not built)")
 	}
 	n, w := p.n, p.w
 	x0, y0 := i%n, i/n
@@ -703,6 +762,9 @@ func (p *Process) applyFlip(i int) {
 		p.lat.SetAt(i, grid.Minus)
 	}
 	p.flipSite = i
+	if p.thrL != nil && n*n >= warmMinSites {
+		p.warmBand(x0, y0)
+	}
 	if p.open {
 		xlo, xhi := x0-w, x0+w
 		if xlo < 0 {
@@ -749,6 +811,55 @@ func (p *Process) applyFlip(i int) {
 		}
 	}
 	p.flipSite = -1
+}
+
+// warmMinSites is the lattice size from which scenario flips warm
+// their band (see warmBand). The hot state — count, threshold and
+// slack lanes plus the sampler's slot index, about 10 B/site — is
+// then several MiB, well past a per-core L2 cache. Measured at w=1 on
+// a 2 MiB-L2 Xeon: warming cuts ns/flip by about a quarter at n=1024
+// (and by a tenth at w=10) but costs about a tenth at n=256-320, with
+// n=384-512 in between.
+const warmMinSites = 1 << 19
+
+// warmBand loads, before any count update, the first count,
+// threshold and slack word and the first flippable-sampler slot of
+// every row of the flip band at (x0, y0). The scan of a row and the
+// refreshes it triggers depend on each other, so left alone their
+// cache misses queue up one row after another; issued up front and
+// independent of each other, the misses of all rows overlap. The
+// default path, which keeps a third of the per-site state, does
+// without.
+func (p *Process) warmBand(x0, y0 int) {
+	n, w := p.n, p.w
+	x := x0 - w
+	if x < 0 {
+		if p.open {
+			x = 0
+		} else {
+			x += n
+		}
+	}
+	var sink uint64
+	for dy := -w; dy <= w; dy++ {
+		y := y0 + dy
+		if y < 0 || y >= n {
+			if p.open {
+				continue
+			}
+			if y < 0 {
+				y += n
+			} else {
+				y -= n
+			}
+		}
+		idx := y*p.cpr + x>>2
+		sink += p.counts[idx] + p.thrL[idx] + p.slackL[idx]
+		if j := y*n + x; j >= p.ownLo && j < p.ownHi && p.flippable.Contains(j-p.sampBase) {
+			sink++
+		}
+	}
+	p.warm = sink
 }
 
 // ForceFlip flips site i unconditionally and updates all bookkeeping,
@@ -817,24 +928,27 @@ func (p *Process) CheckInvariants() error {
 	if got := p.lat.CountOccupied(); got != p.agents {
 		return fmt.Errorf("agents = %d, want %d", p.agents, got)
 	}
-	if p.occA != nil {
+	if p.thrL != nil || p.occC != nil {
+		// Thresholds under relocation are derived from the occupancy
+		// lanes, so verifying those lanes verifies the thresholds too;
+		// the flip and swap dynamics store T and D = occ - T, checked
+		// against a fresh recount, with the sentinel on vacant sites.
 		freshOcc := p.lat.OccupiedWindowCounts(p.w, p.open)
-		for i := range freshOcc {
-			if p.occA[i] != freshOcc[i] {
-				return fmt.Errorf("occ[%d] = %d, want %d", i, p.occA[i], freshOcc[i])
+		for i, occ := range freshOcc {
+			x, y := i%p.n, i/p.n
+			if p.occC != nil {
+				if got := p.lane(p.occC, x, y); got != int(occ) {
+					return fmt.Errorf("occ lane[%d] = %d, want %d", i, got, occ)
+				}
+				continue
 			}
-			if want := int32(theory.Threshold(p.tauAt(i), int(freshOcc[i]))); p.threshA[i] != want {
-				return fmt.Errorf("threshA[%d] = %d, want %d", i, p.threshA[i], want)
+			wantT, wantD := vacantLane, vacantLane
+			if p.lat.OccupiedAt(i) {
+				wantT = theory.Threshold(p.tauAt(i), int(occ))
+				wantD = int(occ) - wantT
 			}
-		}
-	}
-	if p.occC != nil {
-		// Thresholds are derived from these lanes, so verifying the
-		// lanes verifies the thresholds with them.
-		freshOcc := p.lat.OccupiedWindowCounts(p.w, p.open)
-		for i := range freshOcc {
-			if got := int32(p.occAt(i)); got != freshOcc[i] {
-				return fmt.Errorf("occ lane[%d] = %d, want %d", i, got, freshOcc[i])
+			if t, d := p.lane(p.thrL, x, y), p.lane(p.slackL, x, y); t != wantT || d != wantD {
+				return fmt.Errorf("threshold/slack lanes[%d] = %d/%d, want %d/%d", i, t, d, wantT, wantD)
 			}
 		}
 	}
@@ -844,13 +958,8 @@ func (p *Process) CheckInvariants() error {
 		if got, want := p.count(i), int(fresh[i]); got != want {
 			return fmt.Errorf("count[%d] = %d, want %d", i, got, want)
 		}
-		var unhappy bool
-		if p.bits.OccupiedBit(i) {
-			same := p.SameCount(i)
-			th := p.threshAt(i)
-			unhappy = same < th
-			wantFlippable[i] = unhappy && p.occAt(i)-same+1 >= th
-		}
+		unhappy := !p.Happy(i)
+		wantFlippable[i] = p.Flippable(i)
 		if got := p.unhappy[i>>6]&(1<<uint(i&63)) != 0; got != unhappy {
 			return fmt.Errorf("unhappy[%d] = %v, want %v", i, got, unhappy)
 		}

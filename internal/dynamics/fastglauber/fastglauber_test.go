@@ -234,6 +234,73 @@ func TestScenarioForceFlipMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesCorruptLanes corrupts a single threshold or
+// slack lane — of an occupied site, or the sentinel of a vacant one —
+// and demands that CheckInvariants report it.
+func TestCheckInvariantsCatchesCorruptLanes(t *testing.T) {
+	c := scenarioCase{n: 24, w: 2, tau: 0.42, p: 0.5, rho: 0.1, open: true, dist: "mix:0.35,0.45:0.5"}
+	_, probe := newScenarioPair(t, c, 5)
+	if err := probe.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	occupied, vacant := -1, -1
+	for i := 0; i < c.n*c.n; i++ {
+		if probe.bits.OccupiedBit(i) {
+			occupied = i
+		} else {
+			vacant = i
+		}
+	}
+	if occupied < 0 || vacant < 0 {
+		t.Fatal("lattice lacks an occupied or a vacant site")
+	}
+	thr := func(p *Process) []uint64 { return p.thrL }
+	slack := func(p *Process) []uint64 { return p.slackL }
+	for _, tc := range []struct {
+		name  string
+		lanes func(*Process) []uint64
+		site  int
+	}{
+		{"threshold", thr, occupied},
+		{"slack", slack, occupied},
+		{"vacant threshold", thr, vacant},
+		{"vacant slack", slack, vacant},
+	} {
+		_, p := newScenarioPair(t, c, 5)
+		x, y := tc.site%c.n, tc.site/c.n
+		tc.lanes(p)[y*p.cpr+x>>2] ^= 1 << uint(16*(x&3))
+		if err := p.CheckInvariants(); err == nil {
+			t.Errorf("%s lane of site %d corrupted: CheckInvariants passed", tc.name, tc.site)
+		}
+	}
+}
+
+// TestWarmBandIsReadOnly runs warmBand — which only large lattices
+// reach in a run — at every band position of a small scenario process,
+// standalone and from each strip of a shard group, on both boundaries:
+// wrapped and clamped rows, and rows outside a strip, must neither
+// index out of range nor change any state.
+func TestWarmBandIsReadOnly(t *testing.T) {
+	for _, open := range []bool{false, true} {
+		c := scenarioCase{n: 24, w: 2, tau: 0.42, p: 0.5, rho: 0.1, open: open}
+		_, p := newScenarioPair(t, c, 9)
+		g, err := NewShards(p, []int{0, 8, 16, 24}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range append([]*Process{p}, g.shards...) {
+			for y := 0; y < c.n; y++ {
+				for x := 0; x < c.n; x++ {
+					q.warmBand(x, y)
+				}
+			}
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("open=%v: %v", open, err)
+		}
+	}
+}
+
 // TestForceFlipMatchesReference drives both engines through arbitrary
 // forced flips (rule-violating transitions) and compares bookkeeping.
 func TestForceFlipMatchesReference(t *testing.T) {

@@ -82,10 +82,11 @@ func (k *Kawasaki) UnhappyByType() (plus, minus int) {
 
 // refreshSets updates site i's membership in the per-type unhappy
 // sets from the maintained unhappy bitset (zero for vacant sites) and
-// the packed spin plane.
+// the lockstep reference mirror, which indexes spins by site without
+// the packed plane's row/column division.
 func (k *Kawasaki) refreshSets(i int) {
 	unhappy := k.p.unhappy[i>>6]&(1<<uint(i&63)) != 0
-	plusSpin := k.p.bits.Bit(i)
+	plusSpin := k.p.lat.SpinAt(i) == grid.Plus
 	k.unhappyPlus.Update(i, unhappy && plusSpin)
 	k.unhappyMinus.Update(i, unhappy && !plusSpin)
 }

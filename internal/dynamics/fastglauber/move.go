@@ -20,16 +20,16 @@ import (
 // A relocation is a vacate+occupy pair of packed single-bit updates
 // against the spin and occupancy planes. Both maintained lane arrays —
 // the +1 window counts and the occupied window counts (occC, the
-// relocation replacement for the flip path's int32 occ/threshold
-// arrays) — are adjusted with the same masked SWAR word additions the
+// relocation replacement for the flip path's threshold and slack
+// lanes) — are adjusted with the same masked SWAR word additions the
 // flip engine uses for its column band; the plus band only when the
 // mover is a +1 agent. What remains scalar is reclassification: every
 // site of both windows is re-read against the settled lanes, in the
 // reference engine's row-major window-visit order, with thresholds
 // looked up in the process's per-occupancy table (or computed per
 // site under heterogeneous intolerance) rather than stored. The
-// static boundary tables of the flip scan are never built (see
-// newScenario's relocating mode).
+// static threshold and slack lanes of the flip scan are never built
+// (see newScenario's relocating mode).
 type Move struct {
 	p *Process
 	// Indexed samplers over the unhappy agents (both types) and the
@@ -98,9 +98,10 @@ func (m *Move) threshFor(i, occ int) int32 {
 }
 
 // refreshSets updates site i's membership in the unhappy-agent and
-// vacant-site samples from the maintained bitsets.
+// vacant-site samples from the maintained unhappy bitset and the
+// lockstep reference mirror's occupancy.
 func (m *Move) refreshSets(i int) {
-	occupied := m.p.bits.OccupiedBit(i)
+	occupied := m.p.lat.SpinAt(i) != grid.None
 	unhappy := m.p.unhappy[i>>6]&(1<<uint(i&63)) != 0
 	m.unhappySet.Update(i, occupied && unhappy)
 	m.vacantSet.Update(i, !occupied)
@@ -114,19 +115,8 @@ func (m *Move) refreshSets(i int) {
 // masked word additions.
 func (m *Move) bandSegment(lanes []uint64, y, a, b int, add bool) {
 	base := y * m.p.cpr
-	w0, w1 := a>>2, b>>2
-	for k := w0; k <= w1; k++ {
-		am := uint64(laneOnes)
-		if k == w0 || k == w1 {
-			lo, hi := 0, 3
-			if k == w0 {
-				lo = a & 3
-			}
-			if k == w1 {
-				hi = b & 3
-			}
-			am = addMask[lo][hi]
-		}
+	for k := a >> 2; k <= b>>2; k++ {
+		am := segmentMask(k, a, b)
 		if add {
 			lanes[base+k] += am
 		} else {
@@ -546,8 +536,9 @@ func (p *Process) inWindow(i, j int) bool {
 // arithmetic of the reference engine.
 func (m *Move) wouldBeHappy(u, v int, plusMover bool) bool {
 	p := m.p
-	occ := p.occAt(v)
-	plus := p.count(v)
+	x, y := v%p.n, v/p.n
+	occ := p.occAt(x, y)
+	plus := p.lane(p.counts, x, y)
 	if p.inWindow(v, u) {
 		occ--
 		if plusMover {

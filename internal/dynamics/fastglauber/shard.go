@@ -12,8 +12,8 @@ import (
 // partition its lattice into horizontal strips so non-interacting
 // strips can run Glauber updates concurrently (internal/dynamics/pareng
 // orchestrates the protocols). Each shard is a shallow copy of the
-// parent Process sharing every backing array — packed spins, the count
-// lanes, the unhappy bitset, the scenario tables, and the reference
+// parent Process sharing every backing array — packed spins, the count,
+// threshold and slack lanes, the unhappy bitset, and the reference
 // mirror lattice — with its own flippable sampler (indexed relative to
 // the strip base), its own clock, flip counter, and unhappy tally.
 //
@@ -35,7 +35,7 @@ type ShardGroup struct {
 	shards []*Process
 	bounds []int   // strip k owns rows [bounds[k], bounds[k+1])
 	rowOf  []int32 // row -> owning strip index
-	// free selects the foreign-refresh routing in refreshSite: apply to
+	// free selects the foreign-refresh routing in refreshAt: apply to
 	// the owning shard (free-running protocol, caller holds the locks)
 	// instead of deferring to the deterministic merge barrier.
 	free bool
@@ -154,8 +154,8 @@ func (g *ShardGroup) RefreshRows(lo, hi int) {
 	n := g.parent.n
 	for y := lo; y < hi; y++ {
 		s := g.shards[g.rowOf[y]]
-		for j := y * n; j < (y+1)*n; j++ {
-			s.refreshSite(j, s.count(j))
+		for x := 0; x < n; x++ {
+			s.refreshAt(y*n+x, x, y, s.lane(s.counts, x, y))
 		}
 	}
 }
@@ -239,13 +239,8 @@ func (g *ShardGroup) CheckInvariants() error {
 		unhappyCount := 0
 		wantFlippable := make([]bool, s.ownHi-s.ownLo)
 		for j := s.ownLo; j < s.ownHi; j++ {
-			var unhappy bool
-			if p.bits.OccupiedBit(j) {
-				same := p.SameCount(j)
-				th := p.threshAt(j)
-				unhappy = same < th
-				wantFlippable[j-s.sampBase] = unhappy && p.occAt(j)-same+1 >= th
-			}
+			unhappy := !p.Happy(j)
+			wantFlippable[j-s.sampBase] = p.Flippable(j)
 			if got := p.unhappy[j>>6]&(1<<uint(j&63)) != 0; got != unhappy {
 				return fmt.Errorf("strip %d: unhappy[%d] = %v, want %v", k, j, got, unhappy)
 			}

@@ -337,7 +337,7 @@ func (e *Engine) runCycle() (flips int64) {
 			wg.Wait()
 		}
 		// Merge barrier: re-derive the boundary bands the phase's flips
-		// wrote into, in canonical ascending order. refreshSite is
+		// wrote into, in canonical ascending order. refreshAt is
 		// idempotent given the (already settled) counts, so the merge
 		// only has to be ordered, not clever.
 		for _, s := range active {

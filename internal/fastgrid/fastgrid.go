@@ -48,16 +48,16 @@ func FromLattice(l *grid.Lattice) *Lattice {
 	if l.HasVacancies() {
 		p.occ = make([]uint64, n*p.wpr)
 	}
+	// Branch-free over the spin values: (s+1)>>1 is 1 only for Plus
+	// (+1), s&1 is 1 for both agents (+1, -1) and 0 for None.
 	for y := 0; y < n; y++ {
 		base := y * n
 		row := y * p.wpr
 		for x := 0; x < n; x++ {
-			s := l.SpinAt(base + x)
-			if s == grid.Plus {
-				p.words[row+x>>6] |= 1 << uint(x&63)
-			}
-			if p.occ != nil && s != grid.None {
-				p.occ[row+x>>6] |= 1 << uint(x&63)
+			s := int(l.SpinAt(base + x))
+			p.words[row+x>>6] |= uint64(s+1) >> 1 << uint(x&63)
+			if p.occ != nil {
+				p.occ[row+x>>6] |= uint64(s&1) << uint(x&63)
 			}
 		}
 	}
@@ -226,10 +226,11 @@ func (p *Lattice) planeRowWindow(plane []uint64, y, x, radius int, open bool) in
 // time, in ascending row order, holding only a ring of the 2*radius+1
 // live horizontal row sums plus one accumulator row — O(n*radius)
 // scratch from the free lists, independent of the n^2 output size.
-// rowWindow(y, x) must return the count of the row-y column window
-// centered at x (wrapped or clamped per the boundary); visit receives
-// each output row in a buffer that is only valid during the call.
-func visitWindowCounts(n, radius int, open bool, rowWindow func(y, x int) int32, visit func(y int, row []int32)) {
+// rowWindows(y, row) must fill row[x] with the count of the row-y
+// column window centered at x (wrapped or clamped per the boundary);
+// visit receives each output row in a buffer that is only valid during
+// the call.
+func visitWindowCounts(n, radius int, open bool, rowWindows func(y int, row []int32), visit func(y int, row []int32)) {
 	if !open && 2*radius+1 > n {
 		panic("fastgrid: window larger than torus")
 	}
@@ -259,9 +260,7 @@ func visitWindowCounts(n, radius int, open bool, rowWindow func(y, x int) int32,
 		if !open {
 			yy = wrap(y, n)
 		}
-		for x := 0; x < n; x++ {
-			row[x] = rowWindow(yy, x)
-		}
+		rowWindows(yy, row)
 		return row
 	}
 	// Pre-accumulate the rows above the first output row: unwrapped
@@ -311,9 +310,44 @@ func (p *Lattice) planeWindowCounts(plane []uint64, radius int, open bool) []int
 // planeWindowCountsVisit streams the window counts of a bit plane
 // through visitWindowCounts.
 func (p *Lattice) planeWindowCountsVisit(plane []uint64, radius int, open bool, visit func(y int, row []int32)) {
-	visitWindowCounts(p.n, radius, open, func(y, x int) int32 {
-		return int32(p.planeRowWindow(plane, y, x, radius, open))
+	visitWindowCounts(p.n, radius, open, func(y int, row []int32) {
+		p.planeRowWindows(plane, y, radius, open, row)
 	}, visit)
+}
+
+// planeRowWindows fills row[x] with planeRowWindow(plane, y, x, radius,
+// open) for every column x. Only the first window takes masked
+// popcounts; each later one slides a column to the right, adding the
+// bit that enters and dropping the bit that leaves, so a row costs
+// O(n) bit reads whatever the radius.
+func (p *Lattice) planeRowWindows(plane []uint64, y, radius int, open bool, row []int32) {
+	n := p.n
+	words := plane[y*p.wpr : (y+1)*p.wpr]
+	bit := func(x int) int32 { return int32(words[x>>6] >> uint(x&63) & 1) }
+	c := int32(p.planeRowWindow(plane, y, 0, radius, open))
+	row[0] = c
+	for x := 1; x < n; x++ {
+		in, out := x+radius, x-radius-1
+		if open {
+			if in < n {
+				c += bit(in)
+			}
+			if out >= 0 {
+				c -= bit(out)
+			}
+		} else {
+			// The torus window fits the row (2*radius+1 <= n), so one
+			// wrap brings both columns back into [0, n).
+			if in >= n {
+				in -= n
+			}
+			if out < 0 {
+				out += n
+			}
+			c += bit(in) - bit(out)
+		}
+		row[x] = c
+	}
 }
 
 // WindowCounts returns, for every site u (row-major), the number of +1

@@ -95,8 +95,9 @@ func TestScenarioPackRoundTrip(t *testing.T) {
 // TestScenarioWindowCounts pins the scenario window counting — both
 // indicators (plus agents, occupied sites), both boundaries (wrapped,
 // clamped) — to the reference grid implementations, including windows
-// spanning word boundaries and, under the open boundary, windows
-// larger than the grid.
+// spanning word boundaries, rows on either side of the 64-bit word
+// width where the sliding row windows wrap, torus-spanning windows and,
+// under the open boundary, windows larger than the grid.
 func TestScenarioWindowCounts(t *testing.T) {
 	cases := []struct {
 		n, w int
@@ -106,6 +107,9 @@ func TestScenarioWindowCounts(t *testing.T) {
 		{5, 1, 0, true}, {5, 2, 0.2, true}, {9, 4, 0.1, false},
 		{31, 15, 0.1, true}, {64, 3, 0.05, false}, {65, 32, 0.2, true},
 		{100, 10, 0.1, true}, {130, 64, 0.3, false}, {16, 20, 0.1, true},
+		{3, 1, 0.2, false}, {63, 1, 0.2, false}, {66, 1, 0.2, false},
+		{66, 2, 0.2, true}, {127, 63, 0.2, false}, {128, 1, 0.2, true},
+		{129, 2, 0.2, false}, {7, 9, 0.2, true},
 	}
 	for _, tc := range cases {
 		lat := grid.RandomScenario(tc.n, 0.5, tc.rho, rng.New(uint64(tc.n*100+tc.w)))

@@ -279,8 +279,10 @@ func (t *Tiled) OccupiedWindowCounts(radius int, open bool) []int32 {
 // VisitPlusWindowCounts streams the per-site +1 window counts one row
 // at a time through the shared bounded-memory core.
 func (t *Tiled) VisitPlusWindowCounts(radius int, open bool, visit func(y int, row []int32)) {
-	visitWindowCounts(t.n, radius, open, func(y, x int) int32 {
-		return int32(t.planeRowWindow(t.spin, y, x, radius, open))
+	visitWindowCounts(t.n, radius, open, func(y int, row []int32) {
+		for x := range row {
+			row[x] = int32(t.planeRowWindow(t.spin, y, x, radius, open))
+		}
 	}, visit)
 }
 
@@ -291,8 +293,10 @@ func (t *Tiled) VisitOccupiedWindowCounts(radius int, open bool, visit func(y in
 		visitWindowAreas(t.n, radius, open, visit)
 		return
 	}
-	visitWindowCounts(t.n, radius, open, func(y, x int) int32 {
-		return int32(t.planeRowWindow(t.occ, y, x, radius, open))
+	visitWindowCounts(t.n, radius, open, func(y int, row []int32) {
+		for x := range row {
+			row[x] = int32(t.planeRowWindow(t.occ, y, x, radius, open))
+		}
 	}, visit)
 }
 

@@ -83,9 +83,13 @@ func RandomScenario(n int, p, rho float64, src *rng.Source) *Lattice {
 			l.spins[i] = None
 			continue
 		}
+		// Branch-free on the type coin, which a branch predictor cannot
+		// learn: Minus + 2 is Plus.
+		var plus Spin
 		if src.Bernoulli(p) {
-			l.spins[i] = Plus
+			plus = 1
 		}
+		l.spins[i] = Minus + 2*plus
 	}
 	return l
 }

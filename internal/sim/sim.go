@@ -49,7 +49,7 @@ type Context struct {
 	// cache consulted by every replicated stage: cells already in the
 	// store (keyed by experiment scope, parameters, and derived seed)
 	// are served without recomputation. Never changes results.
-	Store store.Store
+	Store store.Backend
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})
 }

@@ -119,11 +119,7 @@ type Backend interface {
 	Put(key string, values []float64) error
 }
 
-// Store is the historical name of the backend contract, kept as an
-// alias so existing call sites read naturally.
-type Store = Backend
-
-// Memory is an in-process Store, useful for tests and for servers that
+// Memory is an in-process Backend, useful for tests and for servers that
 // do not need persistence.
 type Memory struct {
 	mu sync.Mutex
@@ -133,7 +129,7 @@ type Memory struct {
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory { return &Memory{m: map[string][]float64{}} }
 
-// Get implements Store.
+// Get implements Backend.
 func (s *Memory) Get(key string) (values []float64, ok bool, err error) {
 	defer observeGet(time.Now(), &ok, &err)
 	s.mu.Lock()
@@ -147,7 +143,7 @@ func (s *Memory) Get(key string) (values []float64, ok bool, err error) {
 	return out, true, nil
 }
 
-// Put implements Store.
+// Put implements Backend.
 func (s *Memory) Put(key string, values []float64) (err error) {
 	defer observePut(time.Now(), &err)
 	v := make([]float64, len(values))
@@ -165,7 +161,7 @@ func (s *Memory) Len() int {
 	return len(s.m)
 }
 
-// Dir is a file-backed Store rooted at a directory. Each cell lives in
+// Dir is a file-backed Backend rooted at a directory. Each cell lives in
 // its own small JSON object file under objects/<key[:2]>/<key[2:]>,
 // written atomically (unique temp file + rename), so concurrent
 // writers — even across processes sharing the store, like cmd/segd and
@@ -299,7 +295,7 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get implements Store.
+// Get implements Backend.
 func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 	defer observeGet(time.Now(), &ok, &err)
 	if !validKey(key) {
@@ -326,7 +322,7 @@ func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 	return out, true, nil
 }
 
-// Put implements Store.
+// Put implements Backend.
 func (d *Dir) Put(key string, values []float64) (err error) {
 	defer observePut(time.Now(), &err)
 	if !validKey(key) {

@@ -110,12 +110,12 @@ func TestKeyDistinguishesIdentity(t *testing.T) {
 	}
 }
 
-// testBackend is the shared conformance suite every Store backend must
+// testBackend is the shared conformance suite every Backend must
 // pass. open returns a fresh handle onto the same underlying substrate
 // each call — the same Memory instance, the same directory, the same
 // remote server — so the persistence subtest exercises a real
 // close-and-reopen, not a fresh empty store.
-func testBackend(t *testing.T, open func() Store) {
+func testBackend(t *testing.T, open func() Backend) {
 	t.Run("roundtrip", func(t *testing.T) {
 		s := open()
 		key := CellSpec{Scope: "rt", Seed: 1}.Key()
@@ -218,11 +218,11 @@ func testBackend(t *testing.T, open func() Store) {
 func TestBackendContract(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
 		m := NewMemory()
-		testBackend(t, func() Store { return m })
+		testBackend(t, func() Backend { return m })
 	})
 	t.Run("dir", func(t *testing.T) {
 		root := filepath.Join(t.TempDir(), "cache")
-		testBackend(t, func() Store {
+		testBackend(t, func() Backend {
 			d, err := Open(root)
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +237,7 @@ func TestBackendContract(t *testing.T) {
 		}
 		srv := httptest.NewServer(ObjectHandler(d))
 		defer srv.Close()
-		testBackend(t, func() Store { return NewRemote(srv.URL, srv.Client()) })
+		testBackend(t, func() Backend { return NewRemote(srv.URL, srv.Client()) })
 	})
 }
 
