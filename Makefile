@@ -15,10 +15,10 @@ race:
 	go test -race ./...
 
 # Repeated race-detector passes over the concurrent subsystems: the
-# domain-decomposed parallel engine (both the deterministic and the
-# free-running protocol) and the server's job dispatcher with its SSE
-# fan-out. Five repetitions vary goroutine interleavings enough to
-# surface ordering-dependent races that a single -race pass misses.
+# domain-decomposed parallel engine's phase protocol and the server's
+# job dispatcher with its SSE fan-out. Five repetitions vary goroutine
+# interleavings enough to surface ordering-dependent races that a
+# single -race pass misses.
 race-stress:
 	go test -race -count=5 ./internal/dynamics/pareng/ ./internal/server/
 

@@ -6,6 +6,7 @@ import (
 	"gridseg/internal/grid"
 	"gridseg/internal/measure"
 	"gridseg/internal/rng"
+	"gridseg/internal/topology"
 )
 
 // MarshalConfiguration encodes the model's current agent configuration
@@ -31,11 +32,7 @@ func NewFromConfiguration(data []byte, cfg Config) (*Model, error) {
 	}
 	cfg = cfg.withDefaults()
 	cfg.N = lat.N()
-	m := &Model{cfg: cfg, lat: lat}
-	if err := m.buildDynamics(rng.New(cfg.Seed).Split(2)); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newModel(cfg, topology.Scenario{}, lat, nil, rng.New(cfg.Seed).Split(2))
 }
 
 // Indices holds the block-level residential-segregation indices from

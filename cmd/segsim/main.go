@@ -40,6 +40,7 @@ import (
 	"path/filepath"
 
 	"gridseg"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/fastgrid"
 )
 
@@ -77,9 +78,9 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.StringVar(&c.boundary, "boundary", "torus", "lattice boundary: torus (wrap-around) or open (hard walls, truncated edge neighborhoods)")
 	fs.Float64Var(&c.rho, "rho", 0, "vacancy fraction in [0,1): each site is empty with this probability")
 	fs.StringVar(&c.taudist, "taudist", "global", "per-site intolerance distribution: global, mix:a,b:w, or uniform:lo:hi")
-	fs.StringVar(&c.engine, "engine", "auto", "simulation engine: auto, reference, fast, or parallel; the sequential engines are bit-identical, and parallel with more than one strip runs its own reproducible trajectory")
+	fs.StringVar(&c.engine, "engine", "auto", "simulation engine: "+engines.Labels()+"; the sequential engines are bit-identical, and parallel with more than one strip runs its own reproducible trajectory")
 	fs.IntVar(&c.par, "par", 0, "parallel engine worker count (0 = one per CPU); a pure execution detail, any count replays the same trajectory")
-	fs.IntVar(&c.strips, "strips", 0, "parallel engine strip count (0 = auto, 1 = sequential delegation); the strip count is part of the trajectory definition")
+	fs.IntVar(&c.strips, "strips", 0, "parallel engine strip count (0 = auto, 1 = the sequential fast engine); the strip count is part of the trajectory definition")
 	fs.IntVar(&c.snapshots, "snapshots", 4, "number of reporting stages (>= 2)")
 	fs.StringVar(&c.pngDir, "png", "", "directory for snapshot PNGs (optional)")
 	fs.BoolVar(&c.ascii, "ascii", false, "print an ASCII snapshot at each stage (small grids)")
@@ -139,9 +140,9 @@ func main() {
 	fmt.Printf("segsim: n=%d w=%d N=%d tau=%g (threshold %d/%d) p=%g seed=%d mode=%s %s total-events=%d\n",
 		opts.n, opts.w, m.NeighborhoodSize(), m.EffectiveTau(), m.Threshold(), m.NeighborhoodSize(), opts.p, opts.seed, opts.mode, m.Scenario(), total)
 
-	// The parallel Glauber engine batches whole phase cycles or strip
-	// bursts into one Step, so stage progress tracks its exact flip
-	// counter instead of counting Step calls.
+	// The parallel Glauber engine batches whole phase cycles into one
+	// Step, so stage progress tracks its exact flip counter instead of
+	// counting Step calls.
 	batched := dyn == gridseg.Glauber && m.Engine() == gridseg.EngineParallel
 	var done int64
 	for stage := 0; stage < opts.snapshots; stage++ {

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"gridseg"
+	"gridseg/internal/dynamics/engines"
 )
 
 // config holds the parsed command-line options.
@@ -61,7 +62,7 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
 	fs.StringVar(&c.out, "out", "", "artifact directory (PNG, CSV, JSON); created if missing")
 	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS); never affects results")
-	fs.StringVar(&c.engine, "engine", "auto", "Glauber engine: auto, reference, or fast; never affects results, only speed")
+	fs.StringVar(&c.engine, "engine", "auto", "engine: "+engines.Labels()+"; never affects results, only speed")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "grid mode: JSON checkpoint file to stream/resume cell results")
 	fs.StringVar(&c.cache, "cache", "", "content-addressed result store directory; cached cells are served without recomputation (shared with cmd/segd)")
 	fs.BoolVar(&c.verbose, "v", false, "progress logging")

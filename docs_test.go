@@ -1,9 +1,10 @@
 package gridseg
 
 // The docs suite keeps the prose honest: every relative markdown link
-// must resolve, intra-document anchors must match a real heading, and
-// the experiment tables in README.md and DESIGN.md must exactly match
-// the internal/sim registry. CI runs it as the docs job
+// must resolve, intra-document anchors must match a real heading,
+// every backticked internal/... path must exist, and the experiment
+// tables in README.md and DESIGN.md must exactly match the
+// internal/sim registry. CI runs it as the docs job
 // (go test -run TestDocs .).
 
 import (
@@ -12,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 
 	"gridseg/internal/sim"
 )
@@ -154,6 +156,33 @@ func TestDocsDesignEntryPoints(t *testing.T) {
 		}
 		if !strings.Contains(string(src), fmt.Sprintf("func %s(", fn)) {
 			t.Errorf("DESIGN.md maps to %s in %s, but the function is not there", fn, file)
+		}
+	}
+}
+
+// internalPath matches a backticked repository path under internal/,
+// optionally followed by a package-qualified symbol
+// (`internal/grid.MarshalBinary`).
+var internalPath = regexp.MustCompile("`(internal/[A-Za-z0-9_./-]*)`")
+
+// TestDocsInternalPaths verifies every backticked internal/... path in
+// README.md and DESIGN.md names a file or package that exists, so a
+// deleted or moved package cannot leave a stale reference behind.
+func TestDocsInternalPaths(t *testing.T) {
+	for _, file := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range internalPath.FindAllStringSubmatch(string(data), -1) {
+			path := m[1]
+			// A package-qualified symbol names its package directory.
+			if pkg, sym, ok := strings.Cut(path, "."); ok && sym != "" && unicode.IsUpper(rune(sym[0])) {
+				path = pkg
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s: %s does not exist", file, m[0])
+			}
 		}
 	}
 }

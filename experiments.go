@@ -38,7 +38,7 @@ type ExperimentOptions struct {
 	// Workers bounds the batch engine's worker pool; 0 means
 	// GOMAXPROCS. Results never depend on the worker count.
 	Workers int
-	// Engine selects the Glauber engine implementation (EngineAuto
+	// Engine selects the engine implementation (EngineAuto
 	// picks the fast bit-packed engine whenever it applies). Engines
 	// are bit-identical, so this never changes results, only speed.
 	Engine Engine

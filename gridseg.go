@@ -9,7 +9,7 @@ import (
 	"strings"
 
 	"gridseg/internal/dynamics"
-	"gridseg/internal/dynamics/fastglauber"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/dynamics/pareng"
 	"gridseg/internal/geom"
 	"gridseg/internal/grid"
@@ -21,22 +21,22 @@ import (
 )
 
 // Dynamic selects the evolution rule.
-type Dynamic int
+type Dynamic = engines.Dynamic
 
 // The two model classes discussed in Section I.A of the paper, plus
 // the relocation dynamic enabled by vacancy scenarios.
 const (
 	// Glauber is the paper's open-system dynamic: unhappy agents flip
 	// type when the flip makes them happy.
-	Glauber Dynamic = iota + 1
+	Glauber = engines.Glauber
 	// Kawasaki is the closed-system baseline: pairs of unhappy agents
 	// of opposite types swap when the swap makes both happy.
-	Kawasaki
+	Kawasaki = engines.Kawasaki
 	// Move is the relocation dynamic of vacancy scenarios (Rho > 0):
 	// an unhappy agent moves into a uniformly sampled vacant site iff
 	// it would be happy there. Type counts are conserved; vacancies
 	// drift in the opposite direction.
-	Move
+	Move = engines.Move
 )
 
 // Boundary selects the lattice boundary condition.
@@ -63,74 +63,49 @@ func ParseBoundary(s string) (Boundary, error) {
 	return Boundary(b), nil
 }
 
-// Engine selects the Glauber engine implementation. The sequential
-// engines are interchangeable bit for bit — same seed, same trajectory,
-// same observables (enforced by internal/difftest) — so choosing among
-// them is purely about performance. The parallel engine keeps that
-// contract at ParStrips == 1 (it delegates to Fast outright); with more
+// Engine selects the engine implementation; the selection rules
+// live in one table, internal/dynamics/engines. The sequential engines
+// are interchangeable bit for bit — same seed, same trajectory, same
+// observables (enforced by internal/difftest) — so choosing among them
+// is purely about performance. The parallel engine keeps that contract
+// at ParStrips == 1, where it resolves to the fast engine; with more
 // strips it realizes a different — individually reproducible —
 // trajectory of the same process, pinned instead by the
 // statistical-equivalence suite.
-type Engine int
+type Engine = engines.Kind
 
 const (
-	// EngineAuto (the zero value) picks Fast for every dynamic —
-	// Glauber, Kawasaki, and Move — whenever the neighborhood fits its
-	// packed counts; every topology scenario (open boundaries,
-	// vacancies, per-site tau) is covered. It falls back to Reference
-	// only for very large horizons ((2W+1)^2 > 32767, i.e. W > 90).
-	EngineAuto Engine = iota
+	// EngineAuto (the zero value) picks Fast for every dynamic and
+	// scenario whenever the neighborhood fits its packed counts, and
+	// Reference for very large horizons ((2W+1)^2 > 32767, i.e. W > 90).
+	EngineAuto = engines.Auto
 	// EngineReference is the scalar reference engine of
 	// internal/dynamics.
-	EngineReference
+	EngineReference = engines.Reference
 	// EngineFast is the bit-packed SWAR engine of
-	// internal/dynamics/fastglauber, covering all three dynamics;
-	// requires (2W+1)^2 <= fastglauber.MaxNeighborhood.
-	EngineFast
+	// internal/dynamics/fastglauber, covering all three dynamics.
+	EngineFast = engines.Fast
 	// EngineParallel is the domain-decomposed parallel Glauber engine of
-	// internal/dynamics/pareng, built on the fast engine's packed state
-	// (so it has the same horizon requirement). The Par and ParStrips
-	// config fields select the worker count and strip decomposition;
-	// Kawasaki and Move have no parallel implementation and fall back to
-	// the sequential fast engine.
-	EngineParallel
+	// internal/dynamics/pareng. The Par and ParStrips config fields
+	// select the worker count and strip decomposition; Kawasaki and
+	// Move resolve it to the sequential fast engine.
+	EngineParallel = engines.Parallel
 )
 
 // ErrNeighborhoodTooLarge is the typed sentinel wrapped by New when an
 // explicit EngineFast request needs a neighborhood (2W+1)^2 beyond the
 // packed engine's 16-bit count-lane capacity (W <= 90 fits). EngineAuto
 // falls back to the reference engine instead of failing.
-var ErrNeighborhoodTooLarge = fastglauber.ErrNeighborhoodTooLarge
+var ErrNeighborhoodTooLarge = engines.ErrNeighborhoodTooLarge
 
-// String returns "auto", "reference", "fast", or "parallel".
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineReference:
-		return "reference"
-	case EngineFast:
-		return "fast"
-	case EngineParallel:
-		return "parallel"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine parses "auto", "reference", "fast", or "parallel" (also
-// "" as auto).
+// ParseEngine parses an engine label or alias (see
+// internal/dynamics/engines; "" parses as auto).
 func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "reference", "ref":
-		return EngineReference, nil
-	case "fast":
-		return EngineFast, nil
-	case "parallel", "par":
-		return EngineParallel, nil
+	e, err := engines.Parse(s)
+	if err != nil {
+		return e, fmt.Errorf("gridseg: %w", err)
 	}
-	return EngineAuto, fmt.Errorf("gridseg: unknown engine %q (want auto, reference, fast, or parallel)", s)
+	return e, nil
 }
 
 // Config specifies a model instance.
@@ -152,7 +127,7 @@ type Config struct {
 	// Dynamic selects Glauber (default), Kawasaki, or Move evolution
 	// (Move requires Rho > 0).
 	Dynamic Dynamic
-	// Engine selects the Glauber engine implementation; the zero value
+	// Engine selects the engine implementation; the zero value
 	// (EngineAuto) picks the fast bit-packed engine whenever it
 	// applies. The sequential engines never change results, only speed;
 	// EngineParallel is bit-identical too at ParStrips == 1, while more
@@ -164,7 +139,7 @@ type Config struct {
 	Par int
 	// ParStrips is the strip count of EngineParallel's domain
 	// decomposition (0: the machine-independent automatic count; 1:
-	// delegate to the sequential fast engine, bit-identical to it).
+	// no decomposition, which resolves to the sequential fast engine).
 	// Unlike Par, the strip count is part of the trajectory definition.
 	ParStrips int
 	// Boundary selects the lattice boundary condition: the paper's
@@ -197,14 +172,10 @@ func (cfg Config) scenario() (topology.Scenario, error) {
 
 // Model is a running instance of the segregation process.
 type Model struct {
-	cfg    Config
-	sc     topology.Scenario
-	engine Engine // resolved engine actually in use
-	lat    *grid.Lattice
-	taus   []float64 // per-site intolerance field (nil for global tau)
-	proc   dynamics.Engine
-	kaw    dynamics.SwapEngine
-	mov    dynamics.MoveEngine
+	cfg Config
+	sc  topology.Scenario
+	lat *grid.Lattice
+	eng engines.Engine // the built engine and the kind it resolved to
 }
 
 // withDefaults returns the config with its documented zero-value
@@ -219,98 +190,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.Dynamic = Glauber
 	}
 	return cfg
-}
-
-// buildDynamics attaches the configured evolution process to a model
-// whose cfg, sc, lat, and taus fields are already set, resolving the
-// engine choice. Auto picks Fast for every dynamic whenever the
-// neighborhood fits the packed count lanes — every topology scenario
-// (open boundary, vacancies, heterogeneous tau) is covered — and falls
-// back to Reference otherwise. An explicit Fast request past the lane
-// capacity is an error (ErrNeighborhoodTooLarge), not a silent
-// fallback.
-func (m *Model) buildDynamics(src *rng.Source) error {
-	var err error
-	dsc := dynamics.Scenario{Open: m.sc.Boundary == topology.Open, Taus: m.taus}
-	resolve := func() Engine {
-		engine := m.cfg.Engine
-		if engine == EngineAuto {
-			engine = EngineReference
-			if fastglauber.Fits(m.cfg.W) {
-				engine = EngineFast
-			}
-		}
-		return engine
-	}
-	switch m.cfg.Dynamic {
-	case Glauber:
-		engine := resolve()
-		switch engine {
-		case EngineParallel:
-			m.proc, err = pareng.New(m.lat, m.cfg.W, m.cfg.Tau, dsc, src,
-				pareng.Config{Workers: m.cfg.Par, Strips: m.cfg.ParStrips})
-		case EngineFast:
-			m.proc, err = fastglauber.NewScenario(m.lat, m.cfg.W, m.cfg.Tau, dsc, src)
-		default:
-			m.proc, err = dynamics.NewScenario(m.lat, m.cfg.W, m.cfg.Tau, dsc, src)
-		}
-		m.engine = engine
-	case Kawasaki:
-		engine := resolve()
-		if engine == EngineParallel {
-			// Kawasaki has no parallel implementation; the request
-			// resolves to the sequential fast engine (reported by
-			// Engine()), which keeps the conserved-magnetization
-			// semantics exactly.
-			engine = EngineFast
-		}
-		if engine == EngineFast {
-			var k *fastglauber.Kawasaki
-			if k, err = fastglauber.NewKawasakiScenario(m.lat, m.cfg.W, m.cfg.Tau, dsc, src); err == nil {
-				m.kaw = k
-			}
-		} else {
-			var k *dynamics.Kawasaki
-			if k, err = dynamics.NewKawasakiScenario(m.lat, m.cfg.W, m.cfg.Tau, dsc, src); err == nil {
-				m.kaw = k
-			}
-		}
-		m.engine = engine
-		if m.kaw != nil {
-			m.proc = m.kaw.Engine()
-		}
-	case Move:
-		if m.cfg.Rho <= 0 {
-			return errors.New("gridseg: the move dynamic requires a positive vacancy fraction (rho > 0)")
-		}
-		engine := resolve()
-		if engine == EngineParallel {
-			// Move has no parallel implementation either; fall back to
-			// the sequential fast engine.
-			engine = EngineFast
-		}
-		if engine == EngineFast {
-			var mv *fastglauber.Move
-			if mv, err = fastglauber.NewMove(m.lat, m.cfg.W, m.cfg.Tau, dsc, src); err == nil {
-				m.mov = mv
-			}
-		} else {
-			var mv *dynamics.Move
-			if mv, err = dynamics.NewMove(m.lat, m.cfg.W, m.cfg.Tau, dsc, src); err == nil {
-				m.mov = mv
-			}
-		}
-		m.engine = engine
-		if m.mov != nil {
-			m.proc = m.mov.Engine()
-		}
-	default:
-		return fmt.Errorf("gridseg: unknown dynamic %d", m.cfg.Dynamic)
-	}
-	if err != nil {
-		return fmt.Errorf("gridseg: %w", err)
-	}
-	return nil
 }
 
 // New builds a model from the config and draws its initial
@@ -336,11 +215,22 @@ func New(cfg Config) (*Model, error) {
 	// so pre-scenario seeds replay bit-identically.
 	lat := grid.RandomScenario(cfg.N, cfg.P, cfg.Rho, src.Split(1))
 	taus := sc.TauDist.SampleField(lat.Sites(), cfg.Tau, src.Split(3))
-	m := &Model{cfg: cfg, sc: sc, lat: lat, taus: taus}
-	if err := m.buildDynamics(src.Split(2)); err != nil {
-		return nil, err
+	return newModel(cfg, sc, lat, taus, src.Split(2))
+}
+
+// newModel attaches the configured engine, built from the engine table
+// and driven by src, to a drawn lattice and per-site tau field.
+func newModel(cfg Config, sc topology.Scenario, lat *grid.Lattice, taus []float64, src *rng.Source) (*Model, error) {
+	if cfg.Dynamic == Move && cfg.Rho <= 0 {
+		return nil, errors.New("gridseg: the move dynamic requires a positive vacancy fraction (rho > 0)")
 	}
-	return m, nil
+	dsc := dynamics.Scenario{Open: sc.Boundary == topology.Open, Taus: taus}
+	eng, err := engines.New(cfg.Dynamic, cfg.Engine, lat, cfg.W, cfg.Tau, dsc, src,
+		pareng.Config{Workers: cfg.Par, Strips: cfg.ParStrips})
+	if err != nil {
+		return nil, fmt.Errorf("gridseg: %w", err)
+	}
+	return &Model{cfg: cfg, sc: sc, lat: lat, eng: eng}, nil
 }
 
 // Scenario returns the canonical description of the model's topology
@@ -354,22 +244,22 @@ func (m *Model) Config() Config { return m.cfg }
 
 // Engine returns the engine implementation actually in use
 // (EngineReference, EngineFast, or EngineParallel — never EngineAuto,
-// and never EngineParallel for the Kawasaki and Move dynamics, which
-// fall back to EngineFast).
-func (m *Model) Engine() Engine { return m.engine }
+// and never EngineParallel for the Kawasaki and Move dynamics or at
+// ParStrips == 1, which resolve to EngineFast).
+func (m *Model) Engine() Engine { return m.eng.Kind }
 
 // Size returns the torus side length.
 func (m *Model) Size() int { return m.cfg.N }
 
 // NeighborhoodSize returns N = (2W+1)^2.
-func (m *Model) NeighborhoodSize() int { return m.proc.NeighborhoodSize() }
+func (m *Model) NeighborhoodSize() int { return m.eng.Proc.NeighborhoodSize() }
 
 // Threshold returns the integer happiness threshold tau*N.
-func (m *Model) Threshold() int { return m.proc.Threshold() }
+func (m *Model) Threshold() int { return m.eng.Proc.Threshold() }
 
 // EffectiveTau returns the rational intolerance threshold/N actually in
 // force (the paper's tau = ceil(tauTilde N)/N).
-func (m *Model) EffectiveTau() float64 { return m.proc.Tau() }
+func (m *Model) EffectiveTau() float64 { return m.eng.Proc.Tau() }
 
 // Spin returns +1 or -1 for the agent at (x, y); coordinates wrap.
 func (m *Model) Spin(x, y int) int {
@@ -378,25 +268,25 @@ func (m *Model) Spin(x, y int) int {
 
 // Happy reports whether the agent at (x, y) is happy.
 func (m *Model) Happy(x, y int) bool {
-	return m.proc.Happy(m.lat.Torus().Index(m.lat.Torus().WrapPoint(geom.Point{X: x, Y: y})))
+	return m.eng.Proc.Happy(m.lat.Torus().Index(m.lat.Torus().WrapPoint(geom.Point{X: x, Y: y})))
 }
 
 // Step advances the model by one effective event. For Glauber dynamics
 // this is one flip; for Kawasaki one swap attempt; for Move one
 // relocation attempt. The parallel engine with more than one strip is
-// batched: one Step advances a whole phase cycle or strip burst, which
-// may perform many flips (track Flips for exact progress). It reports
+// batched: one Step advances a whole phase cycle, which may perform
+// many flips (track Flips for exact progress). It reports
 // whether the model can still move.
 func (m *Model) Step() bool {
-	if m.kaw != nil {
-		_, done := m.kaw.StepAttempt()
+	if m.eng.Swap != nil {
+		_, done := m.eng.Swap.StepAttempt()
 		return !done
 	}
-	if m.mov != nil {
-		_, done := m.mov.StepAttempt()
+	if m.eng.Move != nil {
+		_, done := m.eng.Move.StepAttempt()
 		return !done
 	}
-	_, ok := m.proc.Step()
+	_, ok := m.eng.Proc.Step()
 	return ok
 }
 
@@ -407,7 +297,7 @@ func (m *Model) Step() bool {
 // of effective events performed and whether the model reached a
 // terminal state.
 func (m *Model) Run(maxEvents int64) (int64, bool) {
-	if m.kaw != nil || m.mov != nil {
+	if m.eng.Swap != nil || m.eng.Move != nil {
 		budget := maxEvents
 		streak := int64(0)
 		if budget <= 0 {
@@ -415,12 +305,12 @@ func (m *Model) Run(maxEvents int64) (int64, bool) {
 			budget = 20 * n2
 			streak = n2
 		}
-		if m.kaw != nil {
-			return m.kaw.Run(budget, streak)
+		if m.eng.Swap != nil {
+			return m.eng.Swap.Run(budget, streak)
 		}
-		return m.mov.Run(budget, streak)
+		return m.eng.Move.Run(budget, streak)
 	}
-	return m.proc.Run(maxEvents)
+	return m.eng.Proc.Run(maxEvents)
 }
 
 // RunSampled advances the model exactly like Run(maxEvents) while
@@ -444,7 +334,7 @@ func (m *Model) RunSampled(maxEvents, every int64, sample func(final bool)) (int
 			sample(final)
 		}
 	}
-	if m.kaw != nil || m.mov != nil {
+	if m.eng.Swap != nil || m.eng.Move != nil {
 		budget := maxEvents
 		var failLimit int64
 		if budget <= 0 {
@@ -453,10 +343,10 @@ func (m *Model) RunSampled(maxEvents, every int64, sample func(final bool)) (int
 			failLimit = n2
 		}
 		var step func() (bool, bool)
-		if m.kaw != nil {
-			step = m.kaw.StepAttempt
+		if m.eng.Swap != nil {
+			step = m.eng.Swap.StepAttempt
 		} else {
-			step = m.mov.StepAttempt
+			step = m.eng.Move.StepAttempt
 		}
 		var performed, streak int64
 		lastSample := m.Flips()
@@ -493,7 +383,7 @@ func (m *Model) RunSampled(maxEvents, every int64, sample func(final bool)) (int
 				chunk = remaining
 			}
 		}
-		p, done := m.proc.Run(chunk)
+		p, done := m.eng.Proc.Run(chunk)
 		performed += p
 		if done {
 			emit(true)
@@ -510,43 +400,43 @@ func (m *Model) RunSampled(maxEvents, every int64, sample func(final bool)) (int
 // Phi returns the paper's Lyapunov function: the sum over all agents u
 // of the number of same-type agents in N(u). It strictly increases
 // with every admissible Glauber flip.
-func (m *Model) Phi() int64 { return m.proc.Phi() }
+func (m *Model) Phi() int64 { return m.eng.Proc.Phi() }
 
 // FlippableCount returns the number of currently admissible Glauber
 // flips (0 for Kawasaki and Move models, whose moves are pair swaps
 // and relocations).
 func (m *Model) FlippableCount() int {
-	if m.kaw != nil || m.mov != nil {
+	if m.eng.Swap != nil || m.eng.Move != nil {
 		return 0
 	}
-	return m.proc.FlippableCount()
+	return m.eng.Proc.FlippableCount()
 }
 
 // Fixated reports whether no admissible move remains (Glauber), no
 // unhappy pair exists (Kawasaki), or no unhappy agent remains (Move).
 func (m *Model) Fixated() bool {
-	if m.kaw != nil {
-		p, mi := m.kaw.UnhappyByType()
+	if m.eng.Swap != nil {
+		p, mi := m.eng.Swap.UnhappyByType()
 		return p == 0 || mi == 0
 	}
-	if m.mov != nil {
-		unhappy, _ := m.mov.Counts()
+	if m.eng.Move != nil {
+		unhappy, _ := m.eng.Move.Counts()
 		return unhappy == 0
 	}
-	return m.proc.Fixated()
+	return m.eng.Proc.Fixated()
 }
 
 // Flips returns the number of effective flips (Glauber), twice the
 // number of swaps (Kawasaki, two sites change), or the number of
 // successful relocations (Move) performed so far.
 func (m *Model) Flips() int64 {
-	if m.kaw != nil {
-		return 2 * m.kaw.Swaps()
+	if m.eng.Swap != nil {
+		return 2 * m.eng.Swap.Swaps()
 	}
-	if m.mov != nil {
-		return m.mov.Moves()
+	if m.eng.Move != nil {
+		return m.eng.Move.Moves()
 	}
-	return m.proc.Flips()
+	return m.eng.Proc.Flips()
 }
 
 // SamplerSizes renders the sizes of the dynamic's candidate samplers
@@ -554,25 +444,25 @@ func (m *Model) Flips() int64 {
 // admissible flips for Glauber, unhappy agents per type for Kawasaki,
 // and unhappy agents plus vacant sites for Move.
 func (m *Model) SamplerSizes() string {
-	if m.kaw != nil {
-		p, mi := m.kaw.UnhappyByType()
+	if m.eng.Swap != nil {
+		p, mi := m.eng.Swap.UnhappyByType()
 		return fmt.Sprintf("unhappy+=%d unhappy-=%d", p, mi)
 	}
-	if m.mov != nil {
-		unhappy, vacant := m.mov.Counts()
+	if m.eng.Move != nil {
+		unhappy, vacant := m.eng.Move.Counts()
 		return fmt.Sprintf("unhappy=%d vacant=%d", unhappy, vacant)
 	}
-	return fmt.Sprintf("flippable=%d", m.proc.FlippableCount())
+	return fmt.Sprintf("flippable=%d", m.eng.Proc.FlippableCount())
 }
 
 // Time returns the elapsed continuous (Poisson-clock) time of a Glauber
 // model; it returns NaN for the attempt-based Kawasaki and Move
 // models, whose formulations are not clocked.
 func (m *Model) Time() float64 {
-	if m.kaw != nil || m.mov != nil {
+	if m.eng.Swap != nil || m.eng.Move != nil {
 		return math.NaN()
 	}
-	return m.proc.Time()
+	return m.eng.Proc.Time()
 }
 
 // Stats summarizes the segregation state of a configuration.
@@ -600,8 +490,8 @@ func (m *Model) SegregationStats() Stats {
 		largest = cl.LargestMinus
 	}
 	return Stats{
-		HappyFraction:          m.proc.HappyFraction(),
-		UnhappyCount:           m.proc.UnhappyCount(),
+		HappyFraction:          m.eng.Proc.HappyFraction(),
+		UnhappyCount:           m.eng.Proc.UnhappyCount(),
 		InterfaceDensity:       measure.InterfaceDensityView(v, open),
 		MeanSameFraction:       measure.MeanSameFractionView(v, m.cfg.W, open),
 		LargestClusterFraction: float64(largest) / float64(m.lat.Sites()),
@@ -647,7 +537,7 @@ func (m *Model) AlmostMonoRegionSize(x, y int, beta float64) int {
 // (truncated edge windows, vacancies, per-site thresholds) renders
 // faithfully.
 func (m *Model) ASCII() string {
-	return viz.ASCIIWith(m.lat, m.proc.Happy)
+	return viz.ASCIIWith(m.lat, m.eng.Proc.Happy)
 }
 
 // String renders the raw configuration as '+'/'-' rows.
@@ -657,7 +547,7 @@ func (m *Model) String() string { return m.lat.String() }
 // (green/blue happy, white/yellow unhappy, grey vacant) at the given
 // pixel scale, with happiness marks from the live engine.
 func (m *Model) WritePNG(out io.Writer, scale int) error {
-	return png.Encode(out, viz.RenderWith(m.lat, m.proc.Happy, scale))
+	return png.Encode(out, viz.RenderWith(m.lat, m.eng.Proc.Happy, scale))
 }
 
 // ---- Theory facade -------------------------------------------------

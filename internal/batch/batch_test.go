@@ -64,7 +64,7 @@ func TestCellSeedDeterministic(t *testing.T) {
 	// cached results.
 	moved := c
 	moved.Index = 99
-	moved.Engine = EngineFast
+	moved.Engine = "fast"
 	if CellSeed(7, "E5", c) != CellSeed(7, "E5", moved) {
 		t.Fatal("cell seed must ignore Index and Engine")
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"gridseg/internal/dynamics/engines"
 )
 
 // TestParseGridRangeRegressions pins the parser hardening: the
@@ -122,10 +124,8 @@ func FuzzParseGrid(f *testing.F) {
 		if g.Replicates < 0 {
 			t.Fatalf("accepted negative replicates %d: %q", g.Replicates, spec)
 		}
-		switch g.Engine {
-		case "", EngineAuto, EngineReference, EngineFast:
-		default:
-			t.Fatalf("accepted unknown engine %q: %q", g.Engine, spec)
+		if kind, err := engines.Parse(g.Engine); err != nil || (g.Engine != "" && g.Engine != kind.String()) {
+			t.Fatalf("accepted non-canonical engine %q: %q", g.Engine, spec)
 		}
 		for _, d := range g.Dynamics {
 			if d != Glauber && d != Kawasaki && d != Move {

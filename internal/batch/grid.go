@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gridseg/internal/dynamics/engines"
 )
 
 // Dynamics labels understood by the default runners.
@@ -35,21 +37,6 @@ const (
 	BoundaryTorus = "torus"
 	BoundaryOpen  = "open"
 	TauDistGlobal = "global"
-)
-
-// Engine labels understood by the default runners. Engines are
-// interchangeable bit for bit (the differential harness of
-// internal/difftest enforces it), so the engine is an execution detail
-// like the worker count: it never changes results, never appears in
-// result rows, and never invalidates a checkpoint. The parallel engine
-// keeps that contract because sweeps run it in delegation mode (one
-// strip): only its worker count varies, which is a pure execution
-// detail.
-const (
-	EngineAuto      = "auto"
-	EngineReference = "reference"
-	EngineFast      = "fast"
-	EngineParallel  = "parallel"
 )
 
 // Grid declares a Cartesian product of simulation parameters. Empty
@@ -74,14 +61,16 @@ type Grid struct {
 	Rhos       []float64
 	TauDists   []string
 	// Engine selects the simulation engine for every cell of the grid
-	// ("auto", "reference", "fast", or "parallel"; empty means auto). It
-	// is not a sweep axis: engines are bit-identical, so sweeping them
-	// would replicate every cell exactly.
+	// (a label of internal/dynamics/engines; empty means auto). It is
+	// not a sweep axis: engines are bit-identical, so sweeping them
+	// would replicate every cell exactly — the engine never appears in
+	// result rows or cell identities. The parallel engine keeps that
+	// contract because the runners pin it to one strip.
 	Engine string
 	// Par is the worker count of the parallel engine (engine=parallel;
 	// 0 means one per available CPU). Execution-only like Engine: the
-	// runners pin the parallel engine to its delegation mode inside
-	// sweeps, so the worker count never changes a cell's bytes.
+	// runners pin the parallel engine to one strip inside sweeps, so
+	// the worker count never changes a cell's bytes.
 	Par int
 	// Geometry opts the whole grid into the interface-geometry
 	// observables (interface length, boundary curvature) as extra
@@ -152,7 +141,7 @@ func (g Grid) normalized() Grid {
 		g.Replicates = 1
 	}
 	if g.Engine == "" {
-		g.Engine = EngineAuto
+		g.Engine = engines.Auto.String()
 	}
 	return g
 }

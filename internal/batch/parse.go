@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/grid"
 	"gridseg/internal/topology"
 )
@@ -24,8 +25,8 @@ const MaxAxisValues = 1 << 20
 // Values are comma-separated lists whose elements are either single
 // numbers or inclusive ranges lo:hi[:step] (step defaults to 1 and
 // must be positive). Keys: n, w (ints), tau, p (floats in [0,1]),
-// dyn (glauber|kawasaki|move), reps (single int), engine
-// (auto|reference|fast|parallel, single value — engines never change
+// dyn (glauber|kawasaki|move), reps (single int), engine (one label
+// of internal/dynamics/engines, single value — engines never change
 // results), parallel (single int: the parallel engine's worker count,
 // an execution detail like the engine itself),
 // plus the scenario axes boundary (torus|open), rho (floats in
@@ -79,7 +80,9 @@ func ParseGrid(spec string) (Grid, error) {
 				err = fmt.Errorf("more than %d replicates", MaxAxisValues)
 			}
 		case "engine":
-			g.Engine, err = parseEngine(value)
+			var kind engines.Kind
+			kind, err = engines.Parse(strings.ToLower(value))
+			g.Engine = kind.String()
 		case "parallel":
 			g.Par, err = strconv.Atoi(value)
 			if err == nil && g.Par < 0 {
@@ -282,22 +285,6 @@ func parseFloats(value string) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// parseEngine parses the engine= value (a single label, not a list:
-// engines are bit-identical, so there is nothing to sweep).
-func parseEngine(value string) (string, error) {
-	switch strings.ToLower(value) {
-	case EngineAuto:
-		return EngineAuto, nil
-	case EngineReference, "ref":
-		return EngineReference, nil
-	case EngineFast:
-		return EngineFast, nil
-	case EngineParallel, "par":
-		return EngineParallel, nil
-	}
-	return "", fmt.Errorf("unknown engine %q (want auto, reference, fast, or parallel)", value)
 }
 
 // parseDynamics parses the dyn= list.

@@ -14,12 +14,12 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"gridseg"
 	"gridseg/internal/batch"
-	"gridseg/internal/dynamics/fastglauber"
 	"gridseg/internal/fastgrid"
 	"gridseg/internal/measure"
 )
@@ -36,10 +36,11 @@ type Cell struct {
 	Boundary gridseg.Boundary
 	Rho      float64
 	TauDist  string
-	// Par > 0 puts the engine under test on the parallel engine in its
-	// deterministic delegation mode (ParStrips = 1) with Par workers,
-	// pinning the parallel plumbing to the same lockstep bit-identity
-	// contract as the sequential engines — for every worker count.
+	// Par > 0 requests the engine under test as the parallel engine on
+	// one strip (ParStrips = 1) with Par workers — the request sweeps
+	// make — pinning its resolution through the engine table to the
+	// same lockstep bit-identity contract as the sequential engines, for
+	// every worker count.
 	Par int
 }
 
@@ -94,53 +95,42 @@ type Result struct {
 	Checks int64 // full-state comparisons performed
 }
 
-// Compare builds the cell's model twice — reference engine vs the fast
-// engine where the fast engine applies (all three dynamics on every
-// scenario, within the packed-lane horizon capacity), vs auto
-// elsewhere (oversized horizons, where auto must resolve to the
-// reference engine) — and steps both in lockstep until fixation or
-// the event cap. It returns the first divergence as an error.
-//
-// For cells outside the fast engine's coverage, Compare also pins the
-// documented fallback contract: auto resolves to the reference engine,
-// and an explicit fast request fails loudly instead of silently
-// falling back.
+// Compare builds the cell's model twice — on the reference engine and
+// on the engine under test — and steps both in lockstep until fixation
+// or the event cap. It returns the first divergence as an error. The
+// engine under test is the fast engine, or the parallel engine on one
+// strip for Par cells. Where the engine table rejects that request
+// because the horizon is past the packed lanes' capacity
+// (ErrNeighborhoodTooLarge), Compare pins the fallback contract
+// instead: auto must resolve to the reference engine, and the two runs
+// must still agree.
 func Compare(c Cell, opt Options) (Result, error) {
 	base := gridseg.Config{
 		N: c.N, W: c.W, Tau: c.Tau, P: c.P,
 		Seed: c.Seed, Dynamic: c.Dynamic,
 		Boundary: c.Boundary, Rho: c.Rho, TauDist: c.TauDist,
 	}
-	fastApplies := fastglauber.Fits(c.W)
 	refCfg, underCfg := base, base
 	refCfg.Engine = gridseg.EngineReference
 	underCfg.Engine = gridseg.EngineFast
-	if c.Par > 0 && fastApplies {
+	if c.Par > 0 {
 		underCfg.Engine = gridseg.EngineParallel
 		underCfg.Par = c.Par
 		underCfg.ParStrips = 1
-	}
-	if !fastApplies {
-		// No fast engine exists for this cell; compare auto against
-		// reference to pin the selection plumbing and determinism, and
-		// demand the explicit fast request errors.
-		underCfg.Engine = gridseg.EngineAuto
-		fastCfg := base
-		fastCfg.Engine = gridseg.EngineFast
-		if _, err := gridseg.New(fastCfg); err == nil {
-			return Result{}, fmt.Errorf("difftest: %s: explicit fast engine must be rejected outside its coverage", c)
-		}
 	}
 	ref, err := gridseg.New(refCfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("difftest: %s: reference: %w", c, err)
 	}
 	under, err := gridseg.New(underCfg)
+	if errors.Is(err, gridseg.ErrNeighborhoodTooLarge) {
+		under, err = gridseg.New(base)
+		if err == nil && under.Engine() != gridseg.EngineReference {
+			return Result{}, fmt.Errorf("difftest: %s: auto resolved to %v, want the reference fallback", c, under.Engine())
+		}
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("difftest: %s: under test: %w", c, err)
-	}
-	if !fastApplies && under.Engine() != gridseg.EngineReference {
-		return Result{}, fmt.Errorf("difftest: %s: auto resolved to %v, want the reference fallback", c, under.Engine())
 	}
 
 	res := Result{Cell: c}

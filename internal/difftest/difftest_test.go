@@ -106,9 +106,9 @@ var acceptanceCells = []Cell{
 	{N: 64, W: 2, Tau: 0.42, P: 0.5, Dynamic: gridseg.Move, Seed: 52, Rho: 0.1, TauDist: "mix:0.35,0.45:0.5"},
 	{N: 64, W: 2, Tau: 0.45, P: 0.5, Dynamic: gridseg.Move, Seed: 53, Boundary: gridseg.BoundaryOpen, Rho: 0.05, TauDist: "uniform:0.35:0.5"},
 	{N: 25, W: 12, Tau: 0.45, P: 0.5, Dynamic: gridseg.Move, Seed: 54, Rho: 0.1},
-	// Parallel-engine delegation cells (PR 7): the parallel engine in
-	// its deterministic delegation mode (ParStrips = 1) against the
-	// reference engine, in lockstep, across worker counts 1/2/4/8 and
+	// Parallel-engine cells: the parallel engine requested on one strip
+	// (ParStrips = 1), as sweeps request it, against the reference
+	// engine, in lockstep, across worker counts 1/2/4/8 and
 	// every topology axis. The worker count must be a pure execution
 	// detail, so every one of these must be bit-identical — including
 	// clocks — to the sequential runs of the same seeds.

@@ -177,10 +177,8 @@ type Process struct {
 	// shard branches below are ever taken. A shard of a ShardGroup owns
 	// the contiguous site range [ownLo, ownHi) of its strip rows; its
 	// flippable sampler indexes sites relative to sampBase = ownLo, and
-	// refreshAt routes sites outside the owned range through the
-	// group: skipped under the deterministic phase protocol (the merge
-	// barrier re-derives them), applied to the owning shard under the
-	// free-running protocol (the caller holds the neighbor locks).
+	// refreshAt skips sites outside the owned range: the phase
+	// protocol's merge barrier re-derives them.
 	ownLo, ownHi int
 	sampBase     int
 	grp          *ShardGroup
@@ -536,13 +534,8 @@ func (p *Process) Fixated() bool { return p.flippable.Len() == 0 }
 // flippable.
 func (p *Process) refreshAt(j, x, y, c int) {
 	if j < p.ownLo || j >= p.ownHi {
-		// Shard routing: the site belongs to a neighboring strip. The
-		// deterministic protocol defers it to the merge barrier; the
-		// free-running protocol re-derives it on the owning shard (whose
-		// lock the caller holds).
-		if g := p.grp; g != nil && g.free {
-			g.owner(j).refreshAt(j, x, y, c)
-		}
+		// The site belongs to a neighboring strip; the phase protocol's
+		// merge barrier re-derives it.
 		return
 	}
 	plus := p.bits.SpinWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0

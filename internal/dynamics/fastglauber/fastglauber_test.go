@@ -284,7 +284,7 @@ func TestWarmBandIsReadOnly(t *testing.T) {
 	for _, open := range []bool{false, true} {
 		c := scenarioCase{n: 24, w: 2, tau: 0.42, p: 0.5, rho: 0.1, open: open}
 		_, p := newScenarioPair(t, c, 9)
-		g, err := NewShards(p, []int{0, 8, 16, 24}, false)
+		g, err := NewShards(p, []int{0, 8, 16, 24})
 		if err != nil {
 			t.Fatal(err)
 		}

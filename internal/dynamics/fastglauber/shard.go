@@ -11,7 +11,7 @@ import (
 // This file implements strip shards: views of a single Process that
 // partition its lattice into horizontal strips so non-interacting
 // strips can run Glauber updates concurrently (internal/dynamics/pareng
-// orchestrates the protocols). Each shard is a shallow copy of the
+// orchestrates the phase protocol). Each shard is a shallow copy of the
 // parent Process sharing every backing array — packed spins, the count,
 // threshold and slack lanes, the unhappy bitset, and the reference
 // mirror lattice — with its own flippable sampler (indexed relative to
@@ -20,8 +20,8 @@ import (
 // Safety rests on layout, not locks: spin words and count words are
 // row-aligned (they never span rows), flips happen only in owned rows,
 // and a flip's count writes reach at most w rows past the strip. The
-// protocols keep concurrently active strips at least one full strip
-// apart, so their write sets live in disjoint rows — and with strip
+// phase protocol keeps concurrently active strips at least one full
+// strip apart, so their write sets live in disjoint rows — and with strip
 // heights of at least max(2w, ceil(64/n)) rows, in disjoint words of
 // the flat unhappy bitset as well. NewShards enforces those minima.
 
@@ -35,10 +35,6 @@ type ShardGroup struct {
 	shards []*Process
 	bounds []int   // strip k owns rows [bounds[k], bounds[k+1])
 	rowOf  []int32 // row -> owning strip index
-	// free selects the foreign-refresh routing in refreshAt: apply to
-	// the owning shard (free-running protocol, caller holds the locks)
-	// instead of deferring to the deterministic merge barrier.
-	free bool
 }
 
 // NewShards splits p into the strips delimited by bounds (ascending row
@@ -47,7 +43,7 @@ type ShardGroup struct {
 // every strip must be at least max(2w, ceil(64/n)) rows tall so that
 // strips two apart never write the same memory word, and there must be
 // at least two strips.
-func NewShards(p *Process, bounds []int, free bool) (*ShardGroup, error) {
+func NewShards(p *Process, bounds []int) (*ShardGroup, error) {
 	if p.relocating || p.track {
 		return nil, errors.New("fastglauber: shards require a plain Glauber process")
 	}
@@ -69,7 +65,7 @@ func NewShards(p *Process, bounds []int, free bool) (*ShardGroup, error) {
 			return nil, fmt.Errorf("fastglauber: strip %d is %d rows tall, need >= %d (2w and one bitset word)", k, h, minH)
 		}
 	}
-	g := &ShardGroup{parent: p, bounds: append([]int(nil), bounds...), free: free, rowOf: make([]int32, p.n)}
+	g := &ShardGroup{parent: p, bounds: append([]int(nil), bounds...), rowOf: make([]int32, p.n)}
 	for k := 0; k+1 < len(bounds); k++ {
 		for y := bounds[k]; y < bounds[k+1]; y++ {
 			g.rowOf[y] = int32(k)
@@ -101,11 +97,8 @@ func (g *ShardGroup) Strips() int { return len(g.shards) }
 // Shard returns the k-th strip's process view.
 func (g *ShardGroup) Shard(k int) *Process { return g.shards[k] }
 
-// owner returns the shard owning site j.
-func (g *ShardGroup) owner(j int) *Process { return g.shards[g.rowOf[j/g.parent.n]] }
-
 // FlippableCount returns the total number of admissible flips across
-// all strips. Only meaningful at a quiescent point of the protocols.
+// all strips. Only meaningful at a quiescent point of the phase protocol.
 func (g *ShardGroup) FlippableCount() int {
 	total := 0
 	for _, s := range g.shards {
@@ -130,18 +123,6 @@ func (g *ShardGroup) Flips() int64 {
 		total += s.flips
 	}
 	return total
-}
-
-// MaxTime returns the largest strip-local clock (the free-running
-// protocol's elapsed-time estimate).
-func (g *ShardGroup) MaxTime() float64 {
-	t := 0.0
-	for _, s := range g.shards {
-		if s.time > t {
-			t = s.time
-		}
-	}
-	return t
 }
 
 // RefreshRows re-derives the classification of every site in rows
@@ -195,26 +176,6 @@ func (p *Process) RunHorizon(src *rng.Source, horizon float64) (events int64, la
 			dirtyHi = true
 		}
 	}
-}
-
-// RunBurst performs up to maxEvents local events on the shard's own
-// clock, drawing from src, and returns the events performed. The
-// free-running protocol calls it with the strip's and both neighbors'
-// locks held, so foreign refreshes apply directly to the neighbor
-// shards.
-func (p *Process) RunBurst(src *rng.Source, maxEvents int) (events int64) {
-	for events < int64(maxEvents) {
-		k := p.flippable.Len()
-		if k == 0 {
-			return events
-		}
-		p.time += src.ExpRate(float64(k))
-		i := int(p.flippable.Sample(src)) + p.sampBase
-		p.applyFlip(i)
-		p.flips++
-		events++
-	}
-	return events
 }
 
 // CheckInvariants verifies the shared packed state against brute-force

@@ -7,24 +7,19 @@ import (
 	"gridseg/internal/stats"
 )
 
-// Statistical-equivalence harness for the batched protocols. The
-// deterministic protocol with strips > 1 and the free-running protocol
-// are not bit-identical to the sequential engine — they realize
-// different trajectories of the same stochastic process — so the
-// contract they must keep is distributional: over an ensemble of seeds,
-// fixation times and final Phi values must be drawn from the same
-// distributions the sequential engine samples. A two-sample
-// Kolmogorov-Smirnov test (internal/stats) pins both observables for
-// both protocols, and exact per-run conservation checks ride along.
+// Statistical-equivalence harness for the phase protocol. With
+// strips > 1 the engine is not bit-identical to the sequential engine —
+// it realizes a different trajectory of the same stochastic process —
+// so the contract it must keep is distributional: over an ensemble of
+// seeds, fixation times and final Phi values must be drawn from the
+// same distributions the sequential engine samples. A two-sample
+// Kolmogorov-Smirnov test (internal/stats) pins both observables, and
+// exact per-run conservation checks ride along.
 //
-// False-positive budget: every comparison uses fixed seeds, so the
-// sequential and deterministic-protocol samples are identical on every
-// run — those comparisons can only flip if the code changes. The
-// free-running samples depend on goroutine scheduling, so their two KS
-// p-values are genuinely random per run; with alpha = 1e-3 the chance
-// of a spurious CI failure is at most 2e-3 per run (empirically the
-// p-values sit far above alpha). Re-seeding the ensemble re-rolls all
-// four comparisons at the same 1e-3-per-test budget.
+// False-positive budget: every comparison uses fixed seeds, so both
+// samples are identical on every run — the comparisons can only flip
+// if the code changes. Re-seeding the ensemble re-rolls both at
+// alpha = 1e-3 per test.
 const (
 	equivEnsemble = 160
 	equivAlpha    = 1e-3
@@ -82,42 +77,33 @@ func collect(t *testing.T, c scenarioCase, cfg *Config) (times, phis []float64) 
 	return times, phis
 }
 
-// TestStatisticalEquivalence compares the deterministic (strips=4) and
-// free-running protocols against the sequential fast engine on an
-// ensemble of 160 seeds of the paper's default torus scenario, KS-testing
-// the fixation-time and final-Phi distributions.
+// TestStatisticalEquivalence compares the phase protocol (strips=4)
+// against the sequential fast engine on an ensemble of 160 seeds of the
+// paper's default torus scenario, KS-testing the fixation-time and
+// final-Phi distributions.
 func TestStatisticalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble comparison is slow")
 	}
 	c := scenarioCases[0] // torus, n=64, w=2, tau=0.45
 	seqTimes, seqPhis := collect(t, c, nil)
-	protocols := []struct {
-		name string
-		cfg  Config
-	}{
-		{name: "deterministic", cfg: Config{Workers: 2, Strips: 4}},
-		{name: "free", cfg: Config{Workers: 4, Strips: 4, Free: true}},
-	}
-	for _, p := range protocols {
-		t.Run(p.name, func(t *testing.T) {
-			parTimes, parPhis := collect(t, c, &p.cfg)
-			for _, obs := range []struct {
-				name     string
-				seq, par []float64
-			}{
-				{name: "fixation-time", seq: seqTimes, par: parTimes},
-				{name: "final-phi", seq: seqPhis, par: parPhis},
-			} {
-				r, err := stats.KolmogorovSmirnov(obs.seq, obs.par)
-				if err != nil {
-					t.Fatalf("%s: %v", obs.name, err)
-				}
-				t.Logf("%s: D = %.4f, p = %.4g", obs.name, r.D, r.P)
-				if r.P < equivAlpha {
-					t.Errorf("%s distribution diverges from sequential: D = %.4f, p = %.4g < %g", obs.name, r.D, r.P, equivAlpha)
-				}
+	t.Run("deterministic", func(t *testing.T) {
+		parTimes, parPhis := collect(t, c, &Config{Workers: 2, Strips: 4})
+		for _, obs := range []struct {
+			name     string
+			seq, par []float64
+		}{
+			{name: "fixation-time", seq: seqTimes, par: parTimes},
+			{name: "final-phi", seq: seqPhis, par: parPhis},
+		} {
+			r, err := stats.KolmogorovSmirnov(obs.seq, obs.par)
+			if err != nil {
+				t.Fatalf("%s: %v", obs.name, err)
 			}
-		})
-	}
+			t.Logf("%s: D = %.4f, p = %.4g", obs.name, r.D, r.P)
+			if r.P < equivAlpha {
+				t.Errorf("%s distribution diverges from sequential: D = %.4f, p = %.4g < %g", obs.name, r.D, r.P, equivAlpha)
+			}
+		}
+	})
 }

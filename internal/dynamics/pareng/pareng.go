@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"gridseg/internal/dynamics"
 	"gridseg/internal/dynamics/fastglauber"
@@ -12,14 +11,13 @@ import (
 	"gridseg/internal/rng"
 )
 
-// Config selects the decomposition and protocol of a parallel engine.
-// The zero value asks for the deterministic protocol with the
-// machine-independent automatic strip count and one worker per
-// available CPU.
+// Config selects the decomposition of a parallel engine. The zero
+// value asks for the machine-independent automatic strip count and one
+// worker per available CPU.
 type Config struct {
-	// Workers is the number of concurrent workers (0: GOMAXPROCS).
-	// Under the deterministic protocol the worker count is a pure
-	// execution detail — any count yields the same trajectory.
+	// Workers is the number of concurrent workers (0: GOMAXPROCS). The
+	// worker count is a pure execution detail — any count yields the
+	// same trajectory.
 	Workers int
 	// Strips is the strip count (0: AutoStrips(n, w); 1: no
 	// decomposition — the engine delegates to the sequential fast
@@ -27,17 +25,9 @@ type Config struct {
 	// the trajectory definition: different counts give different —
 	// individually reproducible — trajectories.
 	Strips int
-	// Free selects the free-running protocol: higher throughput, no
-	// cross-run determinism (distributional guarantees only).
-	Free bool
 }
 
-// burstEvents is the free-running protocol's per-claim event budget: a
-// worker holding a strip's neighbor locks performs at most this many
-// events before releasing them.
-const burstEvents = 256
-
-// cycleFloor is the deterministic protocol's minimum expected number
+// cycleFloor is the phase protocol's minimum expected number
 // of events per cycle; the phase horizon is chosen so a cycle performs
 // about max(cycleFloor, K/4) events at K admissible flips, keeping
 // barrier overhead amortized both early (K large) and near fixation.
@@ -46,23 +36,18 @@ const cycleFloor = 256
 // Engine is the domain-decomposed parallel Glauber engine. Construct
 // with New; it satisfies dynamics.Engine. With one strip every method
 // delegates to the sequential fast engine; with several, Step and Run
-// advance whole phase cycles (deterministic protocol) or event bursts
-// (free-running protocol), so one Step may perform many flips — Flips
-// reports the exact total.
+// advance whole phase cycles, so one Step may perform many flips —
+// Flips reports the exact total.
 type Engine struct {
 	proc     *fastglauber.Process
 	grp      *fastglauber.ShardGroup // nil when strips == 1
 	part     Partition
 	base     *rng.Source
-	srcs     []*rng.Source // free-running per-strip streams
-	locks    []sync.Mutex
 	workers  int
 	strips   int
-	free     bool
-	time     float64 // deterministic protocol: accumulated consumed cycle time
-	lastFlip float64 // deterministic protocol: global time of the last flip
+	time     float64 // accumulated consumed cycle time
+	lastFlip float64 // global time of the last flip
 	cycles   int64
-	cur      int // free-running Step round-robin cursor
 }
 
 // The parallel engine satisfies the shared engine contract.
@@ -87,7 +72,7 @@ func New(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *
 	if err != nil {
 		return nil, fmt.Errorf("pareng: %w", err)
 	}
-	e := &Engine{proc: proc, base: src, workers: workers, strips: strips, free: cfg.Free}
+	e := &Engine{proc: proc, base: src, workers: workers, strips: strips}
 	if strips == 1 {
 		return e, nil
 	}
@@ -95,18 +80,11 @@ func New(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *
 	if err != nil {
 		return nil, err
 	}
-	grp, err := fastglauber.NewShards(proc, part.bounds, cfg.Free)
+	grp, err := fastglauber.NewShards(proc, part.bounds)
 	if err != nil {
 		return nil, fmt.Errorf("pareng: %w", err)
 	}
 	e.part, e.grp = part, grp
-	e.locks = make([]sync.Mutex, strips)
-	e.srcs = make([]*rng.Source, strips)
-	for k := range e.srcs {
-		// A label space disjoint from the deterministic protocol's
-		// per-(cycle, phase, strip) labels (see phaseLabel).
-		e.srcs[k] = src.Split(1<<62 + uint64(k))
-	}
 	return e, nil
 }
 
@@ -123,8 +101,8 @@ func (e *Engine) Strips() int { return e.strips }
 // Workers returns the worker count in force.
 func (e *Engine) Workers() int { return e.workers }
 
-// Cycles returns the number of completed phase cycles (deterministic
-// protocol; 0 under delegation and the free-running protocol).
+// Cycles returns the number of completed phase cycles (0 under
+// delegation).
 func (e *Engine) Cycles() int64 { return e.cycles }
 
 // Lattice returns the underlying reference lattice (live view).
@@ -142,20 +120,14 @@ func (e *Engine) Threshold() int { return e.proc.Threshold() }
 // Tau returns the rational intolerance threshold/N.
 func (e *Engine) Tau() float64 { return e.proc.Tau() }
 
-// Time returns the elapsed continuous time: the sequential clock under
-// delegation, the accumulated cycle horizons under the deterministic
-// protocol, and the largest strip-local clock under the free-running
-// protocol (each strip's clock estimates the same global time, since a
-// strip's events arrive at its local rate). In every mode Time is the
-// time of the last flip — which is what fixation-time statistics
-// measure — so the deterministic protocol never accumulates the tail
-// cycles' large, mostly empty horizons near fixation.
+// Time returns the elapsed continuous time of the last flip: the
+// sequential clock under delegation, the global time of the last flip
+// on the accumulated cycle horizons otherwise. Fixation-time
+// statistics measure exactly this, so the tail cycles' large, mostly
+// empty horizons near fixation never inflate it.
 func (e *Engine) Time() float64 {
 	if e.grp == nil {
 		return e.proc.Time()
-	}
-	if e.free {
-		return e.grp.MaxTime()
 	}
 	return e.lastFlip
 }
@@ -219,11 +191,9 @@ func (e *Engine) CheckInvariants() error {
 }
 
 // Step advances the engine by one unit of progress: one flip under
-// delegation (site is the flipped site), one phase cycle under the
-// deterministic protocol, one strip burst under the free-running
-// protocol (site is -1 for both batched forms, which may perform many
-// flips — or none, when every drawn waiting time overshoots the
-// horizon). ok=false after fixation.
+// delegation (site is the flipped site), one phase cycle otherwise
+// (site is -1; a cycle may perform many flips — or none, when every
+// drawn waiting time overshoots the horizon). ok=false after fixation.
 func (e *Engine) Step() (site int, ok bool) {
 	if e.grp == nil {
 		return e.proc.Step()
@@ -231,30 +201,17 @@ func (e *Engine) Step() (site int, ok bool) {
 	if e.grp.FlippableCount() == 0 {
 		return 0, false
 	}
-	if e.free {
-		for try := 0; try < e.strips; try++ {
-			k := e.cur % e.strips
-			e.cur++
-			if e.grp.Shard(k).RunBurst(e.srcs[k], burstEvents) > 0 {
-				return -1, true
-			}
-		}
-		return -1, true
-	}
 	e.runCycle()
 	return -1, true
 }
 
 // Run advances the engine until fixation or until at least maxFlips
-// additional flips have been performed (<= 0: no limit). The batched
-// protocols stop at cycle or burst granularity, so performed may
-// slightly overshoot maxFlips.
+// additional flips have been performed (<= 0: no limit). Multi-strip
+// runs stop at cycle granularity, so performed may slightly overshoot
+// maxFlips.
 func (e *Engine) Run(maxFlips int64) (performed int64, fixated bool) {
 	if e.grp == nil {
 		return e.proc.Run(maxFlips)
-	}
-	if e.free {
-		return e.runFree(maxFlips)
 	}
 	for maxFlips <= 0 || performed < maxFlips {
 		if e.grp.FlippableCount() == 0 {
@@ -390,93 +347,4 @@ func (e *Engine) refreshBand(lo, hi int) {
 	if lo < hi {
 		e.grp.RefreshRows(lo, hi)
 	}
-}
-
-// runFree runs the free-running protocol to fixation (or the flip
-// budget): workers claim strips round-robin, lock the strip and both
-// neighbors in ascending index order, and perform an event burst whose
-// cross-strip effects apply immediately to the locked neighbors. A
-// strict global count of admissible flips, maintained with per-burst
-// deltas, detects fixation: once it reads zero it can never grow
-// again, because growth requires a flip and flips require an
-// admissible site.
-func (e *Engine) runFree(maxFlips int64) (int64, bool) {
-	var performed, flippable atomic.Int64
-	var cursor atomic.Int64
-	flippable.Store(int64(e.grp.FlippableCount()))
-	nw := min(e.workers, e.strips)
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if flippable.Load() == 0 {
-					return
-				}
-				if maxFlips > 0 && performed.Load() >= maxFlips {
-					return
-				}
-				k := int(cursor.Add(1)-1) % e.strips
-				ids := e.neighborhood(k)
-				for _, id := range ids {
-					e.locks[id].Lock()
-				}
-				burst := int64(burstEvents)
-				if maxFlips > 0 {
-					if rem := maxFlips - performed.Load(); rem < burst {
-						burst = rem
-					}
-				}
-				var events int64
-				if burst > 0 {
-					before := 0
-					for _, id := range ids {
-						before += e.grp.Shard(id).FlippableCount()
-					}
-					events = e.grp.Shard(k).RunBurst(e.srcs[k], int(burst))
-					after := 0
-					for _, id := range ids {
-						after += e.grp.Shard(id).FlippableCount()
-					}
-					flippable.Add(int64(after - before))
-					performed.Add(events)
-				}
-				for j := len(ids) - 1; j >= 0; j-- {
-					e.locks[ids[j]].Unlock()
-				}
-				if events == 0 {
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return performed.Load(), e.grp.FlippableCount() == 0
-}
-
-// neighborhood returns the sorted, deduplicated lock set of strip k:
-// the strip and both torus-adjacent neighbors. Ascending acquisition
-// order keeps the workers deadlock-free.
-func (e *Engine) neighborhood(k int) []int {
-	s := e.strips
-	a, b := (k-1+s)%s, (k+1)%s
-	ids := []int{k}
-	for _, v := range []int{a, b} {
-		seen := false
-		for _, u := range ids {
-			if u == v {
-				seen = true
-			}
-		}
-		if !seen {
-			ids = append(ids, v)
-		}
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }

@@ -6,28 +6,22 @@
 //
 // A flip only affects happiness inside the (2w+1)^2 window, so updates
 // on sites more than 2w rows apart commute; the strip layout makes that
-// independence structural. Two protocols share the strip machinery:
-//
-//   - The deterministic protocol (the default) runs synchronous
-//     sublattice KMC: cycles of two phases (even strips, then odd
-//     strips), each active strip advancing its local clock over a fixed
-//     horizon with its own per-(cycle, phase, strip) random stream, and
-//     a serial merge barrier re-deriving the strip-boundary bands in a
-//     canonical order. The trajectory is a pure function of (seed,
-//     parameters, strip count) — the worker count only changes how the
-//     strips of a phase are scheduled, never the result.
-//
-//   - The free-running protocol trades the fixed phase schedule for
-//     throughput: workers claim strips under neighbor locks and apply
-//     cross-strip effects immediately. Event order then depends on
-//     scheduling, so only distributional guarantees remain (Phi
-//     monotonicity, exact conservation laws, fixation properties);
-//     the statistical-equivalence suite pins them.
+// independence structural. The engine runs synchronous sublattice
+// KMC: cycles of two phases (even strips, then odd strips), each active
+// strip advancing its local clock over a fixed horizon with its own
+// per-(cycle, phase, strip) random stream, and a serial merge barrier
+// re-deriving the strip-boundary bands in a canonical order. The
+// trajectory is a pure function of (seed, parameters, strip count) —
+// the worker count only changes how the strips of a phase are
+// scheduled, never the result. Different strip counts give different
+// trajectories of the same process; the statistical-equivalence suite
+// pins their distributional agreement with the sequential engine.
 //
 // With one strip the engine delegates to the sequential fast engine
 // outright and is bit-identical to it (and to the reference engine)
-// for every seed and scenario — the configuration difftest and the
-// sweep cache rely on.
+// for every seed and scenario. The engine table
+// (internal/dynamics/engines) resolves a one-strip request straight to
+// the fast engine.
 package pareng
 
 import (

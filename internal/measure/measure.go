@@ -161,159 +161,6 @@ func AlmostMonoSize(l *grid.Lattice, pre *grid.Prefix, u geom.Point, beta float6
 	return geom.SquareSize(best)
 }
 
-// ClusterStats summarizes the connected same-type clusters of a lattice
-// under 4-adjacency.
-type ClusterStats struct {
-	Count        int   // number of clusters
-	Sizes        []int // size of every cluster, unordered
-	LargestPlus  int   // largest +1 cluster size (0 if none)
-	LargestMinus int   // largest -1 cluster size (0 if none)
-}
-
-// Clusters labels the connected same-spin components (4-adjacency, torus)
-// and returns their statistics together with the per-site cluster sizes.
-// On vacancy lattices the vacant sites form their own spin-None
-// clusters, reported in Count/Sizes but never in LargestPlus or
-// LargestMinus.
-func Clusters(l *grid.Lattice) (ClusterStats, []int32) {
-	return clusters(l, false)
-}
-
-// ClustersScenario is Clusters under an explicit boundary condition:
-// with open=true, components never connect across the grid edges.
-func ClustersScenario(l *grid.Lattice, open bool) (ClusterStats, []int32) {
-	return clusters(l, open)
-}
-
-// ClusterStatsScenario computes the cluster statistics without
-// materializing any per-site field — the variant the sweep
-// measurement loop uses. It runs the streaming two-row union-find of
-// ClusterStatsView, whose Sizes order (ascending minimal site) matches
-// the BFS discovery order of Clusters exactly.
-func ClusterStatsScenario(l *grid.Lattice, open bool) ClusterStats {
-	return ClusterStatsView(l, open)
-}
-
-// clusters is the BFS labeling pass behind the per-site variants; the
-// stats-only callers use the streaming ClusterStatsView instead.
-func clusters(l *grid.Lattice, open bool) (ClusterStats, []int32) {
-	n := l.N()
-	sites := l.Sites()
-	lp, qp := scratch.I32(sites), scratch.I32(sites)
-	label := *lp
-	for i := range label {
-		label[i] = -1
-	}
-	var stats ClusterStats
-	queue := (*qp)[:0]
-	clusterSize := make([]int32, 0)
-	for start := 0; start < sites; start++ {
-		if label[start] != -1 {
-			continue
-		}
-		id := int32(len(clusterSize))
-		spin := l.SpinAt(start)
-		label[start] = id
-		queue = append(queue[:0], int32(start))
-		size := 0
-		for head := 0; head < len(queue); head++ {
-			i := int(queue[head])
-			size++
-			x0, y0 := i%n, i/n
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				x := x0 + d[0]
-				if x < 0 {
-					if open {
-						continue
-					}
-					x += n
-				} else if x >= n {
-					if open {
-						continue
-					}
-					x -= n
-				}
-				y := y0 + d[1]
-				if y < 0 {
-					if open {
-						continue
-					}
-					y += n
-				} else if y >= n {
-					if open {
-						continue
-					}
-					y -= n
-				}
-				j := y*n + x
-				if label[j] == -1 && l.SpinAt(j) == spin {
-					label[j] = id
-					queue = append(queue, int32(j))
-				}
-			}
-		}
-		clusterSize = append(clusterSize, int32(size))
-		stats.Sizes = append(stats.Sizes, size)
-		switch spin {
-		case grid.Plus:
-			if size > stats.LargestPlus {
-				stats.LargestPlus = size
-			}
-		case grid.Minus:
-			if size > stats.LargestMinus {
-				stats.LargestMinus = size
-			}
-		}
-	}
-	stats.Count = len(stats.Sizes)
-	perSite := make([]int32, sites)
-	for i := range perSite {
-		perSite[i] = clusterSize[label[i]]
-	}
-	*qp = queue
-	scratch.PutI32(lp)
-	scratch.PutI32(qp)
-	return stats, perSite
-}
-
-// InterfaceDensity returns the fraction of 4-adjacent site pairs with
-// opposite spins: 0 on a monochromatic lattice, ~1/2 on an independent
-// half-half lattice. It is a standard domain-wall density observable.
-func InterfaceDensity(l *grid.Lattice) float64 {
-	n := l.N()
-	mismatched := 0
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			s := l.Spin(geom.Point{X: x, Y: y})
-			if l.Spin(geom.Point{X: x + 1, Y: y}) != s {
-				mismatched++
-			}
-			if l.Spin(geom.Point{X: x, Y: y + 1}) != s {
-				mismatched++
-			}
-		}
-	}
-	return float64(mismatched) / float64(2*n*n)
-}
-
-// MeanSameFraction returns the average over agents of s(u), the fraction
-// of same-type agents in the radius-w neighborhood (including u). It is
-// 1 on a monochromatic lattice and ~1/2 on an independent half-half one.
-func MeanSameFraction(l *grid.Lattice, w int) float64 {
-	counts := l.WindowCounts(w)
-	nbhd := float64(geom.SquareSize(w))
-	var acc float64
-	for i := 0; i < l.Sites(); i++ {
-		plus := float64(counts[i])
-		if l.SpinAt(i) == grid.Plus {
-			acc += plus / nbhd
-		} else {
-			acc += (nbhd - plus) / nbhd
-		}
-	}
-	return acc / float64(l.Sites())
-}
-
 // HappyFraction returns the fraction of agents with same-type count at
 // least thresh in their radius-w neighborhood, computed from scratch
 // (no process needed).

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -205,9 +206,74 @@ func TestAlmostMonoRespectsRcap(t *testing.T) {
 	}
 }
 
+// bfsClusters is the oracle for ClusterStatsView: a BFS labelling of
+// the connected same-spin components (4-adjacency; wrapping on the
+// torus, stopping at the edges when open) that returns the statistics
+// in discovery order together with the per-site cluster sizes. Vacant
+// sites form their own spin-None clusters, counted in Count and Sizes
+// but never in LargestPlus or LargestMinus.
+func bfsClusters(l *grid.Lattice, open bool) (ClusterStats, []int32) {
+	n, sites := l.N(), l.Sites()
+	label := make([]int32, sites)
+	for i := range label {
+		label[i] = -1
+	}
+	var stats ClusterStats
+	var queue, clusterSize []int32
+	for start := 0; start < sites; start++ {
+		if label[start] != -1 {
+			continue
+		}
+		id := int32(len(clusterSize))
+		spin := l.SpinAt(start)
+		label[start] = id
+		queue = append(queue[:0], int32(start))
+		for head := 0; head < len(queue); head++ {
+			i := int(queue[head])
+			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+				x, y := i%n+d[0], i/n+d[1]
+				if open && (x < 0 || x >= n || y < 0 || y >= n) {
+					continue
+				}
+				j := (y+n)%n*n + (x+n)%n
+				if label[j] == -1 && l.SpinAt(j) == spin {
+					label[j] = id
+					queue = append(queue, int32(j))
+				}
+			}
+		}
+		size := len(queue)
+		clusterSize = append(clusterSize, int32(size))
+		stats.Sizes = append(stats.Sizes, size)
+		switch spin {
+		case grid.Plus:
+			stats.LargestPlus = max(stats.LargestPlus, size)
+		case grid.Minus:
+			stats.LargestMinus = max(stats.LargestMinus, size)
+		}
+	}
+	stats.Count = len(stats.Sizes)
+	perSite := make([]int32, sites)
+	for i := range perSite {
+		perSite[i] = clusterSize[label[i]]
+	}
+	return stats, perSite
+}
+
+// checkClusters requires ClusterStatsView to reproduce the oracle's
+// statistics, Sizes order included, and returns the oracle's result.
+func checkClusters(t *testing.T, l *grid.Lattice, open bool) (ClusterStats, []int32) {
+	t.Helper()
+	want, perSite := bfsClusters(l, open)
+	if got := ClusterStatsView(l, open); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ClusterStatsView = %+v, BFS oracle %+v", got, want)
+	}
+	return want, perSite
+}
+
 func TestClustersMonochromatic(t *testing.T) {
 	l := grid.New(6, grid.Plus)
-	stats, perSite := Clusters(l)
+	stats, perSite := checkClusters(t, l, false)
 	if stats.Count != 1 || stats.LargestPlus != 36 || stats.LargestMinus != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -225,7 +291,7 @@ func TestClustersHandCase(t *testing.T) {
 		----
 		----
 	`)
-	stats, perSite := Clusters(l)
+	stats, perSite := checkClusters(t, l, false)
 	if stats.Count != 2 {
 		t.Fatalf("count = %d, want 2", stats.Count)
 	}
@@ -247,7 +313,7 @@ func TestClustersWrapAround(t *testing.T) {
 	for x := 0; x < 5; x++ {
 		l.Set(geom.Point{X: x, Y: 2}, grid.Plus)
 	}
-	stats, _ := Clusters(l)
+	stats, _ := checkClusters(t, l, false)
 	if stats.LargestPlus != 5 {
 		t.Fatalf("wrapped row cluster = %d, want 5", stats.LargestPlus)
 	}
@@ -257,7 +323,7 @@ func TestClustersWrapAround(t *testing.T) {
 }
 
 func TestInterfaceDensity(t *testing.T) {
-	if got := InterfaceDensity(grid.New(6, grid.Plus)); got != 0 {
+	if got := InterfaceDensityView(grid.New(6, grid.Plus), false); got != 0 {
 		t.Fatalf("monochromatic interface density = %v, want 0", got)
 	}
 	// Checkerboard: every edge is mismatched.
@@ -269,7 +335,7 @@ func TestInterfaceDensity(t *testing.T) {
 			}
 		}
 	}
-	if got := InterfaceDensity(l); got != 1 {
+	if got := InterfaceDensityView(l, false); got != 1 {
 		t.Fatalf("checkerboard interface density = %v, want 1", got)
 	}
 	// Vertical stripes of width 3 on a 6-torus: 2 mismatched vertical
@@ -281,17 +347,17 @@ func TestInterfaceDensity(t *testing.T) {
 			stripes.Set(geom.Point{X: x, Y: y}, grid.Plus)
 		}
 	}
-	if got := InterfaceDensity(stripes); math.Abs(got-1.0/6) > 1e-12 {
+	if got := InterfaceDensityView(stripes, false); math.Abs(got-1.0/6) > 1e-12 {
 		t.Fatalf("stripes interface density = %v, want 1/6", got)
 	}
 }
 
 func TestMeanSameFraction(t *testing.T) {
-	if got := MeanSameFraction(grid.New(7, grid.Plus), 1); got != 1 {
+	if got := MeanSameFractionView(grid.New(7, grid.Plus), 1, false); got != 1 {
 		t.Fatalf("monochromatic mean same fraction = %v, want 1", got)
 	}
 	l := grid.Random(32, 0.5, rng.New(5))
-	got := MeanSameFraction(l, 2)
+	got := MeanSameFractionView(l, 2, false)
 	if math.Abs(got-0.5) > 0.05 {
 		t.Fatalf("random mean same fraction = %v, want ~0.5", got)
 	}
@@ -347,6 +413,6 @@ func BenchmarkClusters(b *testing.B) {
 	l := grid.Random(256, 0.5, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Clusters(l)
+		_ = ClusterStatsView(l, false)
 	}
 }

@@ -7,16 +7,18 @@ import (
 	"gridseg/internal/scratch"
 )
 
-// Streaming observables over grid.LatticeView. These are the
-// bounded-memory forms of the hot measures: they walk the lattice one
-// row at a time, holding only the 2w+1 live horizontal window sums (a
-// free-list ring) or two rows of cluster labels, so measuring a giant
-// grid costs O(n*w) scratch instead of O(n^2) per temporary. Every
-// function here reproduces its materializing counterpart exactly —
-// same integer counts, same float summation order — which is what
-// keeps sweep artifacts byte-stable after the migration, and they
-// accept any storage layout (reference, flat packed, tiled) through
-// the view interface.
+// Streaming observables over grid.LatticeView. These are the only
+// forms of the hot measures: they walk the lattice one row at a time,
+// holding only the 2w+1 live horizontal window sums (a free-list ring)
+// or two rows of cluster labels, so measuring a giant grid costs
+// O(n*w) scratch instead of O(n^2) per temporary. They are
+// scenario-aware — open boundaries clamp windows and adjacencies at
+// the edges, and only agents are measured on vacancy lattices — and
+// reduce exactly to the classic torus definitions on a fully occupied
+// torus (open=false), with the same integer counts and float
+// summation order, which keeps artifacts byte-stable. They accept any
+// storage layout (reference, flat packed, tiled) through the view
+// interface.
 
 // visitPlusOccCounts streams, for every row y in ascending order, the
 // per-site +1 window counts and occupied-site window counts of the
@@ -155,11 +157,11 @@ func PhiView(v grid.LatticeView, w int, open bool) int64 {
 	return phi
 }
 
-// MeanSameFractionView is the streaming form of
-// MeanSameFractionScenario over any lattice view: the average over
-// agents of the same-type fraction of their occupied window. The float
-// accumulation visits sites in the same row-major order, so the result
-// is bit-identical.
+// MeanSameFractionView returns the average over agents of s(u): the
+// fraction of same-type agents among the occupied sites of u's
+// radius-w window (clamped at the edges when open), including u. It is
+// 1 on a monochromatic lattice and ~1/2 on an independent half-half
+// one; 0 on an empty lattice.
 func MeanSameFractionView(v grid.LatticeView, w int, open bool) float64 {
 	n := v.N()
 	var acc float64
@@ -184,10 +186,11 @@ func MeanSameFractionView(v grid.LatticeView, w int, open bool) float64 {
 	return acc / float64(agents)
 }
 
-// InterfaceDensityView is InterfaceDensityScenario over any lattice
-// view: the fraction of 4-adjacent agent-agent pairs with opposite
-// types, skipping vacant partners and, when open, wrapping pairs. It
-// reads each row's spins O(1) sites ahead, with no temporaries.
+// InterfaceDensityView returns the domain-wall density: the fraction
+// of 4-adjacent agent-agent pairs with opposite types, skipping vacant
+// partners and, when open, wrapping pairs. It is 0 on a monochromatic
+// lattice and ~1/2 on an independent half-half one. It reads each
+// row's spins O(1) sites ahead, with no temporaries.
 func InterfaceDensityView(v grid.LatticeView, open bool) float64 {
 	n := v.N()
 	mismatched, pairs := 0, 0
@@ -230,7 +233,7 @@ func InterfaceDensityView(v grid.LatticeView, open bool) float64 {
 	return float64(mismatched) / float64(pairs)
 }
 
-// MagnetizationView is MagnetizationScenario over any lattice view:
+// MagnetizationView returns the occupied-site magnetization
 // (plus - minus) / agents, 0 on an empty lattice.
 func MagnetizationView(v grid.LatticeView) float64 {
 	plus, minus := 0, 0
@@ -248,14 +251,26 @@ func MagnetizationView(v grid.LatticeView) float64 {
 	return float64(plus-minus) / float64(plus+minus)
 }
 
+// ClusterStats summarizes the connected same-type clusters of a lattice
+// under 4-adjacency.
+type ClusterStats struct {
+	Count        int   // number of clusters
+	Sizes        []int // size of every cluster, unordered
+	LargestPlus  int   // largest +1 cluster size (0 if none)
+	LargestMinus int   // largest -1 cluster size (0 if none)
+}
+
 // ClusterStatsView computes the connected same-type cluster statistics
-// of any lattice view with a streaming two-row union-find: labels live
-// for two rows only, and per-cluster metadata is O(number of clusters)
-// instead of O(n^2) label and queue fields. Sizes are emitted in
-// ascending order of each cluster's minimal site index — exactly the
-// discovery order of the BFS used by ClusterStatsScenario, so the two
-// agree element for element. The torus closes the seams by unioning
-// the last column/row back onto the first.
+// (4-adjacency) of any lattice view with a streaming two-row
+// union-find: labels live for two rows only, and per-cluster metadata
+// is O(number of clusters) instead of O(n^2) label and queue fields.
+// Sizes are emitted in ascending order of each cluster's minimal site
+// index — exactly the discovery order of a row-major BFS labelling
+// (the oracle in the tests), so the two agree element for element. On
+// vacancy lattices the vacant sites form their own clusters, reported
+// in Count and Sizes but never in LargestPlus or LargestMinus. The
+// torus closes the seams by unioning the last column/row back onto the
+// first; open=true leaves them apart.
 func ClusterStatsView(v grid.LatticeView, open bool) ClusterStats {
 	n := v.N()
 	// Union-find with path halving; size, minimal site, and spin are

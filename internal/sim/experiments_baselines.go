@@ -6,6 +6,7 @@ import (
 
 	"gridseg/internal/batch"
 	"gridseg/internal/dynamics"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/grid"
 	"gridseg/internal/measure"
 	"gridseg/internal/report"
@@ -100,14 +101,14 @@ func runE14(ctx *Context) ([]*report.Table, error) {
 
 	type half struct{ happy, iface, largest, drift float64 }
 	summarize := func(lat *grid.Lattice, happy float64, plus0 int) half {
-		cl, _ := measure.Clusters(lat)
+		cl := measure.ClusterStatsView(lat, false)
 		largest := cl.LargestPlus
 		if cl.LargestMinus > largest {
 			largest = cl.LargestMinus
 		}
 		return half{
 			happy:   happy,
-			iface:   measure.InterfaceDensity(lat),
+			iface:   measure.InterfaceDensityView(lat, false),
 			largest: float64(largest) / float64(lat.Sites()),
 			drift:   math.Abs(float64(lat.CountPlus()-plus0)) / float64(lat.Sites()),
 		}
@@ -123,20 +124,20 @@ func runE14(ctx *Context) ([]*report.Table, error) {
 		plus0 := initial.CountPlus()
 
 		glat := initial.Clone()
-		gp, err := newEngine(glat, c.W, c.Tau, src.Split(2), ctx.Engine)
+		gp, err := newEngine(engines.Glauber, ctx.Engine, glat, c.W, c.Tau, dynamics.Scenario{}, src.Split(2))
 		if err != nil {
 			return nil, err
 		}
-		gp.Run(0)
-		g := summarize(glat, gp.HappyFraction(), plus0)
+		gp.Proc.Run(0)
+		g := summarize(glat, gp.Proc.HappyFraction(), plus0)
 
 		klat := initial.Clone()
-		kp, err := newSwapEngine(klat, c.W, c.Tau, dynamics.Scenario{}, src.Split(3), ctx.Engine)
+		kp, err := newEngine(engines.Kawasaki, ctx.Engine, klat, c.W, c.Tau, dynamics.Scenario{}, src.Split(3))
 		if err != nil {
 			return nil, err
 		}
-		kp.Run(int64(c.N)*int64(c.N)*20, int64(c.N)*int64(c.N))
-		k := summarize(klat, kp.Engine().HappyFraction(), plus0)
+		kp.Swap.Run(int64(c.N)*int64(c.N)*20, int64(c.N)*int64(c.N))
+		k := summarize(klat, kp.Proc.HappyFraction(), plus0)
 
 		return []float64{
 			g.happy, g.iface, g.largest, g.drift,

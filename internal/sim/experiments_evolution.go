@@ -7,6 +7,7 @@ import (
 
 	"gridseg/internal/batch"
 	"gridseg/internal/dynamics"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/geom"
 	"gridseg/internal/grid"
 	"gridseg/internal/measure"
@@ -63,10 +64,11 @@ func runE1(ctx *Context) ([]*report.Table, error) {
 
 	// Pass 2: identical run with snapshot capture at 0, 1/3, 2/3, 1.
 	lat := grid.Random(n, p, src.Split(1))
-	proc, err := dynamics.New(lat, w, tau, src.Split(2))
+	e, err := newEngine(engines.Glauber, ctx.Engine, lat, w, tau, dynamics.Scenario{}, src.Split(2))
 	if err != nil {
 		return nil, err
 	}
+	proc := e.Proc
 	marks := []int64{0, total / 3, 2 * total / 3, total}
 	t := report.NewTable(
 		fmt.Sprintf("Fig. 1 evolution: n=%d w=%d N=%d tau=%.2f (total flips %d)", n, w, proc.NeighborhoodSize(), proc.Tau(), total),
@@ -84,7 +86,7 @@ func runE1(ctx *Context) ([]*report.Table, error) {
 		for _, pt := range samplePoints(lat.N(), 5) {
 			sizes = append(sizes, float64(measure.MonoRegionSize(lat, radii, pt)))
 		}
-		cl, _ := measure.Clusters(lat)
+		cl := measure.ClusterStatsView(lat, false)
 		largest := cl.LargestPlus
 		if cl.LargestMinus > largest {
 			largest = cl.LargestMinus
@@ -94,7 +96,7 @@ func runE1(ctx *Context) ([]*report.Table, error) {
 			report.I64(done),
 			report.F3(proc.Time()),
 			report.F3(proc.HappyFraction()),
-			report.F3(measure.InterfaceDensity(lat)),
+			report.F3(measure.InterfaceDensityView(lat, false)),
 			report.F3(float64(largest)/float64(lat.Sites())),
 			report.F(stats.Mean(sizes)),
 		)
@@ -176,7 +178,7 @@ func runE8(ctx *Context) ([]*report.Table, error) {
 		for _, pt := range samplePoints(c.N, 5) {
 			sizes = append(sizes, float64(measure.MonoRegionSize(run.Lat, radii, pt)))
 		}
-		cl, _ := measure.Clusters(run.Lat)
+		cl := measure.ClusterStatsView(run.Lat, false)
 		largest := cl.LargestPlus
 		if cl.LargestMinus > largest {
 			largest = cl.LargestMinus

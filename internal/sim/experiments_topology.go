@@ -5,6 +5,7 @@ import (
 
 	"gridseg/internal/batch"
 	"gridseg/internal/dynamics"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/grid"
 	"gridseg/internal/measure"
 	"gridseg/internal/report"
@@ -60,37 +61,31 @@ func runScenarioCell(c batch.Cell, src *rng.Source, engineLabel string) ([]float
 	taus := dist.SampleField(lat.Sites(), c.Tau, src.Split(3))
 	dsc := dynamics.Scenario{Open: open, Taus: taus}
 
-	var (
-		events  int64
-		unhappy int
-	)
-	budget := int64(20) * int64(lat.Sites())
-	streak := int64(lat.Sites())
+	dyn := engines.Glauber
 	switch c.Dynamic {
 	case batch.Move:
-		mv, err := newMoveEngine(lat, c.W, c.Tau, dsc, src.Split(2), engineLabel)
-		if err != nil {
-			return nil, err
-		}
-		events, _ = mv.Run(budget, streak)
-		unhappy = mv.Engine().UnhappyCount()
+		dyn = engines.Move
 	case batch.Kawasaki:
-		k, err := newSwapEngine(lat, c.W, c.Tau, dsc, src.Split(2), engineLabel)
-		if err != nil {
-			return nil, err
-		}
-		events, _ = k.Run(budget, streak)
-		unhappy = k.Engine().UnhappyCount()
-	default:
-		proc, err := newScenarioEngine(lat, c.W, c.Tau, dsc, src.Split(2), engineLabel)
-		if err != nil {
-			return nil, err
-		}
-		events, _ = proc.Run(0)
-		unhappy = proc.UnhappyCount()
+		dyn = engines.Kawasaki
 	}
+	e, err := newEngine(dyn, engineLabel, lat, c.W, c.Tau, dsc, src.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	budget := int64(20) * int64(lat.Sites())
+	streak := int64(lat.Sites())
+	var events int64
+	switch {
+	case e.Move != nil:
+		events, _ = e.Move.Run(budget, streak)
+	case e.Swap != nil:
+		events, _ = e.Swap.Run(budget, streak)
+	default:
+		events, _ = e.Proc.Run(0)
+	}
+	unhappy := e.Proc.UnhappyCount()
 
-	cl := measure.ClusterStatsScenario(lat, open)
+	cl := measure.ClusterStatsView(lat, open)
 	largest := cl.LargestPlus
 	if cl.LargestMinus > largest {
 		largest = cl.LargestMinus
@@ -105,8 +100,8 @@ func runScenarioCell(c batch.Cell, src *rng.Source, engineLabel string) ([]float
 	}
 	return []float64{
 		1 - float64(unhappy)/float64(agents),
-		measure.InterfaceDensityScenario(lat, open),
-		measure.MeanSameFractionScenario(lat, c.W, open),
+		measure.InterfaceDensityView(lat, open),
+		measure.MeanSameFractionView(lat, c.W, open),
 		float64(largest) / float64(lat.Sites()),
 		float64(events),
 	}, nil

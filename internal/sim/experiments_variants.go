@@ -51,15 +51,15 @@ func runVariantCell(n, w int, opts dynamics.VariantOptions, budget int64, src *r
 	if _, _, err := v.Run(budget); err != nil {
 		return nan
 	}
-	cl, _ := measure.Clusters(lat)
+	cl := measure.ClusterStatsView(lat, false)
 	largest := cl.LargestPlus
 	if cl.LargestMinus > largest {
 		largest = cl.LargestMinus
 	}
 	return []float64{
 		1 - float64(v.UnhappyCount())/float64(lat.Sites()),
-		measure.InterfaceDensity(lat),
-		measure.MeanSameFraction(lat, w),
+		measure.InterfaceDensityView(lat, false),
+		measure.MeanSameFractionView(lat, w, false),
 		float64(largest) / float64(lat.Sites()),
 	}
 }
@@ -118,7 +118,7 @@ func runE16(ctx *Context) ([]*report.Table, error) {
 		sites := run.Lat.Sites()
 		plus := run.Lat.CountPlus()
 		mag := math.Abs(float64(2*plus-sites)) / float64(sites)
-		cl, _ := measure.Clusters(run.Lat)
+		cl := measure.ClusterStatsView(run.Lat, false)
 		minority := cl.LargestMinus
 		if plus < sites-plus {
 			minority = cl.LargestPlus

@@ -19,7 +19,7 @@ import (
 
 	"gridseg/internal/batch"
 	"gridseg/internal/dynamics"
-	"gridseg/internal/dynamics/fastglauber"
+	"gridseg/internal/dynamics/engines"
 	"gridseg/internal/dynamics/pareng"
 	"gridseg/internal/grid"
 	"gridseg/internal/report"
@@ -39,11 +39,10 @@ type Context struct {
 	// Workers bounds the batch engine's worker pool; 0 means
 	// GOMAXPROCS. Results never depend on the worker count.
 	Workers int
-	// Engine selects the Glauber engine implementation for replicated
-	// runs ("auto", "reference", "fast", or "parallel"; empty means
-	// auto). Engines are bit-identical inside sweeps — the parallel
-	// label runs in its delegation mode — so this never changes
-	// results, only speed.
+	// Engine selects the engine implementation for replicated runs (a
+	// label of internal/dynamics/engines; empty means auto). Engines are
+	// bit-identical inside sweeps — the parallel label runs on one
+	// strip — so this never changes results, only speed.
 	Engine string
 	// Store, when non-nil, is the shared content-addressed result
 	// cache consulted by every replicated stage: cells already in the
@@ -150,84 +149,26 @@ type glauberResult struct {
 	Flips int64
 }
 
-// newEngine builds the selected Glauber engine over the lattice. The
-// engines are bit-identical (internal/difftest), so the label only
-// selects an execution strategy.
-func newEngine(lat *grid.Lattice, w int, tau float64, src *rng.Source, engine string) (dynamics.Engine, error) {
-	return newScenarioEngine(lat, w, tau, dynamics.Scenario{}, src, engine)
-}
-
-// newScenarioEngine builds the selected Glauber engine under a
-// topology scenario. The fast engine covers every scenario axis, so
-// auto resolves to it whenever the neighborhood fits the packed count
-// lanes, exactly as on default cells.
-func newScenarioEngine(lat *grid.Lattice, w int, tau float64, dsc dynamics.Scenario, src *rng.Source, engine string) (dynamics.Engine, error) {
-	switch engine {
-	case "", batch.EngineAuto:
-		if fastglauber.Fits(w) {
-			return fastglauber.NewScenario(lat, w, tau, dsc, src)
-		}
-		return dynamics.NewScenario(lat, w, tau, dsc, src)
-	case batch.EngineReference:
-		return dynamics.NewScenario(lat, w, tau, dsc, src)
-	case batch.EngineFast:
-		return fastglauber.NewScenario(lat, w, tau, dsc, src)
-	case batch.EngineParallel:
-		// Sweeps pin the parallel engine to its delegation mode (one
-		// strip), which is bit-identical to the fast engine, so the
-		// engine stays an execution detail and cached cells remain valid.
-		return pareng.New(lat, w, tau, dsc, src, pareng.Config{Strips: 1})
+// newEngine parses an engine label and builds the dynamic's engine
+// from the engine table. Sweeps pin the parallel engine to one strip,
+// which the table resolves to the fast engine, so the label never
+// changes results and cached cells stay valid under any engine.
+func newEngine(dyn engines.Dynamic, label string, lat *grid.Lattice, w int, tau float64, dsc dynamics.Scenario, src *rng.Source) (engines.Engine, error) {
+	kind, err := engines.Parse(label)
+	if err != nil {
+		return engines.Engine{}, fmt.Errorf("sim: %w", err)
 	}
-	return nil, fmt.Errorf("sim: unknown engine %q", engine)
-}
-
-// newSwapEngine builds the selected Kawasaki engine under a topology
-// scenario, with the same auto-resolution rule as newScenarioEngine.
-func newSwapEngine(lat *grid.Lattice, w int, tau float64, dsc dynamics.Scenario, src *rng.Source, engine string) (dynamics.SwapEngine, error) {
-	switch engine {
-	case "", batch.EngineAuto:
-		if fastglauber.Fits(w) {
-			return fastglauber.NewKawasakiScenario(lat, w, tau, dsc, src)
-		}
-		return dynamics.NewKawasakiScenario(lat, w, tau, dsc, src)
-	case batch.EngineReference:
-		return dynamics.NewKawasakiScenario(lat, w, tau, dsc, src)
-	case batch.EngineFast, batch.EngineParallel:
-		// Kawasaki has no parallel implementation; the parallel label
-		// resolves to the sequential fast engine, exactly like gridseg.
-		return fastglauber.NewKawasakiScenario(lat, w, tau, dsc, src)
-	}
-	return nil, fmt.Errorf("sim: unknown engine %q", engine)
-}
-
-// newMoveEngine builds the selected relocation (Move) engine under a
-// topology scenario, with the same auto-resolution rule as
-// newScenarioEngine.
-func newMoveEngine(lat *grid.Lattice, w int, tau float64, dsc dynamics.Scenario, src *rng.Source, engine string) (dynamics.MoveEngine, error) {
-	switch engine {
-	case "", batch.EngineAuto:
-		if fastglauber.Fits(w) {
-			return fastglauber.NewMove(lat, w, tau, dsc, src)
-		}
-		return dynamics.NewMove(lat, w, tau, dsc, src)
-	case batch.EngineReference:
-		return dynamics.NewMove(lat, w, tau, dsc, src)
-	case batch.EngineFast, batch.EngineParallel:
-		// Move has no parallel implementation either; fall back to the
-		// sequential fast engine.
-		return fastglauber.NewMove(lat, w, tau, dsc, src)
-	}
-	return nil, fmt.Errorf("sim: unknown engine %q", engine)
+	return engines.New(dyn, kind, lat, w, tau, dsc, src, pareng.Config{Strips: 1})
 }
 
 func glauberRun(n, w int, tau, p float64, src *rng.Source, engine string) (glauberResult, error) {
 	lat := grid.Random(n, p, src.Split(1))
-	proc, err := newEngine(lat, w, tau, src.Split(2), engine)
+	e, err := newEngine(engines.Glauber, engine, lat, w, tau, dynamics.Scenario{}, src.Split(2))
 	if err != nil {
 		return glauberResult{}, err
 	}
-	flips, _ := proc.Run(0)
-	return glauberResult{Proc: proc, Lat: lat, Flips: flips}, nil
+	flips, _ := e.Proc.Run(0)
+	return glauberResult{Proc: e.Proc, Lat: lat, Flips: flips}, nil
 }
 
 // pick returns q in quick mode and f otherwise.

@@ -180,7 +180,7 @@ func TestKawasakiConservesMagnetization(t *testing.T) {
 			t.Fatalf("seed=%d: magnetization %v, want %v", seed, got, mag0)
 		}
 		if m.Fixated() {
-			p, mi := m.kaw.UnhappyByType()
+			p, mi := m.eng.Swap.UnhappyByType()
 			if p != 0 && mi != 0 {
 				t.Fatalf("seed=%d: reported fixated with unhappy %d/%d of each type", seed, p, mi)
 			}

@@ -87,7 +87,7 @@ type GridOptions struct {
 	// full-scale sweeps survive interruption. Checkpoints remain valid
 	// across engine selections: engines are bit-identical.
 	CheckpointPath string
-	// Engine selects the Glauber engine implementation when the grid
+	// Engine selects the engine implementation when the grid
 	// spec has no engine= key (EngineAuto picks the fast bit-packed
 	// engine whenever it applies). Never changes results, only speed.
 	Engine Engine
@@ -276,7 +276,7 @@ func GridID(spec string, seed uint64) (string, error) {
 
 // buildSweepModel constructs the model of one grid cell exactly as the
 // canonical runner always has: the cell seed drawn first from the
-// cell's source, the parallel engine pinned to delegation mode.
+// cell's source, the parallel engine pinned to one strip.
 func buildSweepModel(c batch.Cell, src *rng.Source) (*Model, error) {
 	dyn := Glauber
 	switch c.Dynamic {
@@ -297,8 +297,8 @@ func buildSweepModel(c batch.Cell, src *rng.Source) (*Model, error) {
 		N: c.N, W: c.W, Tau: c.Tau, P: c.P,
 		Seed: src.Uint64(), Dynamic: dyn, Engine: engine,
 		Boundary: boundary, Rho: c.Rho, TauDist: c.TauDist,
-		// Sweeps pin the parallel engine to its delegation mode: one
-		// strip is bit-identical to the fast engine, so the engine label
+		// Sweeps pin the parallel engine to one strip, which the engine
+		// table resolves to the fast engine, so the engine label
 		// stays an execution detail and cached cells, checkpoints, and
 		// goldens remain valid across engines. Multi-strip decomposition
 		// is reserved for single giant runs (cmd/segsim, cmd/bench).

@@ -100,11 +100,12 @@ func TestRunGridGoldenAcrossEngines(t *testing.T) {
 }
 
 // TestRunGridGoldenParallelEngine asserts the parallel engine keeps
-// the sweep determinism contract: in a sweep it runs in delegation
-// mode, so its artifacts are byte-equal to the committed goldens —
-// hence to every sequential engine — for sweep-worker counts 1, 4, and
-// 8 and for any engine-worker count, whether selected through
-// GridOptions or through the spec's engine=/parallel= keys.
+// the sweep determinism contract: in a sweep it runs on one strip,
+// which the engine table resolves to the fast engine, so its artifacts
+// are byte-equal to the committed goldens — hence to every sequential
+// engine — for sweep-worker counts 1, 4, and 8 and for any
+// engine-worker count, whether selected through GridOptions or through
+// the spec's engine=/parallel= keys.
 func TestRunGridGoldenParallelEngine(t *testing.T) {
 	csv1, json1 := goldenRun(t, GridOptions{Seed: goldenSeed, Workers: 1, Engine: EngineParallel})
 	if !bytes.Equal(csv1, golden(t, "grid_golden.csv", csv1)) {

@@ -105,7 +105,7 @@ func (m *VariantModel) Spin(x, y int) int {
 
 // SegregationStats summarizes the current configuration.
 func (m *VariantModel) SegregationStats() Stats {
-	cl, _ := measure.Clusters(m.lat)
+	cl := measure.ClusterStatsView(m.lat, false)
 	largest := cl.LargestPlus
 	if cl.LargestMinus > largest {
 		largest = cl.LargestMinus
@@ -114,10 +114,10 @@ func (m *VariantModel) SegregationStats() Stats {
 	return Stats{
 		HappyFraction:          1 - float64(m.v.UnhappyCount())/float64(sites),
 		UnhappyCount:           m.v.UnhappyCount(),
-		InterfaceDensity:       measure.InterfaceDensity(m.lat),
-		MeanSameFraction:       measure.MeanSameFraction(m.lat, m.cfg.W),
+		InterfaceDensity:       measure.InterfaceDensityView(m.lat, false),
+		MeanSameFraction:       measure.MeanSameFractionView(m.lat, m.cfg.W, false),
 		LargestClusterFraction: float64(largest) / float64(sites),
-		Magnetization:          float64(2*m.lat.CountPlus()-sites) / float64(sites),
+		Magnetization:          measure.MagnetizationView(m.lat),
 		Flips:                  m.v.Flips() + m.v.NoiseFlips(),
 	}
 }
