@@ -42,13 +42,15 @@ obscheck:
 	go run ./cmd/obscheck
 
 # Short fuzz passes over the grid-spec parser, the lattice
-# configuration codec and the mono-region dilation kernel against its
-# BFS oracle (the CI-sized budget; raise -fuzztime locally for deeper
+# configuration codec, the mono-region dilation kernel against its BFS
+# oracle, and the packed segregation kernels against their scalar
+# forms (the CI-sized budget; raise -fuzztime locally for deeper
 # exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
 	go test -run '^$$' -fuzz FuzzCenteredRadii -fuzztime 30s ./internal/measure/
+	go test -run '^$$' -fuzz FuzzSegregationStats -fuzztime 30s ./internal/measure/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move
@@ -74,7 +76,8 @@ bench-check-ci:
 # Giant-grid memory gate: run the n=4096 fixation probe with the
 # allocator returning freed pages eagerly (so VmHWM reflects live
 # memory, not lazily-reclaimed spans) and fail if peak RSS crosses the
-# ceiling. Pins the O(n*tile) streaming-measurement claim.
+# ceiling. Pins the bounded-memory claim for a giant fixation and its
+# packed measurement pass.
 memcheck:
 	GODEBUG=madvdontneed=1 go run ./cmd/bench -memcheck -maxrss 384
 

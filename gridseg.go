@@ -482,20 +482,22 @@ type Stats struct {
 // lattices measure agents only — and reduce exactly to the classic
 // definitions on the default scenario.
 func (m *Model) SegregationStats() Stats {
-	open := m.sc.Boundary == topology.Open
-	v := m.View()
-	cl := measure.ClusterStatsView(v, open)
-	largest := cl.LargestPlus
-	if cl.LargestMinus > largest {
-		largest = cl.LargestMinus
-	}
+	p := measure.Pack(m.lat)
+	defer p.Release()
+	return m.stats(p)
+}
+
+// stats computes SegregationStats from a packed copy of the current
+// configuration.
+func (m *Model) stats(p *measure.Packed) Stats {
+	seg := p.Segregation(m.cfg.W, m.sc.Boundary == topology.Open)
 	return Stats{
 		HappyFraction:          m.eng.Proc.HappyFraction(),
 		UnhappyCount:           m.eng.Proc.UnhappyCount(),
-		InterfaceDensity:       measure.InterfaceDensityView(v, open),
-		MeanSameFraction:       measure.MeanSameFractionView(v, m.cfg.W, open),
-		LargestClusterFraction: float64(largest) / float64(m.lat.Sites()),
-		Magnetization:          measure.MagnetizationView(v),
+		InterfaceDensity:       seg.InterfaceDensity,
+		MeanSameFraction:       seg.MeanSameFraction,
+		LargestClusterFraction: float64(seg.Clusters.Largest()) / float64(m.lat.Sites()),
+		Magnetization:          seg.Magnetization,
 		Flips:                  m.Flips(),
 	}
 }

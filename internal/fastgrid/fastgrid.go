@@ -43,25 +43,52 @@ func NewPacked(n int) *Lattice {
 // FromLattice packs the spins of a reference lattice, together with an
 // occupancy plane when the lattice has vacant sites.
 func FromLattice(l *grid.Lattice) *Lattice {
-	n := l.N()
-	p := NewPacked(n)
+	p := NewPacked(l.N())
 	if l.HasVacancies() {
-		p.occ = make([]uint64, n*p.wpr)
+		p.occ = make([]uint64, len(p.words))
 	}
-	// Branch-free over the spin values: (s+1)>>1 is 1 only for Plus
-	// (+1), s&1 is 1 for both agents (+1, -1) and 0 for None.
+	PackPlanes(l, p.words, p.occ)
+	return p
+}
+
+// PackPlanes writes the spin plane of any lattice view in the flat
+// layout — row y in words [y*wpr, (y+1)*wpr) with wpr = (n+63)/64, a
+// set bit for every +1 agent, padding bits above column n-1 zero — and,
+// when occ is non-nil, its occupancy plane in the same layout. Each
+// plane must be n*wpr words long; its contents are overwritten. This
+// is the one packing loop shared by the fast engines and the packed
+// measurement pass.
+func PackPlanes(v grid.LatticeView, spin, occ []uint64) {
+	n := v.N()
+	wpr := (n + 63) / 64
+	// The reference lattice gets its own loop so that SpinAt inlines.
+	ref, isRef := v.(*grid.Lattice)
 	for y := 0; y < n; y++ {
-		base := y * n
-		row := y * p.wpr
-		for x := 0; x < n; x++ {
-			s := int(l.SpinAt(base + x))
-			p.words[row+x>>6] |= uint64(s+1) >> 1 << uint(x&63)
-			if p.occ != nil {
-				p.occ[row+x>>6] |= uint64(s&1) << uint(x&63)
+		for k := 0; k < wpr; k++ {
+			base, width := y*n+k*64, min(64, n-k*64)
+			// Branch-free over the spin values: (s+1)>>1 is 1 only
+			// for Plus (+1), s&1 is 1 for both agents (+1, -1) and 0
+			// for None.
+			var sw, ow uint64
+			if isRef {
+				for b := range width {
+					s := ref.SpinAt(base + b)
+					sw |= uint64(s+1) >> 1 << b
+					ow |= uint64(s&1) << b
+				}
+			} else {
+				for b := range width {
+					s := v.SpinAt(base + b)
+					sw |= uint64(s+1) >> 1 << b
+					ow |= uint64(s&1) << b
+				}
+			}
+			spin[y*wpr+k] = sw
+			if occ != nil {
+				occ[y*wpr+k] = ow
 			}
 		}
 	}
-	return p
 }
 
 // N returns the side length.

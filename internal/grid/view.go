@@ -3,10 +3,10 @@ package grid
 // LatticeView is the read-only lattice interface shared by every
 // storage layout: the reference spin array (Lattice), the flat
 // bit-packed layout (fastgrid.Lattice), and the tile-blocked layout
-// for giant grids (fastgrid.Tiled) all satisfy it. Measurement code
-// written against LatticeView runs unchanged on any of them, which is
-// what lets the streaming observables avoid materializing a reference
-// copy of a packed lattice just to measure it.
+// for giant grids (fastgrid.Tiled) all satisfy it. Code written
+// against LatticeView runs unchanged on any of them; the measurement
+// pass packs any view into bit planes without materializing a
+// reference copy first.
 //
 // Site indices are row-major: site (x, y) is y*N()+x. A vacant site
 // reports SpinAt = None and OccupiedAt = false; on layouts without a

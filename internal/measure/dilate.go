@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"gridseg/internal/grid"
 	"gridseg/internal/scratch"
 )
 
@@ -25,40 +24,29 @@ import (
 // (vacancies included) the distance to Plus. Sites whose target spin
 // is absent from the lattice get unreached instead. It returns the
 // largest value written, counting unreached too when it was written.
-func oppositeField(dst []int32, l *grid.Lattice, offset, unreached int32) int32 {
-	n := l.N()
-	stride := (n + 63) / 64
-	words := n * stride
+// The packed planes are read, not modified.
+func oppositeField(dst []int32, p *Packed, offset, unreached int32) int32 {
+	n, stride := p.n, p.stride
+	words := len(p.plus)
 	bp := scratch.U64(3 * words)
 	buf := *bp
-	plus, minus, h := buf[:words], buf[words:2*words], buf[2*words:]
-	for y := 0; y < n; y++ {
-		for i := 0; i < stride; i++ {
-			// Branch-free packing: spin s in {-1, 0, 1} gives
-			// (s+1)>>1 = [s == Plus] and (1-s)>>1 = [s == Minus].
-			var pw, mw uint64
-			base := y*n + i*64
-			for b := range min(64, n-i*64) {
-				s := l.SpinAt(base + b)
-				pw |= uint64(s+1) >> 1 << b
-				mw |= uint64(1-s) >> 1 << b
-			}
-			plus[y*stride+i], minus[y*stride+i] = pw, mw
-		}
+	cur, need, h := buf[:words], buf[words:2*words], buf[2*words:]
+	// Plus sites: dilate the Minus plane (occupied and not plus).
+	for i := range cur {
+		cur[i] = p.occ[i] &^ p.plus[i]
 	}
-	// Plus sites: dilate the Minus plane in place.
-	hi := dilateInto(dst, minus, plus, h, n, offset, unreached)
-	// Every other site: the complement of the Plus plane, built in the
-	// spent Minus buffer, while the Plus plane is dilated in place.
-	need := minus
+	copy(need, p.plus)
+	hi := dilateInto(dst, cur, need, h, n, offset, unreached)
+	// Every other site: dilate the Plus plane towards its complement.
+	copy(cur, p.plus)
 	last := lastWordMask(n)
 	for y := 0; y < n; y++ {
 		for i := 0; i < stride; i++ {
-			need[y*stride+i] = ^plus[y*stride+i]
+			need[y*stride+i] = ^p.plus[y*stride+i]
 		}
 		need[y*stride+stride-1] &= last
 	}
-	hi = max(hi, dilateInto(dst, plus, need, h, n, offset, unreached))
+	hi = max(hi, dilateInto(dst, cur, need, h, n, offset, unreached))
 	scratch.PutU64(bp)
 	return hi
 }

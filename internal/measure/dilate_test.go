@@ -219,25 +219,45 @@ func unit(v float64) float64 {
 	return math.Abs(v - math.Trunc(v))
 }
 
-var sinkMeanM float64
+var (
+	sinkMeanM float64
+	sinkSeg   Segregation
+)
+
+// benchLattices are the fixated lattices the measurement benchmarks
+// share: the shapes sweep cells measure.
+var benchLattices = []struct {
+	name string
+	n, w int
+	tau  float64
+	rho  float64
+}{
+	{"n=512/w=1/tau=0.40", 512, 1, 0.40, 0},
+	{"n=1024/w=1/tau=0.44/rho=0.05", 1024, 1, 0.44, 0.05},
+}
 
 // BenchmarkMeanMonoRegionSize measures the sweep's mean_M column on
 // fixated lattices like the ones sweep cells measure.
 func BenchmarkMeanMonoRegionSize(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		n, w int
-		tau  float64
-		rho  float64
-	}{
-		{"n=512/w=1/tau=0.40", 512, 1, 0.40, 0},
-		{"n=1024/w=1/tau=0.44/rho=0.05", 1024, 1, 0.44, 0.05},
-	} {
+	for _, c := range benchLattices {
 		b.Run(c.name, func(b *testing.B) {
 			l := fixatedLattice(b, "glauber", c.n, c.w, c.tau, c.rho, false, 1)
 			pts := SamplePoints(c.n, 5)
 			for b.Loop() {
 				sinkMeanM = MeanMonoRegionSize(l, pts)
+			}
+		})
+	}
+}
+
+// BenchmarkSegregationStats measures the packed segregation pass —
+// packing included — on the same fixated lattices.
+func BenchmarkSegregationStats(b *testing.B) {
+	for _, c := range benchLattices {
+		b.Run(c.name, func(b *testing.B) {
+			l := fixatedLattice(b, "glauber", c.n, c.w, c.tau, c.rho, false, 1)
+			for b.Loop() {
+				sinkSeg = SegregationView(l, c.w, false)
 			}
 		})
 	}

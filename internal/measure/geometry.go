@@ -16,9 +16,9 @@ import "gridseg/internal/grid"
 // InterfaceLengthView returns the total +/- interface length of the
 // view: the number of 4-adjacent agent pairs with opposite types, i.e.
 // the number of unit lattice edges the phase boundary crosses. It is
-// the unnormalized numerator of InterfaceDensityView and visits pairs
-// in the same order (right and down neighbors, wrapping on the torus,
-// clipped when open; pairs with a vacant partner never count).
+// the unnormalized numerator of Segregation.InterfaceDensity and
+// counts the same pairs (right and down neighbors, wrapping on the
+// torus, clipped when open; pairs with a vacant partner never count).
 func InterfaceLengthView(v grid.LatticeView, open bool) float64 {
 	n := v.N()
 	at := func(x, y int) grid.Spin {

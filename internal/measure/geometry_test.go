@@ -98,7 +98,7 @@ func TestGeometryVacancySkipsPlaquettes(t *testing.T) {
 
 // TestGeometryAcrossLayouts checks the estimators agree across the
 // reference, packed, and tiled storage layouts and stay consistent
-// with InterfaceDensityView (length = density * total agent pairs).
+// with the interface density (length = density * total agent pairs).
 func TestGeometryAcrossLayouts(t *testing.T) {
 	for _, tc := range streamCases {
 		lat := grid.RandomScenario(tc.n, 0.5, tc.rho, rng.New(uint64(tc.n*2000+tc.w)))
@@ -120,7 +120,7 @@ func TestGeometryAcrossLayouts(t *testing.T) {
 		// Consistency with the density form: count agent pairs directly.
 		pairs := countAgentPairs(lat, tc.open)
 		if pairs > 0 {
-			density := InterfaceDensityView(lat, tc.open)
+			density := SegregationView(lat, 0, tc.open).InterfaceDensity
 			if got := wantLen / float64(pairs); got != density {
 				t.Errorf("n=%d open=%v: length/pairs = %v, density = %v", tc.n, tc.open, got, density)
 			}

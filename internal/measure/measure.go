@@ -39,7 +39,9 @@ func SamplePoints(n, k int) []geom.Point {
 // the distance to Plus.
 func OppositeDistances(l *grid.Lattice) []int32 {
 	out := make([]int32, l.Sites())
-	oppositeField(out, l, 0, Unreachable)
+	p := Pack(l)
+	oppositeField(out, p, 0, Unreachable)
+	p.Release()
 	return out
 }
 
@@ -52,7 +54,9 @@ func maxRadiusCap(n int) int { return (n - 1) / 2 }
 // monochromatic lattice every entry equals the cap.
 func CenteredRadii(l *grid.Lattice) []int32 {
 	out := make([]int32, l.Sites())
-	centeredRadiiInto(out, l)
+	p := Pack(l)
+	centeredRadiiInto(out, p)
+	p.Release()
 	return out
 }
 
@@ -60,25 +64,34 @@ func CenteredRadii(l *grid.Lattice) []int32 {
 // its maximum. The radius is the opposite distance minus one, or the
 // cap where no opposite agent exists; a torus distance never exceeds
 // n/2, so no finite radius exceeds the cap.
-func centeredRadiiInto(dst []int32, l *grid.Lattice) int {
-	return int(oppositeField(dst, l, 1, int32(maxRadiusCap(l.N()))))
+func centeredRadiiInto(dst []int32, p *Packed) int {
+	return int(oppositeField(dst, p, 1, int32(maxRadiusCap(p.n))))
 }
 
 // MeanMonoRegionSize returns the mean M(u) over the probe points: the
-// estimator of E[M] the grid sweeps measure at fixation. It computes
-// the centered-radii field on a pooled buffer and recycles it before
-// returning, so per-cell measurement allocates nothing beyond pooled
-// scratch (ownership of the pooled buffers never leaves this package).
+// estimator of E[M] the grid sweeps measure at fixation.
 func MeanMonoRegionSize(l *grid.Lattice, pts []geom.Point) float64 {
+	p := Pack(l)
+	defer p.Release()
+	return p.MeanMonoRegionSize(pts)
+}
+
+// MeanMonoRegionSize is the package-level MeanMonoRegionSize of the
+// packed lattice. It computes the centered-radii field on a pooled
+// buffer and recycles it before returning, so per-cell measurement
+// allocates nothing beyond pooled scratch (ownership of the pooled
+// buffers never leaves this package).
+func (p *Packed) MeanMonoRegionSize(pts []geom.Point) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	rp := scratch.I32(l.Sites())
+	rp := scratch.I32(p.n * p.n)
 	radii := *rp
-	rmax := centeredRadiiInto(radii, l)
+	rmax := centeredRadiiInto(radii, p)
+	tor := geom.NewTorus(p.n)
 	var mean float64
 	for _, pt := range pts {
-		mean += float64(monoRegionSize(l, radii, pt, rmax))
+		mean += float64(monoRegionSize(tor, radii, pt, rmax))
 	}
 	scratch.PutI32(rp)
 	return mean / float64(len(pts))
@@ -96,15 +109,14 @@ func MonoRegionSize(l *grid.Lattice, radii []int32, u geom.Point) int {
 	for _, r := range radii {
 		rmax = max(rmax, r)
 	}
-	return monoRegionSize(l, radii, u, int(rmax))
+	return monoRegionSize(l.Torus(), radii, u, int(rmax))
 }
 
 // monoRegionSize is MonoRegionSize given the field's maximum radius
 // rmax. It scans rings of centers outward from u; a center at ring d
 // qualifies iff r(c) >= d, so no center beyond ring rmax qualifies and
 // none can beat a best of rmax: the scan stops at either bound.
-func monoRegionSize(l *grid.Lattice, radii []int32, u geom.Point, rmax int) int {
-	tor := l.Torus()
+func monoRegionSize(tor geom.Torus, radii []int32, u geom.Point, rmax int) int {
 	best := radii[tor.Index(u)] // r(u) >= 0 always qualifies at d = 0
 	for d := 1; d <= rmax && int(best) < rmax; d++ {
 		tor.SquarePerimeter(u, d, func(p geom.Point) {

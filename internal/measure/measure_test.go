@@ -206,7 +206,7 @@ func TestAlmostMonoRespectsRcap(t *testing.T) {
 	}
 }
 
-// bfsClusters is the oracle for ClusterStatsView: a BFS labelling of
+// bfsClusters is the oracle for the packed cluster labelling: a BFS labelling of
 // the connected same-spin components (4-adjacency; wrapping on the
 // torus, stopping at the edges when open) that returns the statistics
 // in discovery order together with the per-site cluster sizes. Vacant
@@ -260,13 +260,13 @@ func bfsClusters(l *grid.Lattice, open bool) (ClusterStats, []int32) {
 	return stats, perSite
 }
 
-// checkClusters requires ClusterStatsView to reproduce the oracle's
+// checkClusters requires the packed labelling to reproduce the oracle's
 // statistics, Sizes order included, and returns the oracle's result.
 func checkClusters(t *testing.T, l *grid.Lattice, open bool) (ClusterStats, []int32) {
 	t.Helper()
 	want, perSite := bfsClusters(l, open)
-	if got := ClusterStatsView(l, open); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ClusterStatsView = %+v, BFS oracle %+v", got, want)
+	if got := SegregationView(l, 0, open).Clusters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("clusters = %+v, BFS oracle %+v", got, want)
 	}
 	return want, perSite
 }
@@ -323,7 +323,7 @@ func TestClustersWrapAround(t *testing.T) {
 }
 
 func TestInterfaceDensity(t *testing.T) {
-	if got := InterfaceDensityView(grid.New(6, grid.Plus), false); got != 0 {
+	if got := SegregationView(grid.New(6, grid.Plus), 0, false).InterfaceDensity; got != 0 {
 		t.Fatalf("monochromatic interface density = %v, want 0", got)
 	}
 	// Checkerboard: every edge is mismatched.
@@ -335,7 +335,7 @@ func TestInterfaceDensity(t *testing.T) {
 			}
 		}
 	}
-	if got := InterfaceDensityView(l, false); got != 1 {
+	if got := SegregationView(l, 0, false).InterfaceDensity; got != 1 {
 		t.Fatalf("checkerboard interface density = %v, want 1", got)
 	}
 	// Vertical stripes of width 3 on a 6-torus: 2 mismatched vertical
@@ -347,17 +347,17 @@ func TestInterfaceDensity(t *testing.T) {
 			stripes.Set(geom.Point{X: x, Y: y}, grid.Plus)
 		}
 	}
-	if got := InterfaceDensityView(stripes, false); math.Abs(got-1.0/6) > 1e-12 {
+	if got := SegregationView(stripes, 0, false).InterfaceDensity; math.Abs(got-1.0/6) > 1e-12 {
 		t.Fatalf("stripes interface density = %v, want 1/6", got)
 	}
 }
 
 func TestMeanSameFraction(t *testing.T) {
-	if got := MeanSameFractionView(grid.New(7, grid.Plus), 1, false); got != 1 {
+	if got := SegregationView(grid.New(7, grid.Plus), 1, false).MeanSameFraction; got != 1 {
 		t.Fatalf("monochromatic mean same fraction = %v, want 1", got)
 	}
 	l := grid.Random(32, 0.5, rng.New(5))
-	got := MeanSameFractionView(l, 2, false)
+	got := SegregationView(l, 2, false).MeanSameFraction
 	if math.Abs(got-0.5) > 0.05 {
 		t.Fatalf("random mean same fraction = %v, want ~0.5", got)
 	}
@@ -410,9 +410,9 @@ func TestQuickAlmostMonoMonotoneInBeta(t *testing.T) {
 }
 
 func BenchmarkClusters(b *testing.B) {
-	l := grid.Random(256, 0.5, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ClusterStatsView(l, false)
+	p := Pack(grid.Random(256, 0.5, rng.New(1)))
+	defer p.Release()
+	for b.Loop() {
+		_ = p.clusters(false)
 	}
 }

@@ -1,229 +1,151 @@
 package measure
 
 import (
-	"sort"
+	"math/bits"
 
+	"gridseg/internal/fastgrid"
 	"gridseg/internal/grid"
 	"gridseg/internal/scratch"
 )
 
-// Streaming observables over grid.LatticeView. These are the only
-// forms of the hot measures: they walk the lattice one row at a time,
-// holding only the 2w+1 live horizontal window sums (a free-list ring)
-// or two rows of cluster labels, so measuring a giant grid costs
-// O(n*w) scratch instead of O(n^2) per temporary. They are
-// scenario-aware — open boundaries clamp windows and adjacencies at
-// the edges, and only agents are measured on vacancy lattices — and
+// The segregation observables are computed from one bit-packed copy of
+// the lattice in the fastgrid layout: a plus plane (set bit = +1 agent)
+// and an occupancy plane (set bit = agent), row y in words
+// [y*stride, (y+1)*stride), column x at bit x%64 of word x/64, padding
+// bits above column n-1 zero. Pack reads the view once, site by site;
+// every kernel after that works on whole words. Magnetization and
+// interface density are popcounts; the mean same-type fraction and Phi
+// slide column sums down the rows; clusters come from a run-based
+// union-find (clusters.go). Scratch is the two planes (n^2/4 bytes),
+// O(n+w) column sums, O(n) per live row of runs, and one union-find
+// node per run that starts a new component. The observables are
+// scenario-aware — open boundaries clamp windows and drop the seam
+// pairs, and only agents are measured on vacancy lattices — and
 // reduce exactly to the classic torus definitions on a fully occupied
-// torus (open=false), with the same integer counts and float
-// summation order, which keeps artifacts byte-stable. They accept any
-// storage layout (reference, flat packed, tiled) through the view
-// interface.
+// torus (open=false). They keep the integer counts and the float
+// summation order of the per-site scalar forms they replaced (the
+// oracles in scalar_test.go), which keeps artifacts byte-stable.
 
-// visitPlusOccCounts streams, for every row y in ascending order, the
-// per-site +1 window counts and occupied-site window counts of the
-// radius-`radius` Chebyshev windows (wrapped on the torus, clamped
-// when open). The two row buffers are reused across calls and only
-// valid during the visit.
-func visitPlusOccCounts(v grid.LatticeView, radius int, open bool, visit func(y int, plusRow, occRow []int32)) {
+// Packed is a bit-packed copy of a lattice view. Its planes come from
+// the scratch free list: call Release when done measuring.
+type Packed struct {
+	n, stride int
+	plus, occ []uint64
+	buf       *[]uint64
+}
+
+// Pack copies any lattice view (reference, flat packed or tiled) into
+// pooled bit planes.
+func Pack(v grid.LatticeView) *Packed {
 	n := v.N()
-	if !open && 2*radius+1 > n {
-		panic("measure: window larger than torus")
+	stride := (n + 63) / 64
+	words := n * stride
+	bp := scratch.U64(2 * words)
+	p := &Packed{n: n, stride: stride, plus: (*bp)[:words:words], occ: (*bp)[words:], buf: bp}
+	fastgrid.PackPlanes(v, p.plus, p.occ)
+	return p
+}
+
+// Release returns the planes to the free list. The Packed must not be
+// used afterwards.
+func (p *Packed) Release() {
+	scratch.PutU64(p.buf)
+	p.buf, p.plus, p.occ = nil, nil, nil
+}
+
+// Segregation holds the segregation observables of one configuration.
+type Segregation struct {
+	// InterfaceDensity is the domain-wall density: the fraction of
+	// 4-adjacent agent-agent pairs with opposite types, skipping vacant
+	// partners and, when open, the wrapping pairs. It is 0 on a
+	// monochromatic lattice and ~1/2 on an independent half-half one.
+	InterfaceDensity float64
+	// MeanSameFraction is the average over agents of s(u): the
+	// fraction of same-type agents among the occupied sites of u's
+	// radius-w window (clamped at the edges when open), including u.
+	// It is 1 on a monochromatic lattice, ~1/2 on an independent
+	// half-half one, and 0 on an empty lattice.
+	MeanSameFraction float64
+	// Magnetization is (plus - minus) / agents, 0 on an empty lattice.
+	Magnetization float64
+	// Clusters are the connected same-type clusters.
+	Clusters ClusterStats
+}
+
+// SegregationView packs a view once and measures every segregation
+// observable with radius-w windows.
+func SegregationView(v grid.LatticeView, w int, open bool) Segregation {
+	p := Pack(v)
+	defer p.Release()
+	return p.Segregation(w, open)
+}
+
+// Segregation measures every segregation observable with radius-w
+// windows. It panics if a torus window wraps onto itself
+// (2w+1 > n).
+func (p *Packed) Segregation(w int, open bool) Segregation {
+	return Segregation{
+		InterfaceDensity: p.interfaceDensity(open),
+		MeanSameFraction: p.meanSameFraction(w, open),
+		Magnetization:    p.magnetization(),
+		Clusters:         p.clusters(open),
 	}
-	span := 2*radius + 1
-	bp := scratch.I32(2 * n * span)
-	buf := *bp
-	ap := scratch.I32(4 * n)
-	accP := (*ap)[0*n : 1*n]
-	accO := (*ap)[1*n : 2*n]
-	outP := (*ap)[2*n : 3*n]
-	outO := (*ap)[3*n : 4*n]
-	pp := scratch.I32(2 * (n + 1))
-	preP := (*pp)[: n+1 : n+1]
-	preO := (*pp)[n+1:]
-	for x := 0; x < n; x++ {
-		accP[x], accO[x] = 0, 0
-	}
-	slot := func(y int) (p, o []int32) {
-		r := y % span
-		if r < 0 {
-			r += span
-		}
-		off := 2 * r * n
-		return buf[off : off+n], buf[off+n : off+2*n]
-	}
-	// load fills the ring rows of unwrapped row index y with the
-	// horizontal window sums of lattice row wrap(y), via one prefix-sum
-	// scan of the row's spins.
-	load := func(y int) (p, o []int32) {
-		rowP, rowO := slot(y)
-		yy := y
-		if !open {
-			yy = ((y % n) + n) % n
-		}
-		base := yy * n
-		preP[0], preO[0] = 0, 0
-		for x := 0; x < n; x++ {
-			preP[x+1], preO[x+1] = preP[x], preO[x]
-			switch v.SpinAt(base + x) {
-			case grid.Plus:
-				preP[x+1]++
-				preO[x+1]++
-			case grid.Minus:
-				preO[x+1]++
-			}
-		}
-		for x := 0; x < n; x++ {
-			lo, hi := x-radius, x+radius+1
-			switch {
-			case open:
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > n {
-					hi = n
-				}
-				rowP[x] = preP[hi] - preP[lo]
-				rowO[x] = preO[hi] - preO[lo]
-			case lo < 0:
-				rowP[x] = preP[hi] + preP[n] - preP[n+lo]
-				rowO[x] = preO[hi] + preO[n] - preO[n+lo]
-			case hi > n:
-				rowP[x] = preP[n] - preP[lo] + preP[hi-n]
-				rowO[x] = preO[n] - preO[lo] + preO[hi-n]
-			default:
-				rowP[x] = preP[hi] - preP[lo]
-				rowO[x] = preO[hi] - preO[lo]
-			}
-		}
-		return rowP, rowO
-	}
-	first, last := -radius, radius-1
-	if open {
-		first = 0
-		if last > n-1 {
-			last = n - 1
-		}
-	}
-	for y := first; y <= last; y++ {
-		p, o := load(y)
-		for x := 0; x < n; x++ {
-			accP[x] += p[x]
-			accO[x] += o[x]
-		}
-	}
-	for y := 0; y < n; y++ {
-		if enter := y + radius; !open || enter < n {
-			p, o := load(enter)
-			for x := 0; x < n; x++ {
-				accP[x] += p[x]
-				accO[x] += o[x]
-			}
-		}
-		copy(outP, accP)
-		copy(outO, accO)
-		visit(y, outP, outO)
-		if leave := y - radius; !open || leave >= 0 {
-			p, o := slot(leave)
-			for x := 0; x < n; x++ {
-				accP[x] -= p[x]
-				accO[x] -= o[x]
-			}
-		}
-	}
-	scratch.PutI32(pp)
-	scratch.PutI32(ap)
-	scratch.PutI32(bp)
 }
 
 // PhiView returns the paper's Lyapunov function — the sum over agents
-// u of the same-type count of N(u), including u — computed from any
-// lattice view in one streaming pass. It agrees exactly with the
-// engines' maintained Phi.
+// u of the same-type count of N(u), including u — of any lattice view.
+// It agrees exactly with the engines' maintained Phi.
 func PhiView(v grid.LatticeView, w int, open bool) int64 {
-	n := v.N()
-	var phi int64
-	visitPlusOccCounts(v, w, open, func(y int, plus, occ []int32) {
-		base := y * n
-		for x := 0; x < n; x++ {
-			switch v.SpinAt(base + x) {
-			case grid.Plus:
-				phi += int64(plus[x])
-			case grid.Minus:
-				phi += int64(occ[x] - plus[x])
-			}
-		}
-	})
+	p := Pack(v)
+	defer p.Release()
+	phi, _, _ := p.sameSums(w, open)
 	return phi
 }
 
-// MeanSameFractionView returns the average over agents of s(u): the
-// fraction of same-type agents among the occupied sites of u's
-// radius-w window (clamped at the edges when open), including u. It is
-// 1 on a monochromatic lattice and ~1/2 on an independent half-half
-// one; 0 on an empty lattice.
-func MeanSameFractionView(v grid.LatticeView, w int, open bool) float64 {
-	n := v.N()
-	var acc float64
-	agents := 0
-	visitPlusOccCounts(v, w, open, func(y int, plus, occ []int32) {
-		base := y * n
-		for x := 0; x < n; x++ {
-			switch v.SpinAt(base + x) {
-			case grid.Plus:
-				acc += float64(plus[x]) / float64(occ[x])
-			case grid.Minus:
-				acc += float64(occ[x]-plus[x]) / float64(occ[x])
-			default:
-				continue
-			}
-			agents++
-		}
-	})
+func (p *Packed) magnetization() float64 {
+	plus, agents := 0, 0
+	for i := range p.plus {
+		plus += bits.OnesCount64(p.plus[i])
+		agents += bits.OnesCount64(p.occ[i])
+	}
 	if agents == 0 {
 		return 0
 	}
-	return acc / float64(agents)
+	minus := agents - plus
+	return float64(plus-minus) / float64(plus+minus)
 }
 
-// InterfaceDensityView returns the domain-wall density: the fraction
-// of 4-adjacent agent-agent pairs with opposite types, skipping vacant
-// partners and, when open, wrapping pairs. It is 0 on a monochromatic
-// lattice and ~1/2 on an independent half-half one. It reads each
-// row's spins O(1) sites ahead, with no temporaries.
-func InterfaceDensityView(v grid.LatticeView, open bool) float64 {
-	n := v.N()
-	mismatched, pairs := 0, 0
-	at := func(x, y int) grid.Spin {
-		if x >= n {
-			x -= n
-		}
-		if y >= n {
-			y -= n
-		}
-		return v.SpinAt(y*n + x)
+// rightNeighbours returns, for word k of a row of the plane, the word
+// whose bit b holds the neighbour to the right of bit b: column 0
+// wraps onto column n-1 on the torus, and column n-1 has no right
+// neighbour (a zero bit) when open.
+func (p *Packed) rightNeighbours(plane []uint64, row, k int, open bool) uint64 {
+	x := plane[row+k] >> 1
+	if k+1 < p.stride {
+		return x | plane[row+k+1]<<63
 	}
+	if !open {
+		x |= (plane[row] & 1) << (uint(p.n-1) & 63)
+	}
+	return x
+}
+
+func (p *Packed) interfaceDensity(open bool) float64 {
+	n, st := p.n, p.stride
+	mismatched, pairs := 0, 0
 	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			s := v.SpinAt(y*n + x)
-			if s == grid.None {
-				continue
-			}
-			if !open || x+1 < n {
-				if o := at(x+1, y); o != grid.None {
-					pairs++
-					if o != s {
-						mismatched++
-					}
-				}
-			}
-			if !open || y+1 < n {
-				if o := at(x, y+1); o != grid.None {
-					pairs++
-					if o != s {
-						mismatched++
-					}
-				}
+		row := y * st
+		down := (y + 1) % n * st
+		vertical := !open || y+1 < n
+		for k := 0; k < st; k++ {
+			s, o := p.plus[row+k], p.occ[row+k]
+			both := o & p.rightNeighbours(p.occ, row, k, open)
+			pairs += bits.OnesCount64(both)
+			mismatched += bits.OnesCount64((s ^ p.rightNeighbours(p.plus, row, k, open)) & both)
+			if vertical {
+				both = o & p.occ[down+k]
+				pairs += bits.OnesCount64(both)
+				mismatched += bits.OnesCount64((s ^ p.plus[down+k]) & both)
 			}
 		}
 	}
@@ -233,154 +155,129 @@ func InterfaceDensityView(v grid.LatticeView, open bool) float64 {
 	return float64(mismatched) / float64(pairs)
 }
 
-// MagnetizationView returns the occupied-site magnetization
-// (plus - minus) / agents, 0 on an empty lattice.
-func MagnetizationView(v grid.LatticeView) float64 {
-	plus, minus := 0, 0
-	for i, sites := 0, v.Sites(); i < sites; i++ {
-		switch v.SpinAt(i) {
-		case grid.Plus:
-			plus++
-		case grid.Minus:
-			minus++
-		}
-	}
-	if plus+minus == 0 {
+func (p *Packed) meanSameFraction(w int, open bool) float64 {
+	_, acc, agents := p.sameSums(w, open)
+	if agents == 0 {
 		return 0
 	}
-	return float64(plus-minus) / float64(plus+minus)
+	return acc / float64(agents)
 }
 
-// ClusterStats summarizes the connected same-type clusters of a lattice
-// under 4-adjacency.
-type ClusterStats struct {
-	Count        int   // number of clusters
-	Sizes        []int // size of every cluster, unordered
-	LargestPlus  int   // largest +1 cluster size (0 if none)
-	LargestMinus int   // largest -1 cluster size (0 if none)
+// sameSums returns, over the agents in row-major order, the sum of
+// their same-type counts over their radius-w windows (wrapped on the
+// torus, clamped when open), the sum of their same-type fractions
+// float64(same)/float64(occupied), and the number of agents.
+func (p *Packed) sameSums(w int, open bool) (phi int64, frac float64, agents int) {
+	st := p.stride
+	p.visitWindowRows(w, open, func(y int, counts []uint64) {
+		// Accumulate in locals: the captured sums live in memory, and
+		// a store and reload per agent would lengthen the add chain.
+		// The summation order is unchanged.
+		ph, fr := phi, frac
+		row := y * st
+		for k := 0; k < st; k++ {
+			s, o := p.plus[row+k], p.occ[row+k]
+			agents += bits.OnesCount64(o)
+			c := counts[k*64:]
+			for o != 0 {
+				b := bits.TrailingZeros64(o)
+				o &= o - 1
+				// same = plus for a +1 agent, occ - plus for a -1 one.
+				plus, occ := uint32(c[b]), uint32(c[b]>>32)
+				same := occ - plus + uint32(s>>uint(b)&1)*(2*plus-occ)
+				ph += int64(same)
+				fr += float64(same) / float64(occ)
+			}
+		}
+		phi, frac = ph, fr
+	})
+	return phi, frac, agents
 }
 
-// ClusterStatsView computes the connected same-type cluster statistics
-// (4-adjacency) of any lattice view with a streaming two-row
-// union-find: labels live for two rows only, and per-cluster metadata
-// is O(number of clusters) instead of O(n^2) label and queue fields.
-// Sizes are emitted in ascending order of each cluster's minimal site
-// index — exactly the discovery order of a row-major BFS labelling
-// (the oracle in the tests), so the two agree element for element. On
-// vacancy lattices the vacant sites form their own clusters, reported
-// in Count and Sizes but never in LargestPlus or LargestMinus. The
-// torus closes the seams by unioning the last column/row back onto the
-// first; open=true leaves them apart.
-func ClusterStatsView(v grid.LatticeView, open bool) ClusterStats {
-	n := v.N()
-	// Union-find with path halving; size, minimal site, and spin are
-	// maintained at the roots.
-	var parent, csize []int32
-	var cmin []int32
-	var cspin []grid.Spin
-	find := func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
+// visitWindowRows streams, for every row y in ascending order, the
+// window counts of each site of the row: the +1 agents of its
+// radius-r Chebyshev window in the low 32 bits and its occupied sites
+// in the high 32 (wrapped on the torus, clamped when open), so one
+// add moves both counts and any sum of counts stays exact in modular
+// arithmetic. It keeps one row of column sums over the 2r+1 live
+// rows: moving down a row adds the bits of the entering row and
+// subtracts those of the leaving row, touching only the columns where
+// the two differ, and each output row is one horizontal slide over the
+// column sums. The row passed to visit is only valid during the call.
+func (p *Packed) visitWindowRows(r int, open bool, visit func(y int, counts []uint64)) {
+	n, st := p.n, p.stride
+	if !open && 2*r+1 > n {
+		panic("measure: window larger than torus")
 	}
-	union := func(a, b int32) int32 {
-		a, b = find(a), find(b)
-		if a == b {
-			return a
+	bp := scratch.U64(2*n + 2*r)
+	// cols holds the column sums at offset r, with the r columns either
+	// side wrapped around (torus) or zero (open): the window of column
+	// x is cols[x : x+2r+1].
+	cols := (*bp)[:n+2*r]
+	counts := (*bp)[n+2*r:]
+	clear(cols)
+	mid := cols[r : r+n]
+	// rowAt returns the first word of unwrapped row y, or -1 for a row
+	// outside [0, n) under the open boundary, which is empty.
+	rowAt := func(y int) int {
+		if !open {
+			return (y%n + n) % n * st
 		}
-		if csize[a] < csize[b] {
-			a, b = b, a
+		if y < 0 || y >= n {
+			return -1
 		}
-		parent[b] = a
-		csize[a] += csize[b]
-		if cmin[b] < cmin[a] {
-			cmin[a] = cmin[b]
-		}
-		return a
+		return y * st
 	}
-	lp := scratch.I32(2 * n)
-	prev := (*lp)[:n]
-	cur := (*lp)[n:]
-	frp := scratch.I32(n)
-	firstRow := *frp
-	prevSpin := make([]grid.Spin, n)
-	curSpin := make([]grid.Spin, n)
-	firstSpin := make([]grid.Spin, n)
+	// move adds the row at word ri to the column sums and subtracts the
+	// row at word ro; -1 stands for an empty row.
+	move := func(ri, ro int) {
+		for k := 0; k < st; k++ {
+			var ip, io, op, oo uint64
+			if ri >= 0 {
+				ip, io = p.plus[ri+k], p.occ[ri+k]
+			}
+			if ro >= 0 {
+				op, oo = p.plus[ro+k], p.occ[ro+k]
+			}
+			sums := mid[k*64:]
+			for m := ip &^ op; m != 0; m &= m - 1 {
+				sums[bits.TrailingZeros64(m)]++
+			}
+			for m := op &^ ip; m != 0; m &= m - 1 {
+				sums[bits.TrailingZeros64(m)]--
+			}
+			for m := io &^ oo; m != 0; m &= m - 1 {
+				sums[bits.TrailingZeros64(m)] += 1 << 32
+			}
+			for m := oo &^ io; m != 0; m &= m - 1 {
+				sums[bits.TrailingZeros64(m)] -= 1 << 32
+			}
+		}
+	}
+	// Rows -r..r-1 are in the window before the first output row.
+	for y := -r; y < r; y++ {
+		move(rowAt(y), -1)
+	}
 	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			s := v.SpinAt(y*n + x)
-			id := int32(-1)
-			if x > 0 && curSpin[x-1] == s {
-				id = find(cur[x-1])
-			}
-			if y > 0 && prevSpin[x] == s {
-				up := find(prev[x])
-				if id == -1 {
-					id = up
-				} else if up != id {
-					id = union(id, up)
-				}
-			}
-			if id == -1 {
-				id = int32(len(parent))
-				parent = append(parent, id)
-				csize = append(csize, 1)
-				cmin = append(cmin, int32(y*n+x))
-				cspin = append(cspin, s)
-			} else {
-				csize[id]++
-			}
-			cur[x] = id
-			curSpin[x] = s
+		out := -1
+		if y > 0 {
+			out = rowAt(y - 1 - r)
 		}
-		if !open && n > 1 && curSpin[0] == curSpin[n-1] {
-			union(cur[0], cur[n-1])
+		move(rowAt(y+r), out)
+		if !open {
+			copy(cols[:r], mid[n-r:])
+			copy(cols[r+n:], mid[:r])
 		}
-		if y == 0 {
-			copy(firstRow, cur)
-			copy(firstSpin, curSpin)
+		var c uint64
+		for _, v := range cols[:2*r] {
+			c += v
 		}
-		prev, cur = cur, prev
-		prevSpin, curSpin = curSpin, prevSpin
+		for x := range counts {
+			c += cols[x+2*r]
+			counts[x] = c
+			c -= cols[x]
+		}
+		visit(y, counts)
 	}
-	// prev now holds the last row; close the vertical seam.
-	if !open && n > 1 {
-		for x := 0; x < n; x++ {
-			if firstSpin[x] == prevSpin[x] {
-				union(firstRow[x], prev[x])
-			}
-		}
-	}
-	type cluster struct {
-		min, size int32
-		spin      grid.Spin
-	}
-	roots := make([]cluster, 0, 16)
-	for i := range parent {
-		if parent[i] == int32(i) {
-			roots = append(roots, cluster{min: cmin[i], size: csize[i], spin: cspin[i]})
-		}
-	}
-	sort.Slice(roots, func(a, b int) bool { return roots[a].min < roots[b].min })
-	var stats ClusterStats
-	stats.Count = len(roots)
-	stats.Sizes = make([]int, len(roots))
-	for i, c := range roots {
-		stats.Sizes[i] = int(c.size)
-		switch c.spin {
-		case grid.Plus:
-			if int(c.size) > stats.LargestPlus {
-				stats.LargestPlus = int(c.size)
-			}
-		case grid.Minus:
-			if int(c.size) > stats.LargestMinus {
-				stats.LargestMinus = int(c.size)
-			}
-		}
-	}
-	scratch.PutI32(frp)
-	scratch.PutI32(lp)
-	return stats
+	scratch.PutU64(bp)
 }

@@ -1,7 +1,8 @@
 package measure
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"gridseg/internal/fastgrid"
@@ -23,9 +24,9 @@ var streamCases = []struct {
 	{130, 4, 0.3, false},
 }
 
-// TestStreamingAgainstMaterialized pins every streaming view
-// observable to a brute-force oracle, on the reference lattice and on
-// the packed and tiled layouts of the same configuration.
+// TestStreamingAgainstMaterialized pins every packed observable to a
+// brute-force oracle, packing the reference lattice and the packed and
+// tiled layouts of the same configuration.
 func TestStreamingAgainstMaterialized(t *testing.T) {
 	for _, tc := range streamCases {
 		lat := grid.RandomScenario(tc.n, 0.5, tc.rho, rng.New(uint64(tc.n*1000+tc.w)))
@@ -91,18 +92,19 @@ func TestStreamingAgainstMaterialized(t *testing.T) {
 			if got := PhiView(v, tc.w, tc.open); got != wantPhi {
 				t.Fatalf("%+v %s: PhiView = %d, want %d", tc, name, got, wantPhi)
 			}
-			if got := MeanSameFractionView(v, tc.w, tc.open); got != wantSame {
-				t.Fatalf("%+v %s: MeanSameFractionView = %v, want %v", tc, name, got, wantSame)
+			seg := SegregationView(v, tc.w, tc.open)
+			if got := seg.MeanSameFraction; got != wantSame {
+				t.Fatalf("%+v %s: MeanSameFraction = %v, want %v", tc, name, got, wantSame)
 			}
-			if got := InterfaceDensityView(v, tc.open); got != wantIface {
-				t.Fatalf("%+v %s: InterfaceDensityView = %v, want %v", tc, name, got, wantIface)
+			if got := seg.InterfaceDensity; got != wantIface {
+				t.Fatalf("%+v %s: InterfaceDensity = %v, want %v", tc, name, got, wantIface)
 			}
-			if got := MagnetizationView(v); got != wantMag {
-				t.Fatalf("%+v %s: MagnetizationView = %v, want %v", tc, name, got, wantMag)
+			if got := seg.Magnetization; got != wantMag {
+				t.Fatalf("%+v %s: Magnetization = %v, want %v", tc, name, got, wantMag)
 			}
-			got := ClusterStatsView(v, tc.open)
+			got := seg.Clusters
 			if got.Count != wantCl.Count || got.LargestPlus != wantCl.LargestPlus || got.LargestMinus != wantCl.LargestMinus {
-				t.Fatalf("%+v %s: ClusterStatsView = %+v, want %+v", tc, name, got, wantCl)
+				t.Fatalf("%+v %s: Clusters = %+v, want %+v", tc, name, got, wantCl)
 			}
 			if len(got.Sizes) != len(wantCl.Sizes) {
 				t.Fatalf("%+v %s: %d cluster sizes, want %d", tc, name, len(got.Sizes), len(wantCl.Sizes))
@@ -122,20 +124,103 @@ func TestStreamingDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MeanSameFractionView(empty, 0, true); got != 0 {
-		t.Fatalf("empty MeanSameFraction = %v", got)
-	}
-	if got := MagnetizationView(empty); got != 0 {
-		t.Fatalf("empty Magnetization = %v", got)
+	seg := SegregationView(empty, 0, true)
+	if seg.MeanSameFraction != 0 || seg.Magnetization != 0 || seg.InterfaceDensity != 0 {
+		t.Fatalf("empty observables = %+v", seg)
 	}
 	if got := PhiView(empty, 0, true); got != 0 {
 		t.Fatalf("empty Phi = %d", got)
 	}
-	cl := ClusterStatsView(empty, true)
-	if cl.Count != 1 || cl.LargestPlus != 0 || cl.LargestMinus != 0 {
+	if cl := seg.Clusters; cl.Count != 1 || cl.LargestPlus != 0 || cl.LargestMinus != 0 {
 		t.Fatalf("empty clusters = %+v", cl)
 	}
-	if !math.IsNaN(0*InterfaceDensityView(empty, true)) && InterfaceDensityView(empty, true) != 0 {
-		t.Fatalf("empty interface = %v", InterfaceDensityView(empty, true))
+}
+
+// checkSegregation requires the packed kernels to reproduce the scalar
+// forms exactly on l: every float bit for bit, Phi, and the cluster
+// statistics with Sizes element for element.
+func checkSegregation(t testing.TB, l *grid.Lattice, w int, open bool, label string) {
+	t.Helper()
+	got := SegregationView(l, w, open)
+	want := Segregation{
+		InterfaceDensity: scalarInterfaceDensity(l, open),
+		MeanSameFraction: scalarMeanSameFraction(l, w, open),
+		Magnetization:    scalarMagnetization(l),
+		Clusters:         scalarClusterStats(l, open),
 	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: packed %+v, scalar %+v", label, got, want)
+	}
+	if got, want := PhiView(l, w, open), scalarPhi(l, w, open); got != want {
+		t.Fatalf("%s: PhiView = %d, scalar %d", label, got, want)
+	}
+}
+
+// The packed kernels against the scalar forms on random lattices:
+// row widths below, at and across the 64-bit word boundary, monochrome
+// and one-type-plus-vacancy compositions, both boundaries, and window
+// radii up to the largest the torus admits.
+func TestSegregationMatchesScalarRandom(t *testing.T) {
+	seed := uint64(1)
+	for _, n := range []int{3, 4, 5, 63, 64, 65, 127, 128, 129} {
+		for _, p := range []float64{0, 0.02, 0.5, 1} {
+			for _, rho := range []float64{0, 0.05, 0.5} {
+				seed++
+				l := grid.RandomScenario(n, p, rho, rng.New(seed))
+				for _, open := range []bool{false, true} {
+					for _, w := range []int{1, 2, 5} {
+						if !open && 2*w+1 > n {
+							continue
+						}
+						checkSegregation(t, l, w, open, fmt.Sprintf("n=%d p=%v rho=%v open=%v w=%d", n, p, rho, open, w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// Fixated Glauber, Kawasaki and Move lattices — long runs and large
+// clusters crossing word seams — and one wide window (w >= 40) whose
+// same-fraction terms span thousands of occupied counts.
+func TestSegregationMatchesScalarFixated(t *testing.T) {
+	for i, c := range []struct {
+		dyn  string
+		n, w int
+		tau  float64
+		rho  float64
+		open bool
+	}{
+		{"glauber", 130, 1, 0.40, 0, false},
+		{"glauber", 200, 2, 0.45, 0.05, true},
+		{"kawasaki", 129, 1, 0.45, 0, false},
+		{"kawasaki", 130, 2, 0.45, 0.05, true},
+		{"move", 128, 1, 0.45, 0.1, true},
+		{"move", 200, 2, 0.40, 0.05, false},
+		{"glauber", 100, 45, 0.45, 0.05, false},
+	} {
+		l := fixatedLattice(t, c.dyn, c.n, c.w, c.tau, c.rho, c.open, uint64(7+i))
+		for _, open := range []bool{c.open, !c.open} {
+			checkSegregation(t, l, c.w, open, fmt.Sprintf("%+v open=%v", c, open))
+		}
+	}
+}
+
+// FuzzSegregationStats checks the packed kernels against the scalar
+// forms on random scenario lattices of arbitrary side, composition,
+// boundary and window radius.
+func FuzzSegregationStats(f *testing.F) {
+	f.Add(64, 0.5, 0.0, false, 1, uint64(1))
+	f.Add(65, 0.02, 0.05, true, 2, uint64(2))
+	f.Add(3, 1.0, 0.5, false, 1, uint64(3))
+	f.Add(129, 0.5, 0.3, true, 70, uint64(4))
+	f.Fuzz(func(t *testing.T, n int, p, rho float64, open bool, w int, seed uint64) {
+		n = 1 + int(uint(n)%200)
+		w = int(uint(w) % uint(n+2))
+		if !open {
+			w = int(uint(w) % uint((n+1)/2))
+		}
+		l := grid.RandomScenario(n, unit(p), unit(rho), rng.New(seed))
+		checkSegregation(t, l, w, open, fmt.Sprintf("n=%d p=%v rho=%v open=%v w=%d seed=%d", n, p, rho, open, w, seed))
+	})
 }

@@ -101,15 +101,11 @@ func runE14(ctx *Context) ([]*report.Table, error) {
 
 	type half struct{ happy, iface, largest, drift float64 }
 	summarize := func(lat *grid.Lattice, happy float64, plus0 int) half {
-		cl := measure.ClusterStatsView(lat, false)
-		largest := cl.LargestPlus
-		if cl.LargestMinus > largest {
-			largest = cl.LargestMinus
-		}
+		seg := measure.SegregationView(lat, w, false)
 		return half{
 			happy:   happy,
-			iface:   measure.InterfaceDensityView(lat, false),
-			largest: float64(largest) / float64(lat.Sites()),
+			iface:   seg.InterfaceDensity,
+			largest: float64(seg.Clusters.Largest()) / float64(lat.Sites()),
 			drift:   math.Abs(float64(lat.CountPlus()-plus0)) / float64(lat.Sites()),
 		}
 	}

@@ -86,18 +86,14 @@ func runE1(ctx *Context) ([]*report.Table, error) {
 		for _, pt := range samplePoints(lat.N(), 5) {
 			sizes = append(sizes, float64(measure.MonoRegionSize(lat, radii, pt)))
 		}
-		cl := measure.ClusterStatsView(lat, false)
-		largest := cl.LargestPlus
-		if cl.LargestMinus > largest {
-			largest = cl.LargestMinus
-		}
+		seg := measure.SegregationView(lat, w, false)
 		t.AddRow(
 			fmt.Sprintf("%d/3", stage),
 			report.I64(done),
 			report.F3(proc.Time()),
 			report.F3(proc.HappyFraction()),
-			report.F3(measure.InterfaceDensityView(lat, false)),
-			report.F3(float64(largest)/float64(lat.Sites())),
+			report.F3(seg.InterfaceDensity),
+			report.F3(float64(seg.Clusters.Largest())/float64(lat.Sites())),
 			report.F(stats.Mean(sizes)),
 		)
 		if ctx.OutDir != "" {
@@ -178,11 +174,7 @@ func runE8(ctx *Context) ([]*report.Table, error) {
 		for _, pt := range samplePoints(c.N, 5) {
 			sizes = append(sizes, float64(measure.MonoRegionSize(run.Lat, radii, pt)))
 		}
-		cl := measure.ClusterStatsView(run.Lat, false)
-		largest := cl.LargestPlus
-		if cl.LargestMinus > largest {
-			largest = cl.LargestMinus
-		}
+		largest := measure.SegregationView(run.Lat, c.W, false).Clusters.Largest()
 		return []float64{stats.Mean(sizes), float64(largest) / float64(c.N*c.N), run.Proc.Tau()}, nil
 	})
 	if err != nil {

@@ -85,11 +85,6 @@ func runScenarioCell(c batch.Cell, src *rng.Source, engineLabel string) ([]float
 	}
 	unhappy := e.Proc.UnhappyCount()
 
-	cl := measure.ClusterStatsView(lat, open)
-	largest := cl.LargestPlus
-	if cl.LargestMinus > largest {
-		largest = cl.LargestMinus
-	}
 	agents := lat.CountOccupied()
 	if agents == 0 {
 		// A degenerate all-vacant draw (possible at tiny n and high
@@ -98,11 +93,12 @@ func runScenarioCell(c batch.Cell, src *rng.Source, engineLabel string) ([]float
 		// replicate cannot abort a whole sweep.
 		return []float64{1, 0, 0, 0, float64(events)}, nil
 	}
+	seg := measure.SegregationView(lat, c.W, open)
 	return []float64{
 		1 - float64(unhappy)/float64(agents),
-		measure.InterfaceDensityView(lat, open),
-		measure.MeanSameFractionView(lat, c.W, open),
-		float64(largest) / float64(lat.Sites()),
+		seg.InterfaceDensity,
+		seg.MeanSameFraction,
+		float64(seg.Clusters.Largest()) / float64(lat.Sites()),
 		float64(events),
 	}, nil
 }

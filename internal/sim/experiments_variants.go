@@ -51,16 +51,12 @@ func runVariantCell(n, w int, opts dynamics.VariantOptions, budget int64, src *r
 	if _, _, err := v.Run(budget); err != nil {
 		return nan
 	}
-	cl := measure.ClusterStatsView(lat, false)
-	largest := cl.LargestPlus
-	if cl.LargestMinus > largest {
-		largest = cl.LargestMinus
-	}
+	seg := measure.SegregationView(lat, w, false)
 	return []float64{
 		1 - float64(v.UnhappyCount())/float64(lat.Sites()),
-		measure.InterfaceDensityView(lat, false),
-		measure.MeanSameFractionView(lat, w, false),
-		float64(largest) / float64(lat.Sites()),
+		seg.InterfaceDensity,
+		seg.MeanSameFraction,
+		float64(seg.Clusters.Largest()) / float64(lat.Sites()),
 	}
 }
 
@@ -118,7 +114,7 @@ func runE16(ctx *Context) ([]*report.Table, error) {
 		sites := run.Lat.Sites()
 		plus := run.Lat.CountPlus()
 		mag := math.Abs(float64(2*plus-sites)) / float64(sites)
-		cl := measure.ClusterStatsView(run.Lat, false)
+		cl := measure.SegregationView(run.Lat, c.W, false).Clusters
 		minority := cl.LargestMinus
 		if plus < sites-plus {
 			minority = cl.LargestPlus

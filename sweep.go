@@ -310,8 +310,10 @@ func buildSweepModel(c batch.Cell, src *rng.Source) (*Model, error) {
 // order, appending the geometry columns when the grid opted in. A pure
 // read of the final configuration: never touches the random stream.
 func measureSweepCell(m *Model, c batch.Cell, fixated, geometry bool) []float64 {
-	st := m.SegregationStats()
-	meanM := measure.MeanMonoRegionSize(m.lat, measure.SamplePoints(c.N, 5))
+	p := measure.Pack(m.lat)
+	st := m.stats(p)
+	meanM := p.MeanMonoRegionSize(measure.SamplePoints(c.N, 5))
+	p.Release()
 	fix := 0.0
 	if fixated {
 		fix = 1

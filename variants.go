@@ -105,19 +105,15 @@ func (m *VariantModel) Spin(x, y int) int {
 
 // SegregationStats summarizes the current configuration.
 func (m *VariantModel) SegregationStats() Stats {
-	cl := measure.ClusterStatsView(m.lat, false)
-	largest := cl.LargestPlus
-	if cl.LargestMinus > largest {
-		largest = cl.LargestMinus
-	}
+	seg := measure.SegregationView(m.lat, m.cfg.W, false)
 	sites := m.lat.Sites()
 	return Stats{
 		HappyFraction:          1 - float64(m.v.UnhappyCount())/float64(sites),
 		UnhappyCount:           m.v.UnhappyCount(),
-		InterfaceDensity:       measure.InterfaceDensityView(m.lat, false),
-		MeanSameFraction:       measure.MeanSameFractionView(m.lat, m.cfg.W, false),
-		LargestClusterFraction: float64(largest) / float64(sites),
-		Magnetization:          measure.MagnetizationView(m.lat),
+		InterfaceDensity:       seg.InterfaceDensity,
+		MeanSameFraction:       seg.MeanSameFraction,
+		LargestClusterFraction: float64(seg.Clusters.Largest()) / float64(sites),
+		Magnetization:          seg.Magnetization,
 		Flips:                  m.v.Flips() + m.v.NoiseFlips(),
 	}
 }
