@@ -43,14 +43,16 @@ obscheck:
 
 # Short fuzz passes over the grid-spec parser, the lattice
 # configuration codec, the mono-region dilation kernel against its BFS
-# oracle, and the packed segregation kernels against their scalar
-# forms (the CI-sized budget; raise -fuzztime locally for deeper
-# exploration).
+# oracle, the packed segregation kernels against their scalar forms,
+# and the fast engines' word-at-a-time construction against the
+# per-site classification loop (the CI-sized budget; raise -fuzztime
+# locally for deeper exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
 	go test -run '^$$' -fuzz FuzzCenteredRadii -fuzztime 30s ./internal/measure/
 	go test -run '^$$' -fuzz FuzzSegregationStats -fuzztime 30s ./internal/measure/
+	go test -run '^$$' -fuzz FuzzEngineBuild -fuzztime 30s ./internal/dynamics/fastglauber/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move
@@ -86,14 +88,16 @@ diff:
 	go test -run TestEnginesBitIdentical -v ./internal/difftest/
 
 # Capture CPU and allocation pprof profiles for the flip-throughput
-# benchmarks (both engines, every scenario path, the swap dynamic, and
-# the batch grid-cell rate). Read them with:
+# benchmarks (both engines, every scenario path, the swap dynamic), the
+# construction of the sweep's cell shapes (the throughput benchmarks
+# redraw off the clock, so only these profile it), and the batch
+# grid-cell rate. Read them with:
 #   go tool pprof -top profiles/cpu.prof
 #   go tool pprof -top -sample_index=alloc_space profiles/mem.prof
 # See README "Profiling the hot path" for what to look for.
 profile:
 	mkdir -p profiles
-	go test -run '^$$' -bench 'FlipThroughput|SwapThroughput|GridCell' -benchmem \
+	go test -run '^$$' -bench 'FlipThroughput|SwapThroughput|NewSweep|GridCell' -benchmem \
 		-cpuprofile profiles/cpu.prof -memprofile profiles/mem.prof .
 	@echo "wrote profiles/cpu.prof and profiles/mem.prof"
 

@@ -91,6 +91,47 @@ func BenchmarkModelInitFig1Params(b *testing.B) {
 	}
 }
 
+// benchNew measures model construction — the random configuration and
+// the engine build on it — for one cell shape, with a fresh seed per
+// iteration. The throughput benchmarks redraw off the clock, so these
+// are the probes that put construction into a profile.
+func benchNew(b *testing.B, cfg Config) {
+	b.Helper()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i) + 1
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewSweepN512 builds the sweep's default-scenario cell shape:
+// a 512 x 512 torus at w=1, tau=0.40.
+func BenchmarkNewSweepN512(b *testing.B) {
+	benchNew(b, Config{N: 512, W: 1, Tau: 0.40})
+}
+
+// BenchmarkNewSweepVacanciesN1024 builds the sweep's largest cell: a
+// 1024 x 1024 vacancy-diluted torus at w=1.
+func BenchmarkNewSweepVacanciesN1024(b *testing.B) {
+	benchNew(b, Config{N: 1024, W: 1, Tau: 0.44, Rho: 0.05})
+}
+
+// BenchmarkNewSweepKawasaki builds the sweep's swap-dynamic cell: open
+// walls, vacancies and a mixed intolerance field.
+func BenchmarkNewSweepKawasaki(b *testing.B) {
+	benchNew(b, Config{N: 384, W: 1, Tau: 0.42, Rho: 0.1, Boundary: BoundaryOpen,
+		TauDist: "mix:0.40,0.48:0.5", Dynamic: Kawasaki})
+}
+
+// BenchmarkNewSweepMove builds the sweep's relocation-dynamic cell on
+// the same scenario.
+func BenchmarkNewSweepMove(b *testing.B) {
+	benchNew(b, Config{N: 384, W: 1, Tau: 0.42, Rho: 0.1, Boundary: BoundaryOpen,
+		TauDist: "mix:0.40,0.48:0.5", Dynamic: Move})
+}
+
 // benchFlipThroughput measures per-flip cost at the given parameters
 // and engine, re-drawing a fresh configuration off the clock whenever
 // the process fixates.

@@ -15,8 +15,19 @@
 // rare sites that cross a classification boundary with a SWAR
 // equality scan of the freshly updated count lanes against boundary
 // count values, and only those sites take the scalar set-maintenance
-// path. Initial window counts are built with math/bits.OnesCount64
-// over packed row windows.
+// path.
+//
+// Construction is word-parallel too. internal/fastgrid streams the
+// window counts row by row already in the packed lane form, so the
+// count, occupancy and threshold lanes fill a word at a time. Each
+// count word then yields the unhappy and flippable verdicts of its
+// four sites at once from SWAR lane compares against the thresholds
+// (see classify). The unhappy bits go straight into the bitset, and
+// every sampler — the flippable set here, the per-type and vacant
+// sets of the Kawasaki and Move wrappers — is bulk-loaded from a site
+// bitset in ascending site order. That is the order a row-major
+// per-site sweep inserts them, so every later random draw is
+// unchanged.
 //
 // The engine covers every scenario of the topology subsystem. In the
 // paper's default setting (torus, full occupancy, global tau) the
@@ -31,7 +42,7 @@
 // lane's own spin from the count word, T, D and the packed spin
 // nibble. Occupancy and thresholds are static
 // under flip and swap dynamics, so the lanes are built once at
-// construction, streamed from the occupied window-count rows. Open
+// construction, streamed from the occupied window-count lanes. Open
 // boundaries additionally clamp the flip's row band at the grid edges
 // instead of splitting it into wrapped segments.
 //
@@ -148,14 +159,15 @@ type Process struct {
 	tauOf  []float64
 	thrL   []uint64
 	slackL []uint64
+	// threshTab memoizes ceil(tau*k) per occupancy k under a global
+	// intolerance (nil under per-site intolerance, which computes the
+	// ceil directly); the threshold lanes are built from it.
+	threshTab []int32
 	// Relocation representation, replacing thrL/slackL under the Move
 	// engine: occC holds the occupied-window counts in the same packed
 	// 16-bit lane layout as counts, so relocations maintain them with
-	// the masked band adds, and thresholds are derived on read —
-	// threshTab memoizes ceil(tau*k) per occupancy under a global
-	// intolerance, per-site intolerance computes the ceil directly.
-	occC      []uint64
-	threshTab []int32
+	// the masked band adds, and thresholds are derived on read.
+	occC []uint64
 	// Changed-site tracking for the swap (Kawasaki) and relocation
 	// (Move) wrappers: when track is set, applyFlip appends to changed —
 	// in reference window-visit order — every site whose unhappy flag
@@ -263,32 +275,19 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 		thresh:     theory.Threshold(tauTilde, nbhd),
 		tau:        tauTilde,
 		open:       sc.Open,
-		agents:     lat.CountOccupied(),
-		cpr:        (n + 3) / 4,
+		cpr:        fastgrid.LaneWords(n),
 		unhappy:    make([]uint64, (n*n+63)/64),
-		flippable:  sampleset.New(n * n),
 		flipSite:   -1,
 		relocating: relocating,
 		ownHi:      n * n,
 	}
-	// Fold the initial window counts into the packed lanes one row at a
-	// time: the streaming pass keeps O(n*w) scratch instead of an n^2
-	// flat count temporary, which is what bounds construction memory on
-	// giant grids.
-	p.counts = make([]uint64, n*p.cpr)
-	p.bits.VisitPlusWindowCounts(w, p.open, func(y int, row []int32) {
-		base := y * p.cpr
-		for x, c := range row {
-			p.counts[base+x>>2] |= uint64(c) << uint(16*(x&3))
-		}
-	})
+	p.agents = p.bits.CountOccupied()
 	if sc.Open || p.agents < lat.Sites() || sc.Taus != nil {
 		// Some axis deviates from the paper's setting: materialize the
 		// per-site lanes; the broadcast upVals and downVals stay unused.
 		p.tauOf = sc.Taus
-		var tab []int32
 		if sc.Taus == nil {
-			tab = thresholdTable(tauTilde, nbhd)
+			p.threshTab = thresholdTable(tauTilde, nbhd)
 		}
 		if relocating {
 			// Occupancy changes on every relocation: keep the occupied
@@ -296,16 +295,12 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 			// adds as the plus counts, and derive thresholds on read.
 			// Static threshold and slack lanes would go stale and are
 			// never built.
-			p.threshTab = tab
 			p.occC = make([]uint64, n*p.cpr)
-			p.bits.VisitOccupiedWindowCounts(w, p.open, func(y int, row []int32) {
-				base := y * p.cpr
-				for x, c := range row {
-					p.occC[base+x>>2] |= uint64(c) << uint(16*(x&3))
-				}
+			p.bits.VisitOccupiedWindowLanes(w, p.open, func(y int, lanes []uint64) {
+				copy(p.occC[y*p.cpr:], lanes)
 			})
 		} else {
-			p.buildThresholdLanes(tab)
+			p.buildThresholdLanes()
 		}
 	} else {
 		// Classification boundaries: a +1 count update can change a
@@ -326,13 +321,84 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 			p.downVals[i] = noBoundary
 		}
 	}
-	for y := 0; y < n; y++ {
-		row := y * n
-		for x := 0; x < n; x++ {
-			p.refreshAt(row+x, x, y, p.lane(p.counts, x, y))
-		}
-	}
+	p.classify()
 	return p, nil
+}
+
+// laneGE returns, in bit 15 of each 16-bit lane, whether the lane of a
+// is at least the lane of b. Both operands' lanes must be at most
+// 0x7fff: then the biased difference never borrows across lanes.
+func laneGE(a, b uint64) uint64 { return ((a | laneHigh) - b) & laneHigh }
+
+// laneBits gathers the bit-15 verdicts of the four lanes of v into a
+// nibble (lane l to bit l).
+func laneBits(v uint64) uint64 { return (v>>15 | v>>30 | v>>45 | v>>60) & 0xf }
+
+// orNibble ORs the 4-bit nibble into the site bitset at site j (bits j
+// to j+3, which straddle two words when j&63 > 60).
+func orNibble(set []uint64, j int, nib uint64) {
+	set[j>>6] |= nib << uint(j&63)
+	if j&63 > 60 {
+		set[j>>6+1] |= nib >> uint(64-j&63)
+	}
+}
+
+// classify streams in the plus window counts and derives from them,
+// row by row while each row is hot, the initial unhappy bitset, its
+// count and the flippable sampler, a count word — four sites — at a
+// time. The streaming pass keeps O(n*w) scratch instead of an n^2 flat
+// count temporary, which is what bounds construction memory on giant
+// grids.
+//
+// Per lane, with threshold T and slack D = occ - T, a plus site is
+// unhappy at c < T and flippable when also c <= D+1, a minus site
+// unhappy at c > D and flippable when also c+1 >= T: the verdicts of
+// refreshAt. T and D are broadcast values in the default scenario, the
+// threshold and slack lanes under flip and swap scenarios, and derived
+// from the occupancy lanes under relocation; vacant lanes are zeroed
+// before the compares (keeping every operand at most 0x7fff) and the
+// verdicts gated by the occupancy and spin nibbles. The flippable sites
+// are loaded into the sampler in ascending site order — the order in
+// which a row-major sweep of refreshAt inserts them — so every later
+// draw is the same.
+func (p *Process) classify() {
+	n, cpr, wpr := p.n, p.cpr, p.bits.WordsPerRow()
+	p.counts = make([]uint64, n*cpr)
+	flip := make([]uint64, len(p.unhappy))
+	tB := uint64(p.thresh) * laneOnes
+	dB := uint64(p.nbhd-p.thresh) * laneOnes
+	p.bits.VisitPlusWindowLanes(p.w, p.open, func(y int, lanes []uint64) {
+		copy(p.counts[y*cpr:], lanes)
+		for k, cw := range lanes {
+			idx, x4 := y*cpr+k, 4*k
+			occNib := p.occupiedNibble(k, y)
+			om := nibbleMask[occNib]
+			t, d := tB, dB
+			switch {
+			case p.thrL != nil:
+				t, d = p.thrL[idx]&om, p.slackL[idx]&om
+			case p.occC != nil:
+				ow := p.occC[idx]
+				t = p.thresholdLanes(ow, occNib, x4, y) & om
+				d = (ow - t) & om
+			}
+			sm := nibbleMask[p.bits.SpinWord(y*wpr+x4>>6)>>uint(x4&63)&0xf]
+			unhappy := (^laneGE(cw, t)&sm | ^laneGE(d, cw)&^sm) & om & laneHigh
+			flippable := unhappy & (laneGE(d+laneOnes, cw)&sm | laneGE(cw+laneOnes, t)&^sm)
+			orNibble(p.unhappy, y*n+x4, laneBits(unhappy))
+			orNibble(flip, y*n+x4, laneBits(flippable))
+		}
+	})
+	for _, w := range p.unhappy {
+		p.nUnhappy += bits.OnesCount64(w)
+	}
+	if p.relocating {
+		// The relocation engine's flip sampler stays unmaintained and
+		// empty.
+		p.flippable = sampleset.New(0)
+		return
+	}
+	p.flippable = sampleset.FromMask(n*n, flip)
 }
 
 // thresholdTable memoizes ceil(tau*k) for every occupancy k in [0, N]:
@@ -347,31 +413,64 @@ func thresholdTable(tau float64, nbhd int) []int32 {
 }
 
 // buildThresholdLanes fills the threshold and slack lanes from the
-// streamed occupied window-count rows: T = ceil(tau_u * occ_u), looked
-// up in tab under a global intolerance (tab nil means per-site tau),
-// and D = occ_u - T, with vacantLane in both lanes of a vacant site.
-func (p *Process) buildThresholdLanes(tab []int32) {
-	n := p.n
-	p.thrL = make([]uint64, n*p.cpr)
-	p.slackL = make([]uint64, n*p.cpr)
-	p.bits.VisitOccupiedWindowCounts(p.w, p.open, func(y int, row []int32) {
+// streamed occupied window-count lanes, a word at a time: T =
+// ceil(tau_u * occ_u) and D = occ_u - T, with vacantLane in both lanes
+// of a vacant site (and of the lanes past the last column, which no
+// scan ever flags).
+func (p *Process) buildThresholdLanes() {
+	p.thrL = make([]uint64, p.n*p.cpr)
+	p.slackL = make([]uint64, p.n*p.cpr)
+	const vacant = vacantLane * laneOnes
+	p.bits.VisitOccupiedWindowLanes(p.w, p.open, func(y int, lanes []uint64) {
 		base := y * p.cpr
-		for x, occ := range row {
-			t, d := uint64(vacantLane), uint64(vacantLane)
-			if p.occupiedAt(x, y) {
-				var th int32
-				if tab != nil {
-					th = tab[occ]
-				} else {
-					th = int32(theory.Threshold(p.tauOf[y*n+x], int(occ)))
-				}
-				t, d = uint64(th), uint64(occ-th)
-			}
-			sh := uint(16 * (x & 3))
-			p.thrL[base+x>>2] |= t << sh
-			p.slackL[base+x>>2] |= d << sh
+		for k, ow := range lanes {
+			occNib := p.occupiedNibble(k, y)
+			om := nibbleMask[occNib]
+			t := p.thresholdLanes(ow, occNib, 4*k, y)
+			p.thrL[base+k] = t&om | vacant&^om
+			p.slackL[base+k] = (ow-t)&om | vacant&^om
 		}
 	})
+}
+
+// occupiedNibble returns the occupancy bits of the four sites of count
+// word k of row y (bit l for column 4k+l), with the lanes past the last
+// column clear.
+func (p *Process) occupiedNibble(k, y int) uint64 {
+	x4 := 4 * k
+	nib := p.bits.OccupiedWord(y*p.bits.WordsPerRow()+x4>>6) >> uint(x4&63) & 0xf
+	if r := p.n - x4; r < 4 {
+		nib &= 1<<uint(r) - 1
+	}
+	return nib
+}
+
+// tabLanes looks up the thresholds of the four occupancy lanes of ow in
+// the per-occupancy table of a global intolerance.
+func tabLanes(tab []int32, ow uint64) uint64 {
+	return uint64(uint16(tab[ow&0xffff])) |
+		uint64(uint16(tab[ow>>16&0xffff]))<<16 |
+		uint64(uint16(tab[ow>>32&0xffff]))<<32 |
+		uint64(uint16(tab[ow>>48]))<<48
+}
+
+// thresholdLanes returns the thresholds ceil(tau_u * occ_u) of the four
+// sites of a count word from their occupied-count lanes ow: four
+// lookups in threshTab under a global intolerance, one ceil per
+// occupied lane (occNib) under per-site intolerance, zero in the other
+// lanes. Every lane stays at most its occupancy lane.
+func (p *Process) thresholdLanes(ow, occNib uint64, x4, y int) uint64 {
+	if p.threshTab != nil {
+		return tabLanes(p.threshTab, ow)
+	}
+	var t uint64
+	for l := uint(0); l < 4; l++ {
+		if occNib>>l&1 != 0 {
+			occ := int(ow >> (16 * l) & 0xffff)
+			t |= uint64(theory.Threshold(p.tauOf[y*p.n+x4+int(l)], occ)) << (16 * l)
+		}
+	}
+	return t
 }
 
 // addBoundary appends the lane-broadcast form of count value v if it is
@@ -531,7 +630,9 @@ func (p *Process) Fixated() bool { return p.flippable.Len() == 0 }
 // performs, applied only to sites whose count crossed a classification
 // boundary. The caller supplies the column and row, so every word is
 // addressed without a division. Vacant sites are neither unhappy nor
-// flippable.
+// flippable. It serves the flip path only: construction classifies a
+// word at a time (classify), and the relocation engine reclassifies
+// its windows itself.
 func (p *Process) refreshAt(j, x, y, c int) {
 	if j < p.ownLo || j >= p.ownHi {
 		// The site belongs to a neighboring strip; the phase protocol's
@@ -553,17 +654,6 @@ func (p *Process) refreshAt(j, x, y, c int) {
 		} else {
 			unhappy = c > d
 			flippable = unhappy && c >= th-1
-		}
-	case p.occC != nil:
-		// The relocation engine classifies here only at construction;
-		// its flippable sampler stays unmaintained.
-		if p.occupiedAt(x, y) {
-			occ, th := p.lane(p.occC, x, y), p.threshAt(x, y)
-			if plus {
-				unhappy = c < th
-			} else {
-				unhappy = c > occ-th
-			}
 		}
 	case plus:
 		unhappy = c < p.thresh

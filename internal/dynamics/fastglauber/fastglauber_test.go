@@ -28,7 +28,9 @@ func newPair(t *testing.T, n, w int, tau, p float64, seed uint64) (*dynamics.Pro
 }
 
 // TestConstructionMatchesReference verifies the initial bookkeeping —
-// counts, classification, flippable order — agrees with the reference.
+// counts, unhappy and flippable tallies, Phi and same-type counts —
+// agrees with the reference. The flippable order is pinned by
+// TestWordBuildMatchesOracle and the lockstep tests.
 func TestConstructionMatchesReference(t *testing.T) {
 	ref, fast := newPair(t, 48, 3, 0.45, 0.5, 7)
 	if err := fast.CheckInvariants(); err != nil {

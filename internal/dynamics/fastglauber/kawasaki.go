@@ -50,14 +50,18 @@ func NewKawasakiScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics
 		return nil, err
 	}
 	p.track = true
-	k := &Kawasaki{
-		p:            p,
-		unhappyPlus:  sampleset.New(lat.Sites()),
-		unhappyMinus: sampleset.New(lat.Sites()),
+	// Both samplers load in ascending site order, the order of a
+	// row-major refreshSets sweep: the unhappy bits of +1 agents, then
+	// the rest (vacant sites are never unhappy).
+	mask := p.bits.PlusSites()
+	for i, u := range p.unhappy {
+		mask[i] &= u
 	}
-	for i := 0; i < lat.Sites(); i++ {
-		k.refreshSets(i)
+	k := &Kawasaki{p: p, unhappyPlus: sampleset.FromMask(lat.Sites(), mask)}
+	for i, u := range p.unhappy {
+		mask[i] = u &^ mask[i]
 	}
+	k.unhappyMinus = sampleset.FromMask(lat.Sites(), mask)
 	return k, nil
 }
 

@@ -57,15 +57,14 @@ func NewMove(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, s
 	if err != nil {
 		return nil, err
 	}
-	m := &Move{
+	// Both samplers load in ascending site order, the order of a
+	// row-major refreshSets sweep: the unhappy bitset already holds
+	// only occupied sites.
+	return &Move{
 		p:          p,
-		unhappySet: sampleset.New(lat.Sites()),
-		vacantSet:  sampleset.New(lat.Sites()),
-	}
-	for i := 0; i < lat.Sites(); i++ {
-		m.refreshSets(i)
-	}
-	return m, nil
+		unhappySet: sampleset.FromMask(lat.Sites(), p.unhappy),
+		vacantSet:  sampleset.FromMask(lat.Sites(), p.bits.VacantSites()),
+	}, nil
 }
 
 // Process returns the underlying count-tracking process (read-only use).
@@ -285,16 +284,9 @@ func (m *Move) classifyPacked(row, cbase, wrow, a, b, center int, sets bool) {
 		occNib := p.bits.OccupiedWord(wrow+x4>>6) >> bb & 0xf
 		sm := nibbleMask[spinNib]
 		sameW := cw&sm | (ow-cw)&^sm
-		thW := uint64(uint16(tab[ow&0xffff])) |
-			uint64(uint16(tab[ow>>16&0xffff]))<<16 |
-			uint64(uint16(tab[ow>>32&0xffff]))<<32 |
-			uint64(uint16(tab[ow>>48]))<<48
-		// Per lane: bit 15 of (0x8000 + same - th) is set iff
-		// same >= th, and both operands stay below 2^15, so no
-		// carry crosses a lane boundary.
-		ge := (sameW | laneHigh) - thW
-		u16 := ^ge & laneHigh & nibbleMask[occNib]
-		nib := (u16>>15 | u16>>30 | u16>>45 | u16>>60) & 0xf
+		// Both operands stay below 2^15, as laneGE requires.
+		u16 := ^laneGE(sameW, tabLanes(tab, ow)) & laneHigh & nibbleMask[occNib]
+		nib := laneBits(u16)
 		lo, hi := x4, x4+3
 		if lo < a {
 			lo = a

@@ -1,7 +1,8 @@
 // Package fastgrid implements the bit-packed representation of the
 // lattice used by the fast engines: one spin per bit in []uint64 row
-// words (+1 agents are set bits), with popcount-based
-// (math/bits.OnesCount64) window counting. Vacancy scenarios add a
+// words (+1 agents are set bits), with window counts streamed row by
+// row in the packed 16-bit lane form the engines keep them in (see
+// lanes.go). Vacancy scenarios add a
 // second bit plane of the same shape recording occupancy (set bit =
 // site holds an agent), and the open boundary replaces the torus wrap
 // by clamped (edge-truncated) row and column windows. It mirrors the
@@ -15,7 +16,6 @@ import (
 	"math/bits"
 
 	"gridseg/internal/grid"
-	"gridseg/internal/scratch"
 )
 
 // Lattice is an n x n lattice of spins packed one per bit, row-major:
@@ -192,6 +192,52 @@ func (p *Lattice) SetOccupiedBit(i int, occupied bool) {
 	}
 }
 
+// CountOccupied returns the number of occupied sites: a popcount of
+// the occupancy plane, or n^2 when the lattice has none.
+func (p *Lattice) CountOccupied() int {
+	if p.occ == nil {
+		return p.n * p.n
+	}
+	c := 0
+	for _, w := range p.occ {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// PlusSites returns the +1 agents as a site bitset: bit i&63 of word
+// i>>6 is set iff site i = y*n + x holds a +1 agent. The samplers of
+// the fast engines index sites this way.
+func (p *Lattice) PlusSites() []uint64 {
+	return p.sites(p.words)
+}
+
+// VacantSites returns the vacant sites as a site bitset like
+// PlusSites (all clear on a fully occupied lattice).
+func (p *Lattice) VacantSites() []uint64 {
+	if p.occ == nil {
+		return make([]uint64, (p.n*p.n+63)/64)
+	}
+	set := p.sites(p.occ)
+	for i := range set {
+		set[i] = ^set[i]
+	}
+	if r := p.n * p.n & 63; r != 0 {
+		set[len(set)-1] &= 1<<uint(r) - 1
+	}
+	return set
+}
+
+// sites copies a plane's rows end to end into a site bitset.
+func (p *Lattice) sites(plane []uint64) []uint64 {
+	n := p.n
+	set := make([]uint64, (n*n+63)/64+1) // one word of slack for orBits
+	for y := 0; y < n; y++ {
+		orBits(set, y*n, plane[y*p.wpr:], 0, n)
+	}
+	return set[:len(set)-1]
+}
+
 // CountPlus returns the total number of +1 agents via popcount.
 func (p *Lattice) CountPlus() int {
 	c := 0
@@ -224,172 +270,28 @@ func (p *Lattice) planeRowRange(plane []uint64, y, lo, hi int) int {
 	return c + bits.OnesCount64(plane[row+w1]&hiMask)
 }
 
-// planeRowWindow counts the set bits of a plane in row y over the
-// column window [x-radius, x+radius], wrapped on the torus or clamped
-// to [0, n) under the open boundary.
-func (p *Lattice) planeRowWindow(plane []uint64, y, x, radius int, open bool) int {
-	lo, hi := x-radius, x+radius
-	if open {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= p.n {
-			hi = p.n - 1
-		}
-		return p.planeRowRange(plane, y, lo, hi)
-	}
-	switch {
-	case lo < 0:
-		return p.planeRowRange(plane, y, 0, hi) + p.planeRowRange(plane, y, p.n+lo, p.n-1)
-	case hi >= p.n:
-		return p.planeRowRange(plane, y, lo, p.n-1) + p.planeRowRange(plane, y, 0, hi-p.n)
-	default:
-		return p.planeRowRange(plane, y, lo, hi)
-	}
+// planeRow returns row y of a plane in the flat layout.
+func (p *Lattice) planeRow(plane []uint64) func(y int) []uint64 {
+	return func(y int) []uint64 { return plane[y*p.wpr : (y+1)*p.wpr] }
 }
 
-// visitWindowCounts is the streaming window-count core shared by the
-// flat and tiled layouts: it emits per-site window counts one row at a
-// time, in ascending row order, holding only a ring of the 2*radius+1
-// live horizontal row sums plus one accumulator row — O(n*radius)
-// scratch from the free lists, independent of the n^2 output size.
-// rowWindows(y, row) must fill row[x] with the count of the row-y
-// column window centered at x (wrapped or clamped per the boundary);
-// visit receives each output row in a buffer that is only valid during
-// the call.
-func visitWindowCounts(n, radius int, open bool, rowWindows func(y int, row []int32), visit func(y int, row []int32)) {
-	if !open && 2*radius+1 > n {
-		panic("fastgrid: window larger than torus")
+// occupiedRows returns the row source of the occupancy plane: the
+// plane's rows, or one row of n occupied columns for every y when the
+// lattice carries no plane.
+func (p *Lattice) occupiedRows() func(y int) []uint64 {
+	if p.occ != nil {
+		return p.planeRow(p.occ)
 	}
-	span := 2*radius + 1
-	bp := scratch.I32(n * span)
-	buf := *bp
-	op := scratch.I32(2 * n)
-	acc := (*op)[:n]
-	out := (*op)[n : 2*n]
-	for x := range acc {
-		acc[x] = 0
-	}
-	// slot returns the ring row of the unwrapped row index y; load
-	// fills it from the plane (wrapping y on the torus). Rows enter the
-	// ring in ascending unwrapped order and stay live for exactly span
-	// emissions, so consecutive indices never collide.
-	slot := func(y int) []int32 {
-		r := y % span
-		if r < 0 {
-			r += span
-		}
-		return buf[r*n : r*n+n]
-	}
-	load := func(y int) []int32 {
-		row := slot(y)
-		yy := y
-		if !open {
-			yy = wrap(y, n)
-		}
-		rowWindows(yy, row)
-		return row
-	}
-	// Pre-accumulate the rows above the first output row: unwrapped
-	// rows -radius..radius-1 on the torus, the clamped prefix
-	// 0..min(radius, n)-1 under the open boundary.
-	first, last := -radius, radius-1
-	if open {
-		first = 0
-		if last > n-1 {
-			last = n - 1
-		}
-	}
-	for y := first; y <= last; y++ {
-		for x, v := range load(y) {
-			acc[x] += v
-		}
-	}
-	for y := 0; y < n; y++ {
-		if enter := y + radius; !open || enter < n {
-			for x, v := range load(enter) {
-				acc[x] += v
-			}
-		}
-		copy(out, acc)
-		visit(y, out)
-		if leave := y - radius; !open || leave >= 0 {
-			for x, v := range slot(leave) {
-				acc[x] -= v
-			}
-		}
-	}
-	scratch.PutI32(op)
-	scratch.PutI32(bp)
-}
-
-// planeWindowCounts materializes the streaming counts of a bit plane
-// into a freshly allocated per-site array (the non-streaming
-// convenience form).
-func (p *Lattice) planeWindowCounts(plane []uint64, radius int, open bool) []int32 {
-	out := make([]int32, p.n*p.n)
-	p.planeWindowCountsVisit(plane, radius, open, func(y int, row []int32) {
-		copy(out[y*p.n:(y+1)*p.n], row)
-	})
-	return out
-}
-
-// planeWindowCountsVisit streams the window counts of a bit plane
-// through visitWindowCounts.
-func (p *Lattice) planeWindowCountsVisit(plane []uint64, radius int, open bool, visit func(y int, row []int32)) {
-	visitWindowCounts(p.n, radius, open, func(y int, row []int32) {
-		p.planeRowWindows(plane, y, radius, open, row)
-	}, visit)
-}
-
-// planeRowWindows fills row[x] with planeRowWindow(plane, y, x, radius,
-// open) for every column x. Only the first window takes masked
-// popcounts; each later one slides a column to the right, adding the
-// bit that enters and dropping the bit that leaves, so a row costs
-// O(n) bit reads whatever the radius.
-func (p *Lattice) planeRowWindows(plane []uint64, y, radius int, open bool, row []int32) {
-	n := p.n
-	words := plane[y*p.wpr : (y+1)*p.wpr]
-	bit := func(x int) int32 { return int32(words[x>>6] >> uint(x&63) & 1) }
-	c := int32(p.planeRowWindow(plane, y, 0, radius, open))
-	row[0] = c
-	for x := 1; x < n; x++ {
-		in, out := x+radius, x-radius-1
-		if open {
-			if in < n {
-				c += bit(in)
-			}
-			if out >= 0 {
-				c -= bit(out)
-			}
-		} else {
-			// The torus window fits the row (2*radius+1 <= n), so one
-			// wrap brings both columns back into [0, n).
-			if in >= n {
-				in -= n
-			}
-			if out < 0 {
-				out += n
-			}
-			c += bit(in) - bit(out)
-		}
-		row[x] = c
-	}
-}
-
-// WindowCounts returns, for every site u (row-major), the number of +1
-// agents in the Chebyshev ball of the given radius centered at u —
-// the popcount-based equivalent of grid.Lattice.WindowCounts. It
-// panics if the window wraps onto itself (2*radius+1 > n).
-func (p *Lattice) WindowCounts(radius int) []int32 {
-	return p.planeWindowCounts(p.words, radius, false)
+	full := fullRow(p.n)
+	return func(int) []uint64 { return full }
 }
 
 // PlusWindowCounts returns the per-site +1 counts under either
 // boundary: wrapped windows on the torus, edge-clamped windows when
-// open — the popcount equivalent of grid.Lattice.PlusWindowCounts.
+// open — the popcount equivalent of grid.Lattice.PlusWindowCounts. It
+// panics if a torus window wraps onto itself (2*radius+1 > n).
 func (p *Lattice) PlusWindowCounts(radius int, open bool) []int32 {
-	return p.planeWindowCounts(p.words, radius, open)
+	return windowCounts(p.n, radius, open, p.planeRow(p.words))
 }
 
 // OccupiedWindowCounts returns the per-site occupied-site counts —
@@ -399,72 +301,25 @@ func (p *Lattice) OccupiedWindowCounts(radius int, open bool) []int32 {
 	if p.occ == nil {
 		return grid.WindowAreas(p.n, radius, open)
 	}
-	return p.planeWindowCounts(p.occ, radius, open)
+	return windowCounts(p.n, radius, open, p.planeRow(p.occ))
 }
 
-// VisitPlusWindowCounts streams the per-site +1 window counts one row
-// at a time in ascending row order, without materializing the n^2
-// output: the row buffer passed to visit is reused across calls. This
-// is the bounded-memory form the fast engines build their count lanes
-// from on giant grids.
-func (p *Lattice) VisitPlusWindowCounts(radius int, open bool, visit func(y int, row []int32)) {
-	p.planeWindowCountsVisit(p.words, radius, open, visit)
+// VisitPlusWindowLanes streams the per-site +1 window counts one row at
+// a time in ascending row order and in the packed 16-bit lane form of
+// the fast engines (site x in lane x&3 of word x>>2 of the row's
+// LaneWords(n) words, lanes past column n-1 zero), without
+// materializing the n^2 output: the buffer passed to visit is only
+// valid during the call and must not be modified. The window area
+// (2*radius+1)^2 must fit a lane; the fast engines' neighborhoods do.
+func (p *Lattice) VisitPlusWindowLanes(radius int, open bool, visit func(y int, lanes []uint64)) {
+	visitLanes(p.n, radius, open, p.planeRow(p.words), visit)
 }
 
-// VisitOccupiedWindowCounts streams the per-site occupied-site window
-// counts like VisitPlusWindowCounts. On a fully occupied lattice the
+// VisitOccupiedWindowLanes streams the per-site occupied-site window
+// counts like VisitPlusWindowLanes. On a fully occupied lattice the
 // rows hold the geometric window areas.
-func (p *Lattice) VisitOccupiedWindowCounts(radius int, open bool, visit func(y int, row []int32)) {
-	if p.occ != nil {
-		p.planeWindowCountsVisit(p.occ, radius, open, visit)
-		return
-	}
-	visitWindowAreas(p.n, radius, open, visit)
-}
-
-// visitWindowAreas streams the geometric window areas row by row — the
-// occupied counts of a fully occupied lattice, with no plane to scan.
-func visitWindowAreas(n, radius int, open bool, visit func(y int, row []int32)) {
-	rp := scratch.I32(n)
-	row := *rp
-	if !open {
-		if 2*radius+1 > n {
-			panic("fastgrid: window larger than torus")
-		}
-		full := int32((2*radius + 1) * (2*radius + 1))
-		for x := range row {
-			row[x] = full
-		}
-		for y := 0; y < n; y++ {
-			visit(y, row)
-		}
-		scratch.PutI32(rp)
-		return
-	}
-	span := func(a int) int32 {
-		lo, hi := a-radius, a+radius
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
-		return int32(hi - lo + 1)
-	}
-	sp := scratch.I32(n)
-	xspan := *sp
-	for x := range xspan {
-		xspan[x] = span(x)
-	}
-	for y := 0; y < n; y++ {
-		ys := span(y)
-		for x := range row {
-			row[x] = ys * xspan[x]
-		}
-		visit(y, row)
-	}
-	scratch.PutI32(sp)
-	scratch.PutI32(rp)
+func (p *Lattice) VisitOccupiedWindowLanes(radius int, open bool, visit func(y int, lanes []uint64)) {
+	visitLanes(p.n, radius, open, p.occupiedRows(), visit)
 }
 
 func wrap(a, n int) int {

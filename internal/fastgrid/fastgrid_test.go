@@ -51,11 +51,11 @@ func TestWindowCounts(t *testing.T) {
 	for _, tc := range cases {
 		lat := grid.Random(tc.n, 0.5, rng.New(uint64(tc.n*100+tc.w)))
 		p := FromLattice(lat)
-		got := p.WindowCounts(tc.w)
+		got := p.PlusWindowCounts(tc.w, false)
 		want := lat.WindowCounts(tc.w)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d w=%d: WindowCounts[%d] = %d, want %d", tc.n, tc.w, i, got[i], want[i])
+				t.Fatalf("n=%d w=%d: PlusWindowCounts[%d] = %d, want %d", tc.n, tc.w, i, got[i], want[i])
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func TestWindowCountsPanics(t *testing.T) {
 			t.Fatal("no panic for 2w+1 > n")
 		}
 	}()
-	p.WindowCounts(3)
+	p.PlusWindowCounts(3, false)
 }
 
 // TestScenarioPackRoundTrip verifies packing preserves spins and

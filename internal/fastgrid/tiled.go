@@ -19,13 +19,12 @@ const DefaultTileSide = 64
 // one small resident block instead of striding across n-bit rows whose
 // ends evict each other from cache once n is large.
 //
-// The halo story is explicit and subsumes the open-boundary clamping
-// of the flat layout: edge tiles are zero-padded — bits at global
-// coordinates >= n exist in the last tile row/column but always read
-// 0 and are never set — and every row-range query clamps its column
-// span to [0, n). Torus wrap-around is handled above the tile layer by
-// splitting a wrapped window into at most two clamped ranges, exactly
-// like the flat layout's planeRowWindow.
+// The halo story is explicit: edge tiles are zero-padded — bits at
+// global coordinates >= n exist in the last tile row/column but always
+// read 0 and are never set — and every row-range query clamps its
+// column span to [0, n). Window counts gather each lattice row from
+// its tiles and run the flat layout's streaming core, which applies
+// the torus wrap or the open-boundary clamp.
 //
 // Tiled satisfies grid.LatticeView, so the streaming observables in
 // internal/measure run on it unchanged. The zero value is not usable;
@@ -212,31 +211,6 @@ func (t *Tiled) planeRowRange(plane []uint64, y, lo, hi int) int {
 	return c
 }
 
-// planeRowWindow counts the set bits of a plane in row y over the
-// column window [x-radius, x+radius], wrapped on the torus or clamped
-// to [0, n) under the open boundary — the same split as the flat
-// layout, expressed over tiles.
-func (t *Tiled) planeRowWindow(plane []uint64, y, x, radius int, open bool) int {
-	lo, hi := x-radius, x+radius
-	if open {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= t.n {
-			hi = t.n - 1
-		}
-		return t.planeRowRange(plane, y, lo, hi)
-	}
-	switch {
-	case lo < 0:
-		return t.planeRowRange(plane, y, 0, hi) + t.planeRowRange(plane, y, t.n+lo, t.n-1)
-	case hi >= t.n:
-		return t.planeRowRange(plane, y, lo, t.n-1) + t.planeRowRange(plane, y, 0, hi-t.n)
-	default:
-		return t.planeRowRange(plane, y, lo, hi)
-	}
-}
-
 // OnesInRowRange returns the number of +1 agents in row y, columns
 // [lo, hi] (no wrap), mirroring the flat layout's method.
 func (t *Tiled) OnesInRowRange(y, lo, hi int) int {
@@ -253,14 +227,27 @@ func (t *Tiled) CountPlus() int {
 	return c
 }
 
+// planeRows returns the row source of a plane for the shared
+// streaming core: row y gathered from its tiles into one flat row
+// buffer (the zero-padded halo of edge tiles past column n-1 is left
+// out).
+func (t *Tiled) planeRows(plane []uint64) func(y int) []uint64 {
+	row := make([]uint64, t.tpr*t.wpt)
+	wpr := (t.n + 63) / 64
+	return func(y int) []uint64 {
+		ty, ly := y/t.ts, y%t.ts
+		for tx := 0; tx < t.tpr; tx++ {
+			base := (ty*t.tpr+tx)*t.twords + ly*t.wpt
+			copy(row[tx*t.wpt:(tx+1)*t.wpt], plane[base:base+t.wpt])
+		}
+		return row[:wpr]
+	}
+}
+
 // PlusWindowCounts returns the per-site +1 window counts under either
 // boundary, matching the flat layout bit for bit.
 func (t *Tiled) PlusWindowCounts(radius int, open bool) []int32 {
-	out := make([]int32, t.n*t.n)
-	t.VisitPlusWindowCounts(radius, open, func(y int, row []int32) {
-		copy(out[y*t.n:(y+1)*t.n], row)
-	})
-	return out
+	return windowCounts(t.n, radius, open, t.planeRows(t.spin))
 }
 
 // OccupiedWindowCounts returns the per-site occupied-site window
@@ -269,35 +256,7 @@ func (t *Tiled) OccupiedWindowCounts(radius int, open bool) []int32 {
 	if t.occ == nil {
 		return grid.WindowAreas(t.n, radius, open)
 	}
-	out := make([]int32, t.n*t.n)
-	t.VisitOccupiedWindowCounts(radius, open, func(y int, row []int32) {
-		copy(out[y*t.n:(y+1)*t.n], row)
-	})
-	return out
-}
-
-// VisitPlusWindowCounts streams the per-site +1 window counts one row
-// at a time through the shared bounded-memory core.
-func (t *Tiled) VisitPlusWindowCounts(radius int, open bool, visit func(y int, row []int32)) {
-	visitWindowCounts(t.n, radius, open, func(y int, row []int32) {
-		for x := range row {
-			row[x] = int32(t.planeRowWindow(t.spin, y, x, radius, open))
-		}
-	}, visit)
-}
-
-// VisitOccupiedWindowCounts streams the per-site occupied-site window
-// counts like VisitPlusWindowCounts.
-func (t *Tiled) VisitOccupiedWindowCounts(radius int, open bool, visit func(y int, row []int32)) {
-	if t.occ == nil {
-		visitWindowAreas(t.n, radius, open, visit)
-		return
-	}
-	visitWindowCounts(t.n, radius, open, func(y int, row []int32) {
-		for x := range row {
-			row[x] = int32(t.planeRowWindow(t.occ, y, x, radius, open))
-		}
-	}, visit)
+	return windowCounts(t.n, radius, open, t.planeRows(t.occ))
 }
 
 // TileCounts returns, per tile in tile-row-major order, the number of

@@ -183,37 +183,49 @@ func TestTileCounts(t *testing.T) {
 	}
 }
 
-// TestVisitStreamsMatchMaterialized pins the streaming visit forms to
-// their materialized counterparts on both layouts.
+// TestVisitStreamsMatchMaterialized pins the streaming lane forms to
+// the reference counts, row by row and lane by lane — partial last
+// words (n%4 != 0), both boundaries, full and vacancy lattices, and
+// windows from w=1 to one wider than the lattice — and checks that
+// the lanes past column n-1 stay zero.
 func TestVisitStreamsMatchMaterialized(t *testing.T) {
-	n := 100
-	lat := grid.RandomScenario(n, 0.5, 0.1, rng.New(21))
-	p := FromLattice(lat)
-	tl, err := TiledFromView(lat, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, open := range []bool{false, true} {
-		want := lat.PlusWindowCounts(7, open)
-		rows := 0
-		p.VisitPlusWindowCounts(7, open, func(y int, row []int32) {
-			for x, v := range row {
-				if v != want[y*n+x] {
-					t.Fatalf("flat open=%v row %d col %d: %d, want %d", open, y, x, v, want[y*n+x])
+	for _, n := range []int{5, 7, 63, 65, 100, 129} {
+		for _, rho := range []float64{0, 0.1} {
+			lat := grid.RandomScenario(n, 0.5, rho, rng.New(uint64(21+n)))
+			p := FromLattice(lat)
+			for _, w := range []int{1, 2, 5, 40} {
+				for _, open := range []bool{false, true} {
+					if !open && 2*w+1 > n {
+						continue
+					}
+					check := func(name string, ref []int32, visit func(int, bool, func(int, []uint64))) {
+						rows := 0
+						visit(w, open, func(y int, lanes []uint64) {
+							if y != rows || len(lanes) != LaneWords(n) {
+								t.Fatalf("%s n=%d w=%d open=%v: row %d (len %d), want row %d (len %d)", name, n, w, open, y, len(lanes), rows, LaneWords(n))
+							}
+							for k, word := range lanes {
+								for l := 0; l < 4; l++ {
+									x, v := 4*k+l, int32(word>>uint(16*l)&0xffff)
+									want := int32(0)
+									if x < n {
+										want = ref[y*n+x]
+									}
+									if v != want {
+										t.Fatalf("%s n=%d w=%d open=%v rho=%v: lane (%d, %d) = %d, want %d", name, n, w, open, rho, x, y, v, want)
+									}
+								}
+							}
+							rows++
+						})
+						if rows != n {
+							t.Fatalf("%s: visited %d rows, want %d", name, rows, n)
+						}
+					}
+					check("plus", lat.PlusWindowCounts(w, open), p.VisitPlusWindowLanes)
+					check("occupied", lat.OccupiedWindowCounts(w, open), p.VisitOccupiedWindowLanes)
 				}
 			}
-			rows++
-		})
-		tl.VisitOccupiedWindowCounts(7, open, func(y int, row []int32) {
-			wantOcc := lat.OccupiedWindowCounts(7, open)
-			for x, v := range row {
-				if v != wantOcc[y*n+x] {
-					t.Fatalf("tiled occ open=%v row %d col %d: %d, want %d", open, y, x, v, wantOcc[y*n+x])
-				}
-			}
-		})
-		if rows != n {
-			t.Fatalf("visited %d rows, want %d", rows, n)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package sampleset
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gridseg/internal/rng"
 )
@@ -26,14 +27,35 @@ import (
 // New; the zero value is not usable.
 type Set struct {
 	items []int32
-	pos   []int32 // pos[i] = index of site i in items, or -1
+	// pos[i] = 1 + index of site i in items, or 0 when i is absent, so
+	// a freshly allocated index is an empty set.
+	pos []int32
 }
 
 // New returns an empty set over the universe [0, n).
 func New(n int) *Set {
-	s := &Set{pos: make([]int32, n)}
-	for i := range s.pos {
-		s.pos[i] = -1
+	return &Set{pos: make([]int32, n)}
+}
+
+// FromMask returns the set over [0, n) whose members are the set bits
+// of mask (bit i&63 of word i>>6 is site i), in ascending site order:
+// the order that n ascending Update(i, bit i) calls on an empty set
+// produce, built without testing each site. Bits at or above n must
+// be clear.
+func FromMask(n int, mask []uint64) *Set {
+	s := New(n)
+	c := 0
+	for _, w := range mask {
+		c += bits.OnesCount64(w)
+	}
+	s.items = make([]int32, 0, c)
+	for k, w := range mask {
+		for w != 0 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			s.items = append(s.items, int32(i))
+			s.pos[i] = int32(len(s.items))
+			w &= w - 1
+		}
 	}
 	return s
 }
@@ -49,7 +71,7 @@ func (s *Set) At(k int) int32 { return s.items[k] }
 func (s *Set) Items() []int32 { return s.items }
 
 // Contains reports whether site i is a member.
-func (s *Set) Contains(i int) bool { return s.pos[i] >= 0 }
+func (s *Set) Contains(i int) bool { return s.pos[i] != 0 }
 
 // Sample returns a uniformly random member, consuming exactly one
 // Intn(Len()) draw. It panics on an empty set (callers test Len first,
@@ -64,18 +86,18 @@ func (s *Set) Sample(src *rng.Source) int32 {
 // discipline the reference samplers were built on, so migrated sets
 // evolve element-for-element identically.
 func (s *Set) Update(i int, want bool) {
-	in := s.pos[i] >= 0
+	in := s.pos[i] != 0
 	switch {
 	case want && !in:
-		s.pos[i] = int32(len(s.items))
 		s.items = append(s.items, int32(i))
+		s.pos[i] = int32(len(s.items))
 	case !want && in:
 		j := s.pos[i]
 		last := s.items[len(s.items)-1]
-		s.items[j] = last
+		s.items[j-1] = last
 		s.pos[last] = j
 		s.items = s.items[:len(s.items)-1]
-		s.pos[i] = -1
+		s.pos[i] = 0
 	}
 }
 
@@ -83,18 +105,22 @@ func (s *Set) Update(i int, want bool) {
 // and membership against the given predicate over the full universe.
 func (s *Set) CheckInvariants(name string, want func(i int) bool) error {
 	for j, site := range s.items {
-		if s.pos[site] != int32(j) {
-			return fmt.Errorf("%s: pos[%d] = %d, want %d", name, site, s.pos[site], j)
+		if s.pos[site] != int32(j+1) {
+			return fmt.Errorf("%s: pos[%d] = %d, want %d", name, site, s.pos[site], j+1)
 		}
 	}
+	members := 0
 	for i := range s.pos {
-		in := s.pos[i] >= 0
+		in := s.pos[i] != 0
 		if in != want(i) {
 			return fmt.Errorf("%s: membership of %d = %v, want %v", name, i, in, want(i))
 		}
-		if !in && s.pos[i] != -1 {
-			return fmt.Errorf("%s: pos[%d] = %d for non-member", name, i, s.pos[i])
+		if in {
+			members++
 		}
+	}
+	if members != len(s.items) {
+		return fmt.Errorf("%s: %d sites indexed, %d members", name, members, len(s.items))
 	}
 	return nil
 }

@@ -82,6 +82,43 @@ func TestSetDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestFromMaskMatchesAscendingUpdates pins the bulk load to the loop it
+// replaces: a set built from a mask holds the same items in the same
+// order as ascending Update calls on an empty set, and the two stay
+// identical under the same later churn.
+func TestFromMaskMatchesAscendingUpdates(t *testing.T) {
+	src := rng.New(11)
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		mask := make([]uint64, (n+63)/64)
+		a := New(n)
+		for i := 0; i < n; i++ {
+			in := src.Bernoulli(0.4)
+			if in {
+				mask[i>>6] |= 1 << uint(i&63)
+			}
+			a.Update(i, in)
+		}
+		b := FromMask(n, mask)
+		for step := 0; step < 3*n; step++ {
+			i, want := src.Intn(n), src.Bernoulli(0.5)
+			a.Update(i, want)
+			b.Update(i, want)
+		}
+		ai, bi := a.Items(), b.Items()
+		if len(ai) != len(bi) {
+			t.Fatalf("n=%d: lengths differ: %d vs %d", n, len(ai), len(bi))
+		}
+		for k := range ai {
+			if ai[k] != bi[k] {
+				t.Fatalf("n=%d: order differs at %d: %d vs %d", n, k, ai[k], bi[k])
+			}
+		}
+		if err := b.CheckInvariants("bulk", a.Contains); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
 // TestSetSampleUniform pins sampling uniformity with a chi-square test
 // over a fixed member population: 40 members, 40000 draws, so the
 // expected count per member is 1000. The 99.9% critical value of
