@@ -44,15 +44,17 @@ obscheck:
 # Short fuzz passes over the grid-spec parser, the lattice
 # configuration codec, the mono-region dilation kernel against its BFS
 # oracle, the packed segregation kernels against their scalar forms,
-# and the fast engines' word-at-a-time construction against the
-# per-site classification loop (the CI-sized budget; raise -fuzztime
-# locally for deeper exploration).
+# the fast engines' word-at-a-time construction against the per-site
+# classification loop, and the fabric coordinator's lease, heartbeat
+# and complete handlers against untrusted bodies (the CI-sized budget;
+# raise -fuzztime locally for deeper exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
 	go test -run '^$$' -fuzz FuzzCenteredRadii -fuzztime 30s ./internal/measure/
 	go test -run '^$$' -fuzz FuzzSegregationStats -fuzztime 30s ./internal/measure/
 	go test -run '^$$' -fuzz FuzzEngineBuild -fuzztime 30s ./internal/dynamics/fastglauber/
+	go test -run '^$$' -fuzz FuzzCoordinatorHandler -fuzztime 30s ./internal/fabric/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move

@@ -158,6 +158,9 @@ func serve(cfg *config) {
 		// bounded; no write timeout.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Held lease requests answer at once on shutdown instead of being
+	// waited out.
+	hs.RegisterOnShutdown(srv.ReleaseLeases)
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,
 	// then drain the dispatcher (the executing grid run finishes; its

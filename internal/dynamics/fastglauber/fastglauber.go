@@ -168,11 +168,12 @@ type Process struct {
 	// 16-bit lane layout as counts, so relocations maintain them with
 	// the masked band adds, and thresholds are derived on read.
 	occC []uint64
-	// Changed-site tracking for the swap (Kawasaki) and relocation
-	// (Move) wrappers: when track is set, applyFlip appends to changed —
-	// in reference window-visit order — every site whose unhappy flag
-	// toggled, plus the flipped site itself (whose per-type set
-	// membership can change by spin alone).
+	// Changed-site tracking for the swap (Kawasaki) wrapper: when track
+	// is set, applyFlip appends to changed — in reference window-visit
+	// order — every site whose unhappy flag toggled, plus the flipped
+	// site itself (whose per-type set membership can change by spin
+	// alone). The flippable sampler is then unmaintained (and empty):
+	// the swap dynamic never samples a single flip.
 	track    bool
 	changed  sampleset.List
 	flipSite int
@@ -231,15 +232,18 @@ func New(lat *grid.Lattice, w int, tauTilde float64, src *rng.Source) (*Process,
 // (only Step draws), and the resulting trajectories are bit-identical
 // to the reference engine's in every scenario.
 func NewScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source) (*Process, error) {
-	return newScenario(lat, w, tauTilde, sc, src, false)
+	return newScenario(lat, w, tauTilde, sc, src, false, false)
 }
 
 // newScenario is the shared constructor body. With relocating set it
 // builds a process for the Move engine: occupancy is about to change,
 // so the threshold and slack lanes — which are static under the flip
 // and swap dynamics and would go stale under relocation — are skipped,
-// and applyFlip panics if ever reached.
-func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source, relocating bool) (*Process, error) {
+// and applyFlip panics if ever reached. With track set it builds a
+// process for the swap (Kawasaki) engine, which records changed sites.
+// Neither engine samples a single flip, so both leave the flip sampler
+// unloaded and empty.
+func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source, relocating, track bool) (*Process, error) {
 	if w < 1 {
 		return nil, errors.New("fastglauber: horizon must be >= 1")
 	}
@@ -279,6 +283,7 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 		unhappy:    make([]uint64, (n*n+63)/64),
 		flipSite:   -1,
 		relocating: relocating,
+		track:      track,
 		ownHi:      n * n,
 	}
 	p.agents = p.bits.CountOccupied()
@@ -392,9 +397,9 @@ func (p *Process) classify() {
 	for _, w := range p.unhappy {
 		p.nUnhappy += bits.OnesCount64(w)
 	}
-	if p.relocating {
-		// The relocation engine's flip sampler stays unmaintained and
-		// empty.
+	if p.relocating || p.track {
+		// The relocation and swap engines' flip sampler stays
+		// unmaintained and empty.
 		p.flippable = sampleset.New(0)
 		return
 	}
@@ -672,14 +677,16 @@ func (p *Process) refreshAt(j, x, y, c int) {
 			p.nUnhappy--
 		}
 	}
-	if p.track && (toggled || j == p.flipSite) {
-		// The swap and relocation wrappers replay set maintenance over
-		// these sites in this exact (reference window-visit) order.
-		p.changed.Append(int32(j))
+	if p.track {
+		// The swap wrapper replays set maintenance over these sites in
+		// this exact (reference window-visit) order; its flip sampler
+		// is unmaintained.
+		if toggled || j == p.flipSite {
+			p.changed.Append(int32(j))
+		}
+		return
 	}
-	if !p.relocating {
-		p.flippable.Update(j-p.sampBase, flippable)
-	}
+	p.flippable.Update(j-p.sampBase, flippable)
 }
 
 // segmentMask returns the SWAR ±1 pattern of count word k for the
@@ -1053,9 +1060,10 @@ func (p *Process) CheckInvariants() error {
 	if unhappyCount != p.nUnhappy {
 		return fmt.Errorf("nUnhappy = %d, want %d", p.nUnhappy, unhappyCount)
 	}
-	if p.relocating {
-		// The relocation engine never flips in place: its flip sampler is
-		// deliberately unmaintained and must have stayed empty.
+	if p.relocating || p.track {
+		// The relocation and swap engines never sample a single flip:
+		// their flip sampler is deliberately unmaintained and must have
+		// stayed empty.
 		return p.flippable.CheckInvariants("flippable", func(int) bool { return false })
 	}
 	return p.flippable.CheckInvariants("flippable", func(i int) bool { return wantFlippable[i] })

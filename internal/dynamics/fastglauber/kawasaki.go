@@ -45,11 +45,13 @@ func NewKawasaki(lat *grid.Lattice, w int, tauTilde float64, src *rng.Source) (*
 // scenario (open boundaries, per-site tau, vacancies read off the
 // lattice), mirroring dynamics.NewKawasakiScenario.
 func NewKawasakiScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source) (*Kawasaki, error) {
-	p, err := NewScenario(lat, w, tauTilde, sc, src)
+	// The swap dynamic never samples a single flip: like the relocation
+	// engine's, the tracked process leaves its flip sampler unmaintained
+	// and empty.
+	p, err := newScenario(lat, w, tauTilde, sc, src, false, true)
 	if err != nil {
 		return nil, err
 	}
-	p.track = true
 	// Both samplers load in ascending site order, the order of a
 	// row-major refreshSets sweep: the unhappy bits of +1 agents, then
 	// the rest (vacant sites are never unhappy).
@@ -70,7 +72,10 @@ func NewKawasakiScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics
 func (k *Kawasaki) Process() *Process { return k.p }
 
 // Engine returns the underlying process as the shared engine contract
-// (the accessor of dynamics.SwapEngine).
+// (the accessor of dynamics.SwapEngine). Its flip sampler is not
+// maintained under the swap dynamic, so its FlippableCount is 0 and
+// Fixated is true; the swap engine's own UnhappyByType tells when no
+// unhappy pair remains.
 func (k *Kawasaki) Engine() dynamics.Engine { return k.p }
 
 // Swaps returns the number of successful swaps so far.

@@ -53,7 +53,7 @@ func NewMove(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, s
 	if !lat.HasVacancies() {
 		return nil, errors.New("fastglauber: the move dynamic needs vacant sites (rho > 0)")
 	}
-	p, err := newScenario(lat, w, tauTilde, sc, src, true)
+	p, err := newScenario(lat, w, tauTilde, sc, src, true, false)
 	if err != nil {
 		return nil, err
 	}

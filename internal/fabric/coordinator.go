@@ -11,6 +11,11 @@ import (
 // body is a completion carrying a small metric vector.
 const maxBodyBytes = 1 << 20
 
+// maxLeaseWait caps how long a lease request is held waiting for work,
+// whatever wait_ms the worker asked for. A variable only so the
+// protocol fuzz test can shorten it.
+var maxLeaseWait = 30 * time.Second
+
 // Coordinator serves the lease protocol over HTTP. It owns a Table;
 // the embedding server registers runs on it and mounts Handler under
 // its fabric prefix.
@@ -30,6 +35,9 @@ func (c *Coordinator) Table() *Table { return c.table }
 //
 //	POST /lease      {"worker":...} -> 200 LeaseGrant | 204 no work
 //	                 {"worker":..., "max":k} -> 200 {"grants":[...]} (up to k) | 204
+//	                 {..., "wait_ms":t} -> the same, but with no work the
+//	                 request is held up to t ms (capped) until a cell is
+//	                 available; 204 only once the hold ends
 //	POST /heartbeat  {"run","index","lease"} -> 200 | 409 lease lost
 //	POST /complete   {"run","index","lease","worker","cached","values","error"} -> 204
 //	GET  /status     -> per-run cell counts + cumulative protocol metrics
@@ -40,7 +48,8 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		grants := c.table.LeaseBatch(req.Worker, req.Max)
+		wait := time.Duration(min(max(req.WaitMs, 0), maxLeaseWait.Milliseconds())) * time.Millisecond
+		grants := c.table.LeaseWait(r.Context(), req.Worker, req.Max, wait)
 		if len(grants) == 0 {
 			w.WriteHeader(http.StatusNoContent)
 			return

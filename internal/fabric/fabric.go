@@ -14,7 +14,10 @@
 //     pending, leased (with a TTL refreshed by heartbeats), or done;
 //     an expired lease silently requeues the cell.
 //   - Coordinator: the HTTP face of the table — POST lease/heartbeat/
-//     complete plus a status endpoint.
+//     complete plus a status endpoint. A lease is a long poll: with no
+//     cell available the request is held until a run registers cells
+//     or a lease expires, so an idle worker starts on a new grid the
+//     moment it arrives.
 //   - Worker: the client loop — lease a cell, probe the shared store,
 //     compute on a miss, fill the store, report completion, heartbeat
 //     while computing.
@@ -67,6 +70,10 @@ type leaseRequest struct {
 	// Omitted or <= 1 keeps the original single-grant response shape;
 	// > 1 switches the 200 response to leaseBatchResponse.
 	Max int `json:"max,omitempty"`
+	// WaitMs makes the request a long poll: with no cell available the
+	// coordinator holds it up to this many milliseconds (capped) for
+	// one to appear. Omitted or <= 0 answers 204 at once.
+	WaitMs int64 `json:"wait_ms,omitempty"`
 }
 
 // leaseBatchResponse is the 200 body of a batched lease request

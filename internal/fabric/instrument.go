@@ -24,6 +24,10 @@ var (
 		"fabric_lease_seconds",
 		"Seconds from lease grant to accepted completion.",
 		[]float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600})
+	metricLeaseWaitSeconds = metrics.Default().NewHistogram(
+		"fabric_lease_wait_seconds",
+		"Seconds a lease request was held waiting for work, whether it ended in a grant or empty.",
+		[]float64{0.001, 0.01, 0.05, 0.2, 1, 5, 30})
 	metricRecoveredCells = metrics.Default().NewCounter(
 		"fabric_recovered_cells_total",
 		"Cells absorbed as already done during coordinator restart recovery (journal replay + store reconciliation) instead of recomputed.")

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -63,6 +64,17 @@ type Table struct {
 	order    []string
 	runs     map[string]*tableRun
 	requeues int
+	// wake is closed and replaced whenever Register adds pending cells,
+	// releasing every LeaseWait that found nothing to grant; closed is
+	// closed once by Close.
+	wake      chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
+	// nextExpiry is a lower bound on the earliest expiry of a leased
+	// cell (zero when none is leased). Leased cells are scanned for
+	// expiry only once it has passed; heartbeats and completions may
+	// leave it early, which costs one scan that finds nothing.
+	nextExpiry time.Time
 	// recorder, when set, receives lease grants and accepted
 	// completions under mu (see TableRecorder); the journal implements
 	// it for crash durability.
@@ -124,8 +136,15 @@ type tableRun struct {
 	expiry    []time.Time
 	granted   []time.Time
 	remaining int
-	onDone    func(CellDone)
-	done      chan struct{}
+	// next is the lease cursor. Pending cells are granted in position
+	// order and never return to pending, so every position before next
+	// is leased or done. Positions from next on are pending or done: a
+	// completion may land on a cell that was never leased (a worker
+	// reporting a lease granted before a coordinator restart), and the
+	// cursor steps over such cells.
+	next   int
+	onDone func(CellDone)
+	done   chan struct{}
 	// byIndex maps a Job.Index (the wire identity workers report back)
 	// to the job's position in the slices above. The two differ when a
 	// run registers only a subset of its grid's cells — the cache
@@ -142,7 +161,8 @@ func NewTable(ttl time.Duration, clock Clock) *Table {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{}}
+	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{},
+		wake: make(chan struct{}), closed: make(chan struct{})}
 }
 
 // TTL returns the lease TTL.
@@ -150,7 +170,8 @@ func (t *Table) TTL() time.Duration { return t.ttl }
 
 // Register adds a run's cells to the table and returns a channel that
 // closes when every cell has completed. onDone fires exactly once per
-// cell, serialized, before the channel closes.
+// cell, serialized, before the channel closes. Lease requests held in
+// LeaseWait are woken to take the new cells.
 func (t *Table) Register(runID string, jobs []Job, onDone func(CellDone)) (<-chan struct{}, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -183,7 +204,16 @@ func (t *Table) Register(runID string, jobs []Job, onDone func(CellDone)) (<-cha
 	}
 	t.runs[runID] = r
 	t.order = append(t.order, runID)
+	close(t.wake)
+	t.wake = make(chan struct{})
 	return r.done, nil
+}
+
+// Close releases every lease request held in LeaseWait; later ones
+// answer at once, so a coordinator shutting down never waits out a
+// hold. Leasing itself keeps working. Close is idempotent.
+func (t *Table) Close() {
+	t.closeOnce.Do(func() { close(t.closed) })
 }
 
 // Cancel removes a run from the table. In-flight completions for a
@@ -223,47 +253,133 @@ func (t *Table) Lease(worker string) (LeaseGrant, bool) {
 // the batched form of Lease, cutting per-cell round trips on grids
 // whose cells are cheaper than an HTTP exchange. Heartbeats and
 // completions stay per cell; an empty slice means no work was
-// available.
+// available. Cells are granted oldest run first and, within a run, in
+// position order.
 func (t *Table) LeaseBatch(worker string, max int) []LeaseGrant {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.leaseLocked(worker, max)
+}
+
+// LeaseWait is LeaseBatch as a long poll: when no cell is available it
+// holds the request until Register adds cells, the earliest lease
+// expires (so the expired cell is re-granted at once), wait elapses,
+// ctx is canceled, or the table is closed, and returns what it could
+// grant by then. A wait <= 0 answers at once.
+// Every call is observed in fabric_lease_wait_seconds.
+func (t *Table) LeaseWait(ctx context.Context, worker string, max int, wait time.Duration) []LeaseGrant {
+	start := time.Now()
+	defer func() { metricLeaseWaitSeconds.Observe(time.Since(start).Seconds()) }()
+	var hold <-chan time.Time
+	for {
+		t.mu.Lock()
+		grants := t.leaseLocked(worker, max)
+		wake, next, now := t.wake, t.nextExpiry, t.now()
+		t.mu.Unlock()
+		if len(grants) > 0 || wait <= 0 {
+			return grants
+		}
+		if hold == nil {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			hold = timer.C
+		}
+		var expire <-chan time.Time
+		var expiry *time.Timer
+		if !next.IsZero() {
+			d := next.Sub(now)
+			if d < time.Millisecond {
+				d = time.Millisecond
+			}
+			expiry = time.NewTimer(d)
+			expire = expiry.C
+		}
+		released := true
+		select {
+		case <-wake:
+			released = false
+		case <-expire:
+			released = false
+		case <-hold:
+		case <-ctx.Done():
+		case <-t.closed:
+		}
+		if expiry != nil {
+			expiry.Stop()
+		}
+		if released {
+			return nil
+		}
+	}
+}
+
+// leaseLocked is LeaseBatch's body; t.mu must be held. Each run serves
+// its pending cells from its cursor, skipping cells completed ahead of
+// it, so a grant costs O(runs) amortized, not O(cells). Only when nextExpiry has passed are the runs' leased cells
+// scanned: an expired one is re-granted ahead of the run's pending
+// cells, the position order of a full scan, and the scan continues
+// past max to recompute nextExpiry.
+func (t *Table) leaseLocked(worker string, max int) []LeaseGrant {
 	if max < 1 {
 		max = 1
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	now := t.now()
+	due := !t.nextExpiry.IsZero() && !now.Before(t.nextExpiry)
+	if due {
+		t.nextExpiry = time.Time{}
+	}
 	var out []LeaseGrant
 	for _, id := range t.order {
 		r := t.runs[id]
-		for i := range r.jobs {
-			switch r.state[i] {
-			case statePending:
-			case stateLeased:
-				if r.expiry[i].After(now) {
+		if due {
+			for i := 0; i < r.next; i++ {
+				if r.state[i] != stateLeased {
 					continue
 				}
-				t.requeues++
-				metricLeaseRequeues.Inc()
-			default:
-				continue
+				if len(out) < max && !r.expiry[i].After(now) {
+					t.requeues++
+					metricLeaseRequeues.Inc()
+					out = t.grantLocked(out, id, r, i, worker, now)
+					continue
+				}
+				t.noteExpiry(r.expiry[i])
 			}
-			t.seq++
-			t.grants++
-			metricLeaseGrants.Inc()
-			r.state[i] = stateLeased
-			r.lease[i] = t.seq
-			r.worker[i] = worker
-			r.expiry[i] = now.Add(t.ttl)
-			r.granted[i] = now
-			if t.recorder != nil {
-				t.recorder.RecordLease(id, r.jobs[i].Index, worker)
+		}
+		for len(out) < max && r.next < len(r.jobs) {
+			if r.state[r.next] == statePending {
+				out = t.grantLocked(out, id, r, r.next, worker, now)
 			}
-			out = append(out, LeaseGrant{Job: r.jobs[i], Lease: t.seq, TTLMilli: t.ttl.Milliseconds()})
-			if len(out) == max {
-				return out
-			}
+			r.next++
+		}
+		if len(out) == max && !due {
+			break
 		}
 	}
 	return out
+}
+
+// grantLocked leases run r's cell i to worker and appends the grant.
+func (t *Table) grantLocked(out []LeaseGrant, id string, r *tableRun, i int, worker string, now time.Time) []LeaseGrant {
+	t.seq++
+	t.grants++
+	metricLeaseGrants.Inc()
+	r.state[i] = stateLeased
+	r.lease[i] = t.seq
+	r.worker[i] = worker
+	r.expiry[i] = now.Add(t.ttl)
+	r.granted[i] = now
+	t.noteExpiry(r.expiry[i])
+	if t.recorder != nil {
+		t.recorder.RecordLease(id, r.jobs[i].Index, worker)
+	}
+	return append(out, LeaseGrant{Job: r.jobs[i], Lease: t.seq, TTLMilli: t.ttl.Milliseconds()})
+}
+
+// noteExpiry lowers nextExpiry to e when e is earlier.
+func (t *Table) noteExpiry(e time.Time) {
+	if t.nextExpiry.IsZero() || e.Before(t.nextExpiry) {
+		t.nextExpiry = e
+	}
 }
 
 // Heartbeat renews a lease, reporting whether the lease is still

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -110,6 +111,94 @@ func TestLeaseExpiryRequeuesOnce(t *testing.T) {
 	clock.advance(time.Hour)
 	if _, ok := tab.Lease("dave"); ok {
 		t.Fatal("completed cell re-leased")
+	}
+}
+
+// TestLeaseBatchGrantOrder pins the order a full scan of the table
+// grants in, which the per-run cursor and the expiry bound must keep:
+// oldest run first and, within a run, position order, with an expired
+// lease re-granted in its position ahead of the run's pending cells,
+// while renewed and completed cells are skipped.
+func TestLeaseBatchGrantOrder(t *testing.T) {
+	clock := newFakeClock()
+	tab := NewTable(10*time.Second, clock.now)
+	if _, err := tab.Register("a", mkJobs(5), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Register("b", mkJobs(2), nil); err != nil {
+		t.Fatal(err)
+	}
+	first := tab.LeaseBatch("alice", 3) // a0, a1, a2
+	if err := tab.Complete("a", 1, first[1].Lease, "alice", false, []float64{1, 2}, ""); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(8 * time.Second)
+	if !tab.Heartbeat("a", 2, first[2].Lease) {
+		t.Fatal("heartbeat rejected")
+	}
+	clock.advance(3 * time.Second) // a0 expired, a2 renewed
+	var got []string
+	for _, g := range tab.LeaseBatch("bob", 10) {
+		got = append(got, fmt.Sprintf("%s%d", g.Job.Run, g.Job.Index))
+	}
+	if want := "[a0 a3 a4 b0 b1]"; fmt.Sprint(got) != want {
+		t.Fatalf("grant order %v, want %s", got, want)
+	}
+	if n := tab.Requeues(); n != 1 {
+		t.Fatalf("requeues = %d, want 1", n)
+	}
+}
+
+// TestLeaseSkipsCellCompletedAheadOfCursor pins a completion that
+// lands on a cell never leased by this table — a worker reporting a
+// lease granted before a coordinator restart. The cell is done: it is
+// not granted again, it is reported once, and the run closes only
+// after every other cell has been reported too.
+func TestLeaseSkipsCellCompletedAheadOfCursor(t *testing.T) {
+	tab := NewTable(10*time.Second, newFakeClock().now)
+	var got collector
+	done, err := tab.Register("r", mkJobs(3), got.add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Complete("r", 2, 7, "old", false, []float64{1, 2}, ""); err != nil {
+		t.Fatal(err)
+	}
+	grants := tab.LeaseBatch("w", 3)
+	var idx []int
+	for _, g := range grants {
+		idx = append(idx, g.Job.Index)
+	}
+	if fmt.Sprint(idx) != "[0 1]" {
+		t.Fatalf("granted cells %v, want [0 1]", idx)
+	}
+	if _, ok := tab.Lease("v"); ok {
+		t.Fatal("a cell was granted past the run's end")
+	}
+	for k, g := range grants {
+		select {
+		case <-done:
+			t.Fatalf("run closed with %d of 3 cells reported", got.count())
+		default:
+		}
+		if err := tab.Complete("r", g.Job.Index, g.Lease, "w", false, []float64{1, 2}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 && got.count() != 2 {
+			t.Fatalf("%d cells reported, want 2", got.count())
+		}
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("done channel not closed after every cell reported")
+	}
+	seen := map[int]int{}
+	for _, c := range got.cells {
+		seen[c.Index]++
+	}
+	if len(seen) != 3 || seen[0] != 1 || seen[1] != 1 || seen[2] != 1 {
+		t.Fatalf("reports per cell %v, want each of 0, 1, 2 once", seen)
 	}
 }
 
@@ -310,5 +399,34 @@ func TestHeartbeatConcurrent(t *testing.T) {
 			t.Fatalf("cell %d reported twice", d.Index)
 		}
 		seen[d.Index] = true
+	}
+}
+
+// BenchmarkLeaseBatch measures one single-cell lease against a run of
+// 300 and of 30k cells, the table filling with leased cells as the run
+// drains. A lease is served from the run's cursor, so its cost should
+// not grow with the grid.
+func BenchmarkLeaseBatch(b *testing.B) {
+	for _, cells := range []int{300, 30000} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			jobs := mkJobs(cells)
+			var tab *Table
+			left := 0
+			for i := 0; i < b.N; i++ {
+				if left == 0 {
+					b.StopTimer()
+					tab = NewTable(time.Hour, nil)
+					if _, err := tab.Register("r", jobs, nil); err != nil {
+						b.Fatal(err)
+					}
+					left = cells
+					b.StartTimer()
+				}
+				if len(tab.LeaseBatch("w", 1)) != 1 {
+					b.Fatal("no cell granted")
+				}
+				left--
+			}
+		})
 	}
 }

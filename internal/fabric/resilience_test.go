@@ -122,7 +122,8 @@ func TestWorkerBatchedLeaseLoop(t *testing.T) {
 
 // TestWorkerRequestTimeout pins the per-request deadline: a
 // coordinator that accepts the connection and then never answers must
-// not hang the worker past RequestTimeout.
+// not hang the worker past RequestTimeout plus the lease's wait, and a
+// lease the coordinator may hold is not cut off before that.
 func TestWorkerRequestTimeout(t *testing.T) {
 	stall := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -137,12 +138,17 @@ func TestWorkerRequestTimeout(t *testing.T) {
 		Client:         srv.Client(),
 		RequestTimeout: 100 * time.Millisecond,
 	}
+	const wait = 200 * time.Millisecond
 	start := time.Now()
-	_, err := w.lease(context.Background())
+	_, err := w.lease(context.Background(), wait)
 	if err == nil {
 		t.Fatal("lease against a stalled coordinator returned no error")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
+	elapsed := time.Since(start)
+	if elapsed < w.RequestTimeout+wait {
+		t.Fatalf("lease gave up after %v, before its deadline of RequestTimeout + wait", elapsed)
+	}
+	if elapsed > 5*time.Second {
 		t.Fatalf("lease took %v; the request deadline did not bound it", elapsed)
 	}
 }

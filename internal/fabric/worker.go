@@ -49,11 +49,17 @@ type Worker struct {
 	Store store.Backend
 	// Runner computes one cell. Required.
 	Runner func(Job) ([]float64, error)
-	// Poll is the idle wait between lease attempts when the
-	// coordinator has no work; zero means 200ms.
+	// Poll is how long an idle worker waits for work per lease request.
+	// It is sent as the request's wait_ms, so the coordinator holds the
+	// request until a cell is available or Poll elapses, and the worker
+	// starts on a new grid the moment it registers. An empty answer that
+	// comes back sooner (from a coordinator that ignores wait_ms) is
+	// followed by a sleep for the rest of Poll, so an idle worker sends
+	// at most about one lease request per Poll. Zero means 200ms.
 	Poll time.Duration
-	// RequestTimeout bounds every fabric HTTP round trip; zero means
-	// 10s. Without it a coordinator that accepts the connection and
+	// RequestTimeout bounds every fabric HTTP round trip, plus Poll for
+	// a lease request the coordinator may hold; zero means 10s.
+	// Without it a coordinator that accepts the connection and
 	// then dies (or a black-holing network) would hang the worker
 	// forever mid-request.
 	RequestTimeout time.Duration
@@ -103,7 +109,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		grants, err := w.lease(ctx)
+		asked := time.Now()
+		grants, err := w.lease(ctx, poll)
 		if err != nil {
 			if failures == 0 {
 				metricWorkerOutages.Inc()
@@ -121,7 +128,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			failures = 0
 		}
 		if len(grants) == 0 {
-			if !sleep(ctx, poll) {
+			if rest := poll - time.Since(asked); rest > 0 && !sleep(ctx, rest) {
 				return ctx.Err()
 			}
 			continue
@@ -258,14 +265,15 @@ func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) {
 	w.complete(ctx, grant, values, false, "")
 }
 
-// lease asks the coordinator for up to LeaseMax cells. A nil slice
-// with nil error means no work is currently available.
-func (w *Worker) lease(ctx context.Context) ([]LeaseGrant, error) {
+// lease asks the coordinator for up to LeaseMax cells, letting it hold
+// the request up to wait for one to appear. A nil slice with nil error
+// means no work became available.
+func (w *Worker) lease(ctx context.Context, wait time.Duration) ([]LeaseGrant, error) {
 	max := w.LeaseMax
 	if max < 1 {
 		max = 1
 	}
-	status, body, err := w.post(ctx, "/lease", leaseRequest{Worker: w.Name, Max: max})
+	status, body, err := w.post(ctx, "/lease", leaseRequest{Worker: w.Name, Max: max, WaitMs: wait.Milliseconds()}, wait)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +314,7 @@ func (w *Worker) heartbeats(ctx context.Context, ttlMilli int64, held *heldLease
 			return
 		}
 		for _, g := range held.snapshot() {
-			status, _, err := w.post(ctx, "/heartbeat", heartbeatRequest{Run: g.Job.Run, Index: g.Job.Index, Lease: g.Lease})
+			status, _, err := w.post(ctx, "/heartbeat", heartbeatRequest{Run: g.Job.Run, Index: g.Job.Index, Lease: g.Lease}, 0)
 			if err != nil {
 				w.log("heartbeat failed", "run", g.Job.Run, "cell", g.Job.Index, "err", err)
 				continue
@@ -334,7 +342,7 @@ func (w *Worker) complete(ctx context.Context, grant LeaseGrant, values []float6
 		Error:  errMsg,
 	}
 	for attempt := 1; attempt <= completeRetries; attempt++ {
-		status, body, err := w.post(ctx, "/complete", req)
+		status, body, err := w.post(ctx, "/complete", req, 0)
 		if err == nil {
 			if status == http.StatusNoContent || status == http.StatusOK {
 				if errMsg == "" {
@@ -355,11 +363,12 @@ func (w *Worker) complete(ctx context.Context, grant LeaseGrant, values []float6
 	w.log("complete abandoned", "run", grant.Job.Run, "cell", grant.Job.Index, "attempts", completeRetries)
 }
 
-// post sends one JSON protocol request under the per-request deadline
-// and returns the status plus the (bounded) response body. The body is
-// fully consumed before returning so the deadline covers the whole
-// exchange and the connection is reusable.
-func (w *Worker) post(ctx context.Context, path string, body any) (int, []byte, error) {
+// post sends one JSON protocol request under the per-request deadline,
+// stretched by hold for a request the coordinator may hold, and returns
+// the status plus the (bounded) response body. The body is fully
+// consumed before returning so the deadline covers the whole exchange
+// and the connection is reusable.
+func (w *Worker) post(ctx context.Context, path string, body any, hold time.Duration) (int, []byte, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, nil, err
@@ -368,7 +377,7 @@ func (w *Worker) post(ctx context.Context, path string, body any) (int, []byte, 
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	rctx, cancel := context.WithTimeout(ctx, timeout)
+	rctx, cancel := context.WithTimeout(ctx, timeout+hold)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, strings.TrimRight(w.Coordinator, "/")+path, bytes.NewReader(data))
 	if err != nil {

@@ -337,3 +337,55 @@ func sseCellEvents(t *testing.T, url string) []cellEvent {
 	}
 	return out
 }
+
+// TestClusterShutdownReleasesHeldLease pins segd's shutdown wiring: with
+// ReleaseLeases registered on the http.Server, a lease request the
+// coordinator is holding for work answers 204 at shutdown instead of
+// keeping Shutdown waiting for its whole wait_ms.
+func TestClusterShutdownReleasesHeldLease(t *testing.T) {
+	s, err := New(Options{Store: gridseg.NewMemoryStore(), Cluster: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	arrived := make(chan struct{}, 1)
+	h := s.Handler()
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fabric/lease" {
+			arrived <- struct{}{}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	hs.Config.RegisterOnShutdown(s.ReleaseLeases)
+	hs.Start()
+	defer hs.Close()
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/fabric/lease", "application/json", strings.NewReader(`{"worker":"w","wait_ms":10000}`))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("lease request never arrived")
+	}
+	time.Sleep(50 * time.Millisecond) // let the request settle into its hold
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := hs.Config.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("shutdown waited %v on a held lease", d)
+	}
+	if code := <-status; code != http.StatusNoContent {
+		t.Fatalf("held lease answered %d at shutdown, want 204", code)
+	}
+}

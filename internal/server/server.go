@@ -32,7 +32,7 @@
 // fabric workers and serving the shared store over HTTP, with two
 // extra endpoint groups:
 //
-//	POST /fabric/lease       worker requests a cell lease (204 when no work)
+//	POST /fabric/lease       worker requests a cell lease (held up to wait_ms; 204 when no work)
 //	POST /fabric/heartbeat   renew a held lease (409 once the lease is lost)
 //	POST /fabric/complete    report a finished cell (idempotent)
 //	GET  /fabric/status      lease-table snapshot and cumulative requeues
@@ -221,6 +221,16 @@ func New(opt Options) (*Server, error) {
 func (s *Server) Close() {
 	close(s.stop)
 	s.wg.Wait()
+}
+
+// ReleaseLeases answers every lease request the coordinator is holding
+// for work and makes later ones answer at once, so a shutting-down
+// http.Server does not wait out held long polls: register it with
+// http.Server.RegisterOnShutdown. It is a no-op outside cluster mode.
+func (s *Server) ReleaseLeases() {
+	if s.fabric != nil {
+		s.fabric.Table().Close()
+	}
 }
 
 // log emits a free-form lifecycle line: through the structured logger
