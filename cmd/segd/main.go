@@ -11,7 +11,8 @@
 //
 // segd also scales out: a coordinator decomposes grids into
 // content-addressed cells and leases them to worker processes, which
-// share the coordinator's store through its object endpoint. Results
+// probe the coordinator's store through its object endpoint and report
+// computed cells back for the coordinator to store. Results
 // are byte-identical to a single process, whatever the cluster does.
 //
 //	segd -role coordinator -addr :8080 -store segstore/
@@ -193,9 +194,10 @@ func serve(cfg *config) {
 }
 
 // work runs the worker loop against the coordinator at -peer: lease a
-// cell, probe the coordinator's object store, compute on a miss, fill
-// the store, report completion. Killing a worker at any point is safe —
-// its leases expire and requeue.
+// cell, probe the coordinator's object store, compute on a miss, report
+// completion with the values (the coordinator fills its store from
+// them). Killing a worker at any point is safe — its leases expire and
+// requeue.
 func work(cfg *config) {
 	if cfg.peer == "" {
 		log.Fatal("worker role requires -peer (coordinator base URL)")

@@ -19,8 +19,9 @@
 //     or a lease expires, so an idle worker starts on a new grid the
 //     moment it arrives.
 //   - Worker: the client loop — lease a cell, probe the shared store,
-//     compute on a miss, fill the store, report completion, heartbeat
-//     while computing.
+//     compute on a miss, report completion with the values, heartbeat
+//     while computing. The coordinator, not the worker, fills the
+//     store from each completion.
 //   - ChaosTransport: a seeded fault-injecting http.RoundTripper used
 //     by the chaos tests to prove the above survives timeouts, 5xx,
 //     and torn connections.

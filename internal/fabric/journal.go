@@ -27,11 +27,12 @@ import (
 //     the acknowledgement.
 //   - Lease and completion records fsync in batches (SyncBatch
 //     appends per fsync). A crash can lose the unsynced tail, but
-//     never a result: a worker fills the shared store *before* it
-//     completes, so any completion the journal forgot is re-absorbed
-//     from the store on the next registration scan — the cell's object
-//     already exists under its content-addressed key, and determinism
-//     makes serving it indistinguishable from recomputing it.
+//     never a result: the coordinator fills the shared store behind
+//     each journaled completion, so a completion the journal forgot
+//     is re-absorbed from the store on the next registration scan
+//     when its fill landed, and recomputed to the same bytes when the
+//     crash took the fill too — determinism makes either path
+//     indistinguishable from the lost record.
 //
 // Lease records are replayed only as bookkeeping (a leased cell whose
 // coordinator died reverts to pending; the old lease token is
@@ -255,8 +256,9 @@ func (j *Journal) RecordLease(run string, index int, worker string) {
 
 // RecordDone implements TableRecorder: accepted completions are
 // journaled in the fsync batch. Errors are swallowed by design — the
-// worker filled the shared store before completing, so a lost done
-// record is re-absorbed from the store at the next registration scan.
+// coordinator fills the shared store from the completion, so a lost
+// done record is re-absorbed from the store at the next registration
+// scan, or the cell is recomputed to the same bytes.
 func (j *Journal) RecordDone(run string, index int, worker string, cached bool, values []float64) {
 	_ = j.append(journalRecord{T: "done", Run: run, Index: index, Worker: worker, Cached: cached, Values: encodeValues(values)}, false)
 }

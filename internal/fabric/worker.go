@@ -19,12 +19,14 @@ import (
 
 // Worker is the compute side of the fabric: a loop that leases cells
 // from a coordinator, serves them from the shared store when possible,
-// computes them otherwise, fills the store, and reports completion.
+// computes them otherwise, and reports completion. The worker never
+// writes the store: the completion carries the values, and the
+// coordinator fills its store from it.
 //
 // The loop is deliberately stateless between cells — a worker can die
 // at any point without corrupting anything. Die before completion and
-// the lease expires and the cell requeues; die after the store Put but
-// before completion and the replacement worker gets a cache hit.
+// the lease expires and the cell requeues to a worker that computes it
+// again, to the same bytes.
 //
 // The loop also outlives the coordinator: every HTTP call carries a
 // per-request deadline (RequestTimeout), so a dead or partitioned
@@ -44,8 +46,8 @@ type Worker struct {
 	// chaos tests inject faults through this client's transport.
 	Client *http.Client
 	// Store is the shared result store (usually a store.Remote over
-	// the coordinator's object endpoint). Optional: nil disables the
-	// cache probe and fill.
+	// the coordinator's object endpoint), probed before computing a
+	// cell; the worker only reads it. Optional: nil disables the probe.
 	Store store.Backend
 	// Runner computes one cell. Required.
 	Runner func(Job) ([]float64, error)
@@ -64,8 +66,8 @@ type Worker struct {
 	// forever mid-request.
 	RequestTimeout time.Duration
 	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// (with jitter) applied to failed lease, completion, and store-fill
-	// attempts; zero means 100ms base and 5s cap.
+	// (with jitter) applied to failed lease and completion attempts;
+	// zero means 100ms base and 5s cap.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// LeaseMax asks the coordinator for up to k cells per lease round
@@ -225,8 +227,10 @@ func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 	<-hbDone
 }
 
-// workCell handles one granted lease: store probe, compute, store
-// fill, completion. Heartbeats are the batch's job, not the cell's.
+// workCell handles one granted lease: store probe, compute,
+// completion. The completion carries the values, and the coordinator
+// fills the store from it; heartbeats are the batch's job, not the
+// cell's.
 func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) {
 	job := grant.Job
 	if w.Store != nil {
@@ -245,22 +249,6 @@ func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) {
 	if err != nil {
 		w.complete(ctx, grant, nil, false, err.Error())
 		return
-	}
-	if w.Store != nil {
-		// Fill the shared cache, fail-soft: a store outage costs
-		// recomputation on the next miss, never the result.
-		var putErr error
-		for attempt := 1; attempt <= 3; attempt++ {
-			if putErr = w.Store.Put(job.Key, values); putErr == nil {
-				break
-			}
-			if !sleep(ctx, w.backoff(attempt)) {
-				return
-			}
-		}
-		if putErr != nil {
-			w.log("store put failed", "run", job.Run, "cell", job.Index, "key", job.Key, "err", putErr)
-		}
 	}
 	w.complete(ctx, grant, values, false, "")
 }
@@ -358,8 +346,8 @@ func (w *Worker) complete(ctx context.Context, grant LeaseGrant, values []float6
 			return
 		}
 	}
-	// Abandoned: the lease expires and the cell requeues; the store
-	// already holds the bytes, so the retry is a cache hit.
+	// Abandoned: the lease expires and the cell requeues, and the
+	// next worker recomputes the same bytes.
 	w.log("complete abandoned", "run", grant.Job.Run, "cell", grant.Job.Index, "attempts", completeRetries)
 }
 

@@ -14,8 +14,8 @@ import (
 // TestWorkerLoop runs the full protocol over real HTTP: a coordinator
 // with a short TTL, four workers whose runner outlives a heartbeat
 // interval (so renewal is load-bearing), and a shared store. Every
-// cell must complete exactly once, and recomputed keys must land in
-// the store.
+// cell must complete exactly once, and the workers must only read the
+// store: filling it from the completions is the coordinator's job.
 func TestWorkerLoop(t *testing.T) {
 	const cells = 24
 	coord := NewCoordinator(300*time.Millisecond, nil)
@@ -97,11 +97,9 @@ func TestWorkerLoop(t *testing.T) {
 	if cachedHits < 4 {
 		t.Fatalf("cached completions = %d, want >= 4 (pre-seeded cells)", cachedHits)
 	}
-	// Computed cells were written back to the shared store.
-	for _, j := range jobs {
-		if _, ok, err := shared.Get(j.Key); err != nil || !ok {
-			t.Fatalf("cell %d not in store: %v, %v", j.Index, ok, err)
-		}
+	// The workers wrote nothing: only the pre-seeded cells are stored.
+	if n := shared.Len(); n != 4 {
+		t.Fatalf("store holds %d cells after the run, want the 4 pre-seeded", n)
 	}
 	if n, _ := coord.Table().Status(); len(n) != 0 {
 		t.Fatalf("completed run still registered: %+v", n)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"gridseg"
 	"gridseg/internal/fabric"
@@ -10,7 +11,10 @@ import (
 // runCluster executes one grid run in coordinator mode: serve every
 // cell already in the store directly, lease the rest to fabric
 // workers, and assemble the completed cells into the same GridResult a
-// single-process run would produce.
+// single-process run would produce. The coordinator is the only writer
+// of the store for leased cells: each computed completion carries its
+// values, and the run's writer goroutine fills the store from them
+// behind the completion (see fillBehind).
 //
 // The coordinator never computes a cell itself. Correctness leans on
 // the cells being content-addressed: a worker presumed dead whose cell
@@ -34,8 +38,8 @@ func (s *Server) runCluster(j *job) {
 	for _, fj := range jobs {
 		byIndex[fj.Index] = fj
 		// A journaled done record is absorbed first: it survives even
-		// when a crash raced the worker's store fill. The backstop Put
-		// reconciles the store so the cell also serves future grids.
+		// when the crash took the cell's write-behind store fill. The
+		// Put reconciles the store so the cell also serves future grids.
 		if d, ok := j.recovered[fj.Index]; ok && len(d.Values) == len(fj.Columns) {
 			values[fj.Index] = d.Values
 			done++
@@ -55,8 +59,8 @@ func (s *Server) runCluster(j *job) {
 			hits++
 			if j.recovered != nil {
 				// Store reconciliation: the completion's journal record was
-				// lost to the crash (batched fsync) but the worker's store
-				// fill survived, so the cell is still not recomputed.
+				// lost to the crash (batched fsync) but its write-behind
+				// store fill landed, so the cell is still not recomputed.
 				recCells++
 			}
 			j.progress(clusterProgress(fj, done, len(jobs), true, ""))
@@ -77,6 +81,7 @@ func (s *Server) runCluster(j *job) {
 	// invocations are serialized and `done`/`values`/`hits`/`misses`
 	// need no extra synchronization; the done-channel close (also under
 	// the table lock) orders every write before the assembly below.
+	fills, drainFills := s.fillBehind(j.id, len(pending))
 	failc := make(chan error, 1)
 	donec, err := s.fabric.Table().Register(j.id, pending, func(d fabric.CellDone) {
 		if d.Err != "" {
@@ -95,43 +100,79 @@ func (s *Server) runCluster(j *job) {
 			hits++
 		} else {
 			misses++
-		}
-		// Backstop the cache fill: workers write the store themselves,
-		// but one that died between computing and filling should not
-		// cost a recomputation on the next overlapping grid. Fail-soft,
-		// like every store write.
-		if _, ok, err := s.store.Get(fj.Key); err == nil && !ok {
-			if err := s.store.Put(fj.Key, d.Values); err != nil {
-				s.logRun(j.id, "caching cell failed", "cell", d.Index, "err", err)
-			}
+			fills <- cellFill{index: d.Index, key: fj.Key, values: d.Values}
 		}
 		j.progress(clusterProgress(fj, done, len(jobs), d.Cached, d.Worker))
 	})
 	if err != nil {
+		drainFills()
 		j.fail(err)
 		return
 	}
 
+	var runErr error
+	stopped := false
 	select {
 	case <-donec:
 		// A failing cell also counts as completed in the table; prefer
 		// the failure if both signals are up.
 		select {
-		case err := <-failc:
-			s.fabric.Table().Cancel(j.id)
-			s.failCluster(j, err)
+		case runErr = <-failc:
 		default:
-			s.finishCluster(j, values, hits, misses)
 		}
-	case err := <-failc:
-		s.fabric.Table().Cancel(j.id)
-		s.failCluster(j, err)
+	case runErr = <-failc:
 	case <-s.stop:
+		stopped = true
+	}
+	// Cancel ends the completion callbacks (a no-op for a run that
+	// completed), so the fill queue can close; every outcome waits for
+	// its fills before it is published.
+	s.fabric.Table().Cancel(j.id)
+	drainFills()
+	switch {
+	case stopped:
 		// Deliberately NOT journaled as finished: a clean shutdown and a
 		// crash look the same to the journal, so the next coordinator
 		// boot resumes this run from its journaled completions.
-		s.fabric.Table().Cancel(j.id)
 		j.fail(fmt.Errorf("server shut down before the run completed"))
+	case runErr != nil:
+		s.failCluster(j, runErr)
+	default:
+		s.finishCluster(j, values, hits, misses)
+	}
+}
+
+// cellFill is one computed cell queued for the store.
+type cellFill struct {
+	index  int
+	key    string
+	values []float64
+}
+
+// fillBehind starts a run's store writer: one goroutine that puts each
+// queued cell into the store, off the workers' request path. The queue
+// holds n cells, so the n enqueues of a run's completion callback,
+// which runs under the lease-table lock, never block. drain closes the
+// queue and waits for the writer to land the rest; a run drains before
+// it publishes its outcome, so a grid submitted after it finishes
+// finds every cell of it in the store. Fills are fail-soft: a failed
+// Put is logged and costs a recomputation later, never the result.
+func (s *Server) fillBehind(id string, n int) (fills chan<- cellFill, drain func()) {
+	q := make(chan cellFill, n)
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for f := range q {
+			if err := s.store.Put(f.key, f.values); err != nil {
+				s.logRun(id, "caching cell failed", "cell", f.index, "err", err)
+			}
+		}
+	}()
+	return q, func() {
+		start := time.Now()
+		close(q)
+		<-written
+		metricClusterFillWait.Observe(time.Since(start).Seconds())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -387,5 +388,172 @@ func TestClusterShutdownReleasesHeldLease(t *testing.T) {
 	}
 	if code := <-status; code != http.StatusNoContent {
 		t.Fatalf("held lease answered %d at shutdown, want 204", code)
+	}
+}
+
+// slowPutStore delays every Put, so a run that published done before
+// its write-behind fills landed is caught by the read that follows.
+type slowPutStore struct {
+	gridseg.CellStore
+	delay time.Duration
+}
+
+func (s slowPutStore) Put(key string, values []float64) error {
+	time.Sleep(s.delay)
+	return s.CellStore.Put(key, values)
+}
+
+// failPutStore refuses every Put, like a full disk.
+type failPutStore struct{ gridseg.CellStore }
+
+func (failPutStore) Put(string, []float64) error { return errors.New("synthetic disk full") }
+
+// startClusterWorkers attaches n fabric workers to the coordinator at
+// base for the rest of the test.
+func startClusterWorkers(t *testing.T, base string, n int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		w := &fabric.Worker{
+			Name:        fmt.Sprintf("w%d", i),
+			Coordinator: base + "/fabric",
+			Store:       store.NewRemote(base+"/objects", nil),
+			Runner:      gridseg.ComputeJob,
+			Poll:        20 * time.Millisecond,
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+}
+
+// fabricGrants reads the coordinator's cumulative lease-grant count.
+func fabricGrants(t *testing.T, base string) int {
+	t.Helper()
+	var fstatus struct {
+		Metrics fabric.TableMetrics `json:"metrics"`
+	}
+	data, _ := fetch(t, base+"/fabric/status")
+	if err := json.Unmarshal(data, &fstatus); err != nil {
+		t.Fatal(err)
+	}
+	return fstatus.Metrics.Grants
+}
+
+// TestClusterFillsStoreBeforeDone pins the write-behind contract: the
+// coordinator fills its store from the workers' completions, and a run
+// publishes done only after every fill landed. The store's Puts are
+// slowed so the fills trail the completions; a grid submitted right
+// after done must still find every cell and lease nothing.
+func TestClusterFillsStoreBeforeDone(t *testing.T) {
+	const seed = 13
+	const warmSpec = "n=16 w=1 tau=0.4,0.42 reps=4"
+	mem := store.NewMemory()
+	_, hs := newClusterServer(t, slowPutStore{mem, 20 * time.Millisecond}, time.Second)
+	startClusterWorkers(t, hs.URL, 2)
+
+	jobs, err := gridseg.GridJobs(clusterSpec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmJobs, err := gridseg.GridJobs(warmSpec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, fj := range jobs {
+		keys[fj.Key] = true
+	}
+	for _, fj := range warmJobs {
+		if !keys[fj.Key] {
+			t.Fatalf("warm cell %d is not a cell of the first grid", fj.Index)
+		}
+	}
+
+	status, code := submit(t, hs.URL, clusterSpec, seed)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	final := waitDone(t, hs.URL, status.ID)
+	if final.State != StateDone || final.Cache.Misses != final.Cells {
+		t.Fatalf("final = %+v, want done with all %d cells computed", final, final.Cells)
+	}
+	for _, fj := range jobs {
+		if _, ok, err := mem.Get(fj.Key); err != nil || !ok {
+			t.Fatalf("cell %d not in the store when its run was done: %v, %v", fj.Index, ok, err)
+		}
+	}
+	if mem.Len() != len(jobs) {
+		t.Fatalf("store holds %d cells, want %d", mem.Len(), len(jobs))
+	}
+
+	grants := fabricGrants(t, hs.URL)
+	status, code = submit(t, hs.URL, warmSpec, seed)
+	if code != http.StatusAccepted {
+		t.Fatalf("warm submit status = %d", code)
+	}
+	final = waitDone(t, hs.URL, status.ID)
+	if final.State != StateDone || final.Cache.Hits != final.Cells || final.Cache.Misses != 0 {
+		t.Fatalf("warm final = %+v, want done with all %d cells hit", final, final.Cells)
+	}
+	if g := fabricGrants(t, hs.URL); g != grants {
+		t.Fatalf("warm grid granted %d leases, want 0", g-grants)
+	}
+}
+
+// TestClusterFillFailureIsSoft pins the fail-soft fill: a store whose
+// every Put fails still yields a finished run with byte-identical
+// artifacts, and the failed fills are logged.
+func TestClusterFillFailureIsSoft(t *testing.T) {
+	const seed = 17
+	var mu sync.Mutex
+	var logs []string
+	s, err := New(Options{
+		Store: failPutStore{gridseg.NewMemoryStore()}, Cluster: true, LeaseTTL: time.Second,
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	startClusterWorkers(t, hs.URL, 2)
+
+	status, _ := submit(t, hs.URL, testSpec, seed)
+	final := waitDone(t, hs.URL, status.ID)
+	if final.State != StateDone || final.Cache.Misses != final.Cells {
+		t.Fatalf("final = %+v, want done with all %d cells computed", final, final.Cells)
+	}
+	wantCSV, wantJSON := localArtifacts(t, testSpec, seed)
+	if got, _ := fetch(t, hs.URL+"/grids/"+status.ID+"/artifact.csv"); !bytes.Equal(got, wantCSV) {
+		t.Fatalf("CSV differs from single-process run\ngot:\n%s\nwant:\n%s", got, wantCSV)
+	}
+	if got, _ := fetch(t, hs.URL+"/grids/"+status.ID+"/artifact.json"); !bytes.Equal(got, wantJSON) {
+		t.Fatal("JSON differs from single-process run")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	failed := 0
+	for _, l := range logs {
+		if strings.Contains(l, "caching cell failed") && strings.Contains(l, "synthetic disk full") {
+			failed++
+		}
+	}
+	if failed != final.Cells {
+		t.Fatalf("logged %d failed fills, want %d:\n%s", failed, final.Cells, strings.Join(logs, "\n"))
 	}
 }

@@ -19,6 +19,9 @@ var (
 		"Live frames evicted from slow subscribers' bounded queues.")
 	metricRuns = metrics.Default().NewCounterVec("segd_runs_total",
 		"Grid runs finished, by terminal state.", "state")
+	metricClusterFillWait = metrics.Default().NewHistogram("gridseg_cluster_fill_wait_seconds",
+		"Seconds a cluster run waited for its queued write-behind store fills to land before publishing its outcome.",
+		[]float64{0.0001, 0.001, 0.01, 0.05, 0.25, 1, 5})
 
 	metricRunsDone   = metricRuns.WithLabel(StateDone)
 	metricRunsFailed = metricRuns.WithLabel(StateFailed)

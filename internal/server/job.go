@@ -159,6 +159,7 @@ func (j *job) finish(res *gridseg.GridResult) {
 	j.cache = cs
 	j.done = res.Len()
 	j.broadcastLocked(sseEvent{Type: "done", Data: data})
+	j.trimEventsLocked()
 	j.mu.Unlock()
 	j.live.close()
 	metricRunsDone.Inc()
@@ -171,6 +172,7 @@ func (j *job) fail(err error) {
 	j.state = StateFailed
 	j.errMsg = err.Error()
 	j.broadcastLocked(sseEvent{Type: "error", Data: data})
+	j.trimEventsLocked()
 	j.mu.Unlock()
 	j.live.close()
 	metricRunsFailed.Inc()
@@ -206,6 +208,16 @@ func (j *job) broadcastLocked(e sseEvent) {
 		metricSSESubscribers.Add(-int64(len(j.subs)))
 		j.subs = map[chan sseEvent]struct{}{}
 	}
+}
+
+// trimEventsLocked copies a terminal run's event log into an
+// exact-length slice, dropping the append headroom (up to ~40% of a
+// finished log) that every retained run would otherwise keep until
+// eviction; j.mu must be held. A terminal run logs no more events.
+func (j *job) trimEventsLocked() {
+	events := make([]sseEvent, len(j.events))
+	copy(events, j.events)
+	j.events = events
 }
 
 // subscribe returns the event history so far and, unless the run is

@@ -129,9 +129,10 @@ type Options struct {
 	// grids are decomposed into content-addressed cell jobs and leased
 	// to segd worker processes over the /fabric/ endpoints instead of
 	// being computed in-process, and the shared store is exported at
-	// /objects/ so workers probe and fill the same cache. A
-	// coordinator computes nothing itself — with no workers attached, a
-	// grid whose cells are not already cached waits until one arrives.
+	// /objects/ so workers probe the same cache; the coordinator fills
+	// it from their completions. A coordinator computes nothing itself
+	// — with no workers attached, a grid whose cells are not already
+	// cached waits until one arrives.
 	Cluster bool
 	// LeaseTTL bounds how long a leased cell may go unrenewed before it
 	// is requeued to another worker (cluster mode; 0 means
@@ -339,7 +340,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	if s.fabric != nil {
 		// Cluster mode: the lease protocol for workers and the shared
-		// object store they probe and fill. Both groups sit behind the
+		// object store they probe. Both groups sit behind the
 		// shared-secret check when one is configured; the public grid
 		// API above stays open either way.
 		fh := http.Handler(http.StripPrefix("/fabric", s.fabric.Handler()))

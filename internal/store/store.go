@@ -17,7 +17,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -337,13 +339,17 @@ func (d *Dir) Put(key string, values []float64) (err error) {
 		return fmt.Errorf("store: %w", err)
 	}
 	path := d.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	dir := filepath.Dir(path)
 	// A unique temp name per writer: racing processes each stage their
 	// own file and the renames are atomic, so readers only ever see a
-	// complete object.
-	tmp, err := os.CreateTemp(filepath.Dir(path), key[2:]+".*.tmp")
+	// complete object. The fan-out directory is created only when the
+	// first object under its prefix finds it missing.
+	tmp, err := os.CreateTemp(dir, key[2:]+".*.tmp")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, key[2:]+".*.tmp")
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -365,14 +371,20 @@ func (d *Dir) Put(key string, values []float64) (err error) {
 	// The stat+rename pair runs under the counter mutex so the cached
 	// Len stays exact within this handle: without it, two goroutines
 	// racing on a fresh key could both observe "new" and double-count.
+	// The stat only feeds the count, so it is skipped until Len has
+	// scanned once: a later scan sees the renamed object anyway.
 	d.mu.Lock()
-	_, statErr := os.Stat(path)
+	fresh := false
+	if d.counted {
+		_, statErr := os.Stat(path)
+		fresh = os.IsNotExist(statErr)
+	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		d.mu.Unlock()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	if d.counted && os.IsNotExist(statErr) {
+	if fresh {
 		d.count++
 	}
 	d.mu.Unlock()

@@ -426,3 +426,37 @@ func TestDirLenConcurrent(t *testing.T) {
 		t.Fatalf("final Len = %d, %v, want %d", n, err, writers*perWriter)
 	}
 }
+
+// BenchmarkDirPut measures one Dir.Put of a fresh key: the write path
+// of the cluster coordinator's store writer. "counted" is a handle on
+// which Len has scanned, which adds the stat that keeps the count exact.
+func BenchmarkDirPut(b *testing.B) {
+	for _, counted := range []bool{false, true} {
+		name := "uncounted"
+		if counted {
+			name = "counted"
+		}
+		b.Run(name, func(b *testing.B) {
+			d, err := Open(filepath.Join(b.TempDir(), "cache"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if counted {
+				if _, err := d.Len(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			keys := make([]string, b.N)
+			for i := range keys {
+				keys[i] = CellSpec{Scope: "bench", Rep: i}.Key()
+			}
+			values := []float64{0.25, 0.5, math.NaN(), 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.Put(keys[i], values); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
