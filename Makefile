@@ -22,9 +22,11 @@ race:
 race-stress:
 	go test -race -count=5 ./internal/dynamics/pareng/ ./internal/server/
 
-# Distributed-fabric gate: the lease-protocol unit tests (fake clock),
-# the worker loop, the journal replay/compaction edge cases, and the
-# chaos e2es — the worker-kill sweep (coordinator + three workers with
+# Distributed-fabric gate: the lease-protocol unit tests (fake clock,
+# grant sizing by factoring included), the worker loop with its batched
+# heartbeats and completions (withheld completions resent exactly once
+# after an outage included), the retained-run heap bound, the journal
+# replay/compaction edge cases, and the chaos e2es — the worker-kill sweep (coordinator + three workers with
 # seeded fault injection, two killed mid-run) and the coordinator-kill
 # restart (journaled coordinator killed mid-sweep and rebooted against
 # the same journal and store, with recovery-metrics assertions) — all
@@ -45,9 +47,10 @@ obscheck:
 # configuration codec, the mono-region dilation kernel against its BFS
 # oracle, the packed segregation kernels against their scalar forms,
 # the fast engines' word-at-a-time construction against the per-site
-# classification loop, and the fabric coordinator's lease, heartbeat
-# and complete handlers against untrusted bodies (the CI-sized budget;
-# raise -fuzztime locally for deeper exploration).
+# classification loop, the fabric coordinator's lease, heartbeat and
+# complete handlers against untrusted (list-shaped) bodies, and the
+# store's object endpoint against untrusted keys and bodies (the
+# CI-sized budget; raise -fuzztime locally for deeper exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
@@ -55,6 +58,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSegregationStats -fuzztime 30s ./internal/measure/
 	go test -run '^$$' -fuzz FuzzEngineBuild -fuzztime 30s ./internal/dynamics/fastglauber/
 	go test -run '^$$' -fuzz FuzzCoordinatorHandler -fuzztime 30s ./internal/fabric/
+	go test -run '^$$' -fuzz FuzzObjectHandler -fuzztime 30s ./internal/store/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move

@@ -44,20 +44,19 @@ import (
 
 // config holds the parsed command-line options.
 type config struct {
-	addr       string
-	store      string
-	workers    int
-	queue      int
-	verbose    bool
-	role       string
-	peer       string
-	name       string
-	leaseTTL   time.Duration
-	journal    string
-	token      string
-	leaseBatch int
-	logFormat  string
-	liveEvery  int64
+	addr      string
+	store     string
+	workers   int
+	queue     int
+	verbose   bool
+	role      string
+	peer      string
+	name      string
+	leaseTTL  time.Duration
+	journal   string
+	token     string
+	logFormat string
+	liveEvery int64
 }
 
 // newFlagSet declares the command's flags; main parses it, and the
@@ -76,7 +75,6 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.DurationVar(&c.leaseTTL, "lease-ttl", fabric.DefaultTTL, "how long a leased cell may go unrenewed before it is requeued to another worker (coordinator role)")
 	fs.StringVar(&c.journal, "journal", "", "crash-recovery journal file for the coordinator's lease table (coordinator role; empty = <store>/fabric.journal, \"off\" disables); a restarted coordinator replays it and resumes every unfinished run")
 	fs.StringVar(&c.token, "token", "", "shared secret gating the /fabric/ and /objects/ endpoints (coordinator role: required of callers when set; worker role: sent as a bearer token)")
-	fs.IntVar(&c.leaseBatch, "lease-batch", 1, "cells a worker leases per coordinator round trip (worker role; heartbeats and completions stay per cell)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json (log/slog)")
 	fs.Int64Var(&c.liveEvery, "live-every", 0, "flips between live trajectory frames on /grids/{id}/live (0 = the server default); sampling only runs while someone is subscribed")
 	return fs, c
@@ -194,8 +192,9 @@ func serve(cfg *config) {
 }
 
 // work runs the worker loop against the coordinator at -peer: lease a
-// cell, probe the coordinator's object store, compute on a miss, report
-// completion with the values (the coordinator fills its store from
+// batch of cells (the coordinator sizes it), probe the coordinator's
+// object store for each, compute on a miss, and report the batch's
+// completions with their values (the coordinator fills its store from
 // them). Killing a worker at any point is safe — its leases expire and
 // requeue.
 func work(cfg *config) {
@@ -215,7 +214,6 @@ func work(cfg *config) {
 		Coordinator: cfg.peer + "/fabric",
 		Store:       store.NewRemoteWith(cfg.peer+"/objects", store.RemoteOptions{Token: cfg.token}),
 		Runner:      gridseg.ComputeJob,
-		LeaseMax:    cfg.leaseBatch,
 		Token:       cfg.token,
 		Logger:      newLogger(cfg),
 	}

@@ -109,9 +109,8 @@ func AssembleGrid(spec string, values [][]float64, cache CacheStats) (*GridResul
 		g.Engine = EngineAuto.String()
 	}
 	cols := columnsFor(g)
-	cells := g.Cells()
-	if len(values) != len(cells) {
-		return nil, fmt.Errorf("gridseg: got %d cell values, grid has %d cells", len(values), len(cells))
+	if len(values) != g.Size() {
+		return nil, fmt.Errorf("gridseg: got %d cell values, grid has %d cells", len(values), g.Size())
 	}
 	for i, v := range values {
 		if len(v) != len(cols) {
@@ -121,7 +120,6 @@ func AssembleGrid(spec string, values [][]float64, cache CacheStats) (*GridResul
 	rs := &batch.ResultSet{
 		Grid:    g,
 		Columns: cols,
-		Cells:   cells,
 		Values:  values,
 		Cache:   batch.CacheStats{Hits: cache.Hits, Misses: cache.Misses, Err: cache.Err},
 	}

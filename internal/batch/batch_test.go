@@ -422,7 +422,7 @@ func TestStoreOverlappingGrids(t *testing.T) {
 	// The tau=0.42 cells must agree across the two grids, even though
 	// their grid indices differ.
 	val := func(rs *ResultSet, tau float64, rep int) float64 {
-		for i, c := range rs.Cells {
+		for i, c := range rs.Grid.Cells() {
 			if c.Tau == tau && c.Rep == rep {
 				return rs.Values[i][0]
 			}

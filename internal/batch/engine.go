@@ -183,7 +183,6 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 	rs := &ResultSet{
 		Grid:    ng,
 		Columns: columns,
-		Cells:   cells,
 		Values:  make([][]float64, len(cells)),
 	}
 

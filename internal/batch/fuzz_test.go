@@ -153,6 +153,15 @@ func FuzzParseGrid(f *testing.F) {
 		if len(cells) != g.Size() {
 			t.Fatalf("Cells/Size mismatch %d != %d: %q", len(cells), g.Size(), spec)
 		}
+		// Cell decodes any index to the cell Cells enumerates there.
+		for i := 0; i < len(cells); i += 1 + len(cells)/64 {
+			if c := g.Cell(i); c != cells[i] {
+				t.Fatalf("Cell(%d) = %+v, Cells()[%d] = %+v: %q", i, c, i, cells[i], spec)
+			}
+		}
+		if n := len(cells); n > 0 && g.Cell(n-1) != cells[n-1] {
+			t.Fatalf("Cell(%d) = %+v, want the last cell %+v: %q", n-1, g.Cell(n-1), cells[n-1], spec)
+		}
 		_ = strings.TrimSpace(spec)
 	})
 }

@@ -191,6 +191,28 @@ func (g Grid) Cells() []Cell {
 	return out
 }
 
+// Cell returns cell i of the canonical enumeration, Cells()[i], without
+// expanding the grid: i is decoded as a mixed-radix number over the
+// axes, replicates innermost. It panics when i is out of range.
+func (g Grid) Cell(i int) Cell {
+	n := g.normalized()
+	if i < 0 || i >= n.Size() {
+		panic(fmt.Sprintf("batch: cell %d of a %d-cell grid", i, n.Size()))
+	}
+	c := Cell{Index: i, Engine: n.Engine, Par: n.Par}
+	c.Rep, i = i%n.Replicates, i/n.Replicates
+	c.Extra, i = n.Extras[i%len(n.Extras)], i/len(n.Extras)
+	c.TauDist, i = n.TauDists[i%len(n.TauDists)], i/len(n.TauDists)
+	c.Rho, i = n.Rhos[i%len(n.Rhos)], i/len(n.Rhos)
+	c.Boundary, i = n.Boundaries[i%len(n.Boundaries)], i/len(n.Boundaries)
+	c.P, i = n.Ps[i%len(n.Ps)], i/len(n.Ps)
+	c.Tau, i = n.Taus[i%len(n.Taus)], i/len(n.Taus)
+	c.W, i = n.Ws[i%len(n.Ws)], i/len(n.Ws)
+	c.N, i = n.Ns[i%len(n.Ns)], i/len(n.Ns)
+	c.Dynamic = n.Dynamics[i]
+	return c
+}
+
 // GroupKey identifies the parameter combination of a cell, ignoring
 // the replicate number. Cells with equal GroupKeys are replicates of
 // the same experiment point.

@@ -26,11 +26,13 @@ type CacheStats struct {
 }
 
 // ResultSet holds the metric vectors of a completed run, indexed by
-// cell in canonical grid order.
+// cell in canonical grid order. The cells themselves are not kept: they
+// are a pure function of Grid, so a render derives them once
+// (Grid.Cells) and At decodes one (Grid.Cell), and a retained result
+// costs only its values.
 type ResultSet struct {
 	Grid    Grid
 	Columns []string
-	Cells   []Cell
 	Values  [][]float64
 	// Cache reports how many cells were served from a cache versus
 	// computed. It never affects the result bytes.
@@ -38,10 +40,10 @@ type ResultSet struct {
 }
 
 // Len returns the number of cells.
-func (rs *ResultSet) Len() int { return len(rs.Cells) }
+func (rs *ResultSet) Len() int { return len(rs.Values) }
 
 // At returns cell i and its metric vector.
-func (rs *ResultSet) At(i int) (Cell, []float64) { return rs.Cells[i], rs.Values[i] }
+func (rs *ResultSet) At(i int) (Cell, []float64) { return rs.Grid.Cell(i), rs.Values[i] }
 
 // Group aggregates the replicates of one parameter combination.
 type Group struct {
@@ -81,7 +83,7 @@ func (rs *ResultSet) Groups() []Group {
 	var out []Group
 	var cur *Group
 	key := ""
-	for i, c := range rs.Cells {
+	for i, c := range rs.Grid.Cells() {
 		if cur == nil || c.GroupKey() != key {
 			out = append(out, Group{Cell: c})
 			cur = &out[len(out)-1]
@@ -180,7 +182,7 @@ func fullFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // Table renders every cell as one row (parameters then metrics).
 func (rs *ResultSet) Table(title string) *report.Table {
 	t := report.NewTable(title, append(rs.paramColumns(), rs.Columns...)...)
-	for i, c := range rs.Cells {
+	for i, c := range rs.Grid.Cells() {
 		row := rs.paramCells(c)
 		for _, v := range rs.Values[i] {
 			row = append(row, fullFloat(v))
@@ -198,7 +200,7 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	if err := cw.Write(append(rs.paramColumns(), rs.Columns...)); err != nil {
 		return fmt.Errorf("batch: %w", err)
 	}
-	for i, c := range rs.Cells {
+	for i, c := range rs.Grid.Cells() {
 		row := rs.paramCells(c)
 		for _, v := range rs.Values[i] {
 			row = append(row, fullFloat(v))
@@ -278,7 +280,7 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 		Results   []jsonResult `json:"results"`
 	}{ExtraName: rs.Grid.ExtraName, Columns: rs.Columns}
 	scenario := rs.Grid.sweepsScenario()
-	for i, c := range rs.Cells {
+	for i, c := range rs.Grid.Cells() {
 		jr := jsonResult{
 			Index: c.Index, Dynamic: c.Dynamic, N: c.N, W: c.W,
 			Tau: c.Tau, P: c.P, Extra: c.Extra, Rep: c.Rep,

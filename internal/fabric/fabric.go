@@ -12,16 +12,20 @@
 //
 //   - Table: the coordinator's in-memory lease table. Cells are
 //     pending, leased (with a TTL refreshed by heartbeats), or done;
-//     an expired lease silently requeues the cell.
+//     an expired lease silently requeues the cell. The table sizes
+//     every grant itself by factoring: a share of the remaining cells
+//     that shrinks as the run drains, so few round trips carry the bulk
+//     of a grid and its tail still spreads over every worker.
 //   - Coordinator: the HTTP face of the table — POST lease/heartbeat/
 //     complete plus a status endpoint. A lease is a long poll: with no
 //     cell available the request is held until a run registers cells
 //     or a lease expires, so an idle worker starts on a new grid the
 //     moment it arrives.
-//   - Worker: the client loop — lease a cell, probe the shared store,
-//     compute on a miss, report completion with the values, heartbeat
-//     while computing. The coordinator, not the worker, fills the
-//     store from each completion.
+//   - Worker: the client loop — lease a batch of cells, probe the
+//     shared store for each, compute on a miss, and report the batch's
+//     completions with their values in one post, heartbeating every
+//     held lease in one post while it computes. The coordinator, not
+//     the worker, fills the store from each completion.
 //   - ChaosTransport: a seeded fault-injecting http.RoundTripper used
 //     by the chaos tests to prove the above survives timeouts, 5xx,
 //     and torn connections.
@@ -54,47 +58,77 @@ type Job struct {
 	Cell batch.Cell `json:"cell"`
 }
 
-// LeaseGrant is the coordinator's answer to a lease request: a job,
-// the lease token that must accompany heartbeats and completion, and
-// the TTL within which the worker must renew.
+// LeaseGrant is one cell of the coordinator's answer to a lease
+// request: a job, the lease token that must accompany heartbeats and
+// completion, and the TTL within which the worker must renew.
 type LeaseGrant struct {
 	Job      Job    `json:"job"`
 	Lease    uint64 `json:"lease"`
 	TTLMilli int64  `json:"ttl_ms"`
 }
 
+// LeaseRef names one held lease: the cell and the token it was granted
+// under. Heartbeats list the refs a worker holds, and the answer lists
+// the ones it lost.
+type LeaseRef struct {
+	Run   string `json:"run"`
+	Index int    `json:"index"`
+	Lease uint64 `json:"lease"`
+}
+
+// ref returns the grant's lease reference.
+func (g LeaseGrant) ref() LeaseRef {
+	return LeaseRef{Run: g.Job.Run, Index: g.Job.Index, Lease: g.Lease}
+}
+
+// maxGrant caps the cells of one grant. A worker reports a grant's
+// cells in one completion body, and at this cap that body stays a few
+// hundred kilobytes even with every error message at maxErrorBytes,
+// well under maxBodyBytes.
+const maxGrant = 128
+
+// maxErrorBytes bounds the error text a worker reports for one cell.
+const maxErrorBytes = 1024
+
 // leaseRequest, heartbeatRequest, and completeRequest are the wire
 // bodies of the three protocol posts.
 type leaseRequest struct {
 	Worker string `json:"worker"`
-	// Max asks for up to k cells in one round trip (batched leasing).
-	// Omitted or <= 1 keeps the original single-grant response shape;
-	// > 1 switches the 200 response to leaseBatchResponse.
-	Max int `json:"max,omitempty"`
 	// WaitMs makes the request a long poll: with no cell available the
 	// coordinator holds it up to this many milliseconds (capped) for
 	// one to appear. Omitted or <= 0 answers 204 at once.
 	WaitMs int64 `json:"wait_ms,omitempty"`
 }
 
-// leaseBatchResponse is the 200 body of a batched lease request
-// (Max > 1): up to Max grants, each carrying its own lease token and
-// TTL. Heartbeats and completions stay per cell.
-type leaseBatchResponse struct {
+// leaseResponse is the 200 body of a lease request: the grant the
+// coordinator sized (see Table.LeaseWait), each cell with its own lease
+// token and TTL.
+type leaseResponse struct {
 	Grants []LeaseGrant `json:"grants"`
 }
 
+// heartbeatRequest renews every lease a worker holds in one post; the
+// answer, heartbeatResponse, lists the leases that are no longer the
+// worker's.
 type heartbeatRequest struct {
-	Run   string `json:"run"`
-	Index int    `json:"index"`
-	Lease uint64 `json:"lease"`
+	Worker string     `json:"worker"`
+	Leases []LeaseRef `json:"leases"`
 }
 
+type heartbeatResponse struct {
+	Lost []LeaseRef `json:"lost"`
+}
+
+// completeRequest reports a worker's finished cells in one post. Each
+// entry is applied on its own, exactly like a single completion.
 type completeRequest struct {
-	Run    string `json:"run"`
-	Index  int    `json:"index"`
-	Lease  uint64 `json:"lease"`
-	Worker string `json:"worker"`
+	Worker string       `json:"worker"`
+	Cells  []completion `json:"cells"`
+}
+
+// completion is one finished cell of a completeRequest.
+type completion struct {
+	LeaseRef
 	// Cached reports that the worker served the cell from the shared
 	// store instead of computing it.
 	Cached bool `json:"cached,omitempty"`

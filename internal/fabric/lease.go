@@ -94,6 +94,10 @@ type Table struct {
 	// records or store reconciliation) instead of recomputed.
 	recoveredRuns  int
 	recoveredCells int
+	// active records each worker's last lease request, heartbeat or
+	// completion; the workers seen within the last TTL are the W of
+	// the grant-sizing rule (see grantSizeLocked).
+	active map[string]time.Time
 }
 
 // TableRecorder receives the table's durable state transitions —
@@ -136,6 +140,10 @@ type tableRun struct {
 	expiry    []time.Time
 	granted   []time.Time
 	remaining int
+	// pending counts the cells in statePending: never granted and not
+	// yet completed. It is the R of the grant-sizing rule, together
+	// with the run's expired leases.
+	pending int
 	// next is the lease cursor. Pending cells are granted in position
 	// order and never return to pending, so every position before next
 	// is leased or done. Positions from next on are pending or done: a
@@ -162,7 +170,7 @@ func NewTable(ttl time.Duration, clock Clock) *Table {
 		clock = time.Now
 	}
 	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{},
-		wake: make(chan struct{}), closed: make(chan struct{})}
+		active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
 }
 
 // TTL returns the lease TTL.
@@ -186,6 +194,7 @@ func (t *Table) Register(runID string, jobs []Job, onDone func(CellDone)) (<-cha
 		expiry:    make([]time.Time, len(jobs)),
 		granted:   make([]time.Time, len(jobs)),
 		remaining: len(jobs),
+		pending:   len(jobs),
 		onDone:    onDone,
 		done:      make(chan struct{}),
 		byIndex:   make(map[int]int, len(jobs)),
@@ -249,31 +258,30 @@ func (t *Table) Lease(worker string) (LeaseGrant, bool) {
 	return grants[0], true
 }
 
-// LeaseBatch grants up to max available cells to worker in one call —
-// the batched form of Lease, cutting per-cell round trips on grids
-// whose cells are cheaper than an HTTP exchange. Heartbeats and
-// completions stay per cell; an empty slice means no work was
-// available. Cells are granted oldest run first and, within a run, in
-// position order.
-func (t *Table) LeaseBatch(worker string, max int) []LeaseGrant {
+// LeaseBatch grants up to n available cells to worker in one call,
+// a grant of a fixed size rather than the sized one of LeaseWait; an
+// empty slice means no work was available. Cells are granted oldest run
+// first and, within a run, in position order. An n below 1 means 1.
+func (t *Table) LeaseBatch(worker string, n int) []LeaseGrant {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.leaseLocked(worker, max)
+	return t.leaseLocked(worker, max(n, 1))
 }
 
-// LeaseWait is LeaseBatch as a long poll: when no cell is available it
-// holds the request until Register adds cells, the earliest lease
-// expires (so the expired cell is re-granted at once), wait elapses,
-// ctx is canceled, or the table is closed, and returns what it could
-// grant by then. A wait <= 0 answers at once.
+// LeaseWait is the coordinator's lease: it grants worker a batch of
+// cells sized by the table (see grantSizeLocked), and as a long poll,
+// when no cell is available, holds the request until Register adds
+// cells, the earliest lease expires (so the expired cell is re-granted
+// at once), wait elapses, ctx is canceled, or the table is closed, and
+// returns what it could grant by then. A wait <= 0 answers at once.
 // Every call is observed in fabric_lease_wait_seconds.
-func (t *Table) LeaseWait(ctx context.Context, worker string, max int, wait time.Duration) []LeaseGrant {
+func (t *Table) LeaseWait(ctx context.Context, worker string, wait time.Duration) []LeaseGrant {
 	start := time.Now()
 	defer func() { metricLeaseWaitSeconds.Observe(time.Since(start).Seconds()) }()
 	var hold <-chan time.Time
 	for {
 		t.mu.Lock()
-		grants := t.leaseLocked(worker, max)
+		grants := t.leaseLocked(worker, 0)
 		wake, next, now := t.wake, t.nextExpiry, t.now()
 		t.mu.Unlock()
 		if len(grants) > 0 || wait <= 0 {
@@ -313,17 +321,17 @@ func (t *Table) LeaseWait(ctx context.Context, worker string, max int, wait time
 	}
 }
 
-// leaseLocked is LeaseBatch's body; t.mu must be held. Each run serves
-// its pending cells from its cursor, skipping cells completed ahead of
-// it, so a grant costs O(runs) amortized, not O(cells). Only when nextExpiry has passed are the runs' leased cells
-// scanned: an expired one is re-granted ahead of the run's pending
-// cells, the position order of a full scan, and the scan continues
-// past max to recompute nextExpiry.
-func (t *Table) leaseLocked(worker string, max int) []LeaseGrant {
-	if max < 1 {
-		max = 1
-	}
+// leaseLocked grants worker up to size cells, or, with size 0, as many
+// as grantSizeLocked allows for the first run with a cell available;
+// t.mu must be held. Each run serves its pending cells from its cursor,
+// skipping cells completed ahead of it, so a grant costs O(runs)
+// amortized, not O(cells). Only when nextExpiry has passed are the
+// runs' leased cells scanned: an expired one is re-granted ahead of the
+// run's pending cells, the position order of a full scan, and the scan
+// continues past a full grant to recompute nextExpiry.
+func (t *Table) leaseLocked(worker string, size int) []LeaseGrant {
 	now := t.now()
+	t.active[worker] = now
 	due := !t.nextExpiry.IsZero() && !now.Before(t.nextExpiry)
 	if due {
 		t.nextExpiry = time.Time{}
@@ -331,31 +339,66 @@ func (t *Table) leaseLocked(worker string, max int) []LeaseGrant {
 	var out []LeaseGrant
 	for _, id := range t.order {
 		r := t.runs[id]
+		var expired []int
 		if due {
 			for i := 0; i < r.next; i++ {
 				if r.state[i] != stateLeased {
 					continue
 				}
-				if len(out) < max && !r.expiry[i].After(now) {
-					t.requeues++
-					metricLeaseRequeues.Inc()
-					out = t.grantLocked(out, id, r, i, worker, now)
+				if r.expiry[i].After(now) {
+					t.noteExpiry(r.expiry[i])
 					continue
 				}
-				t.noteExpiry(r.expiry[i])
+				expired = append(expired, i)
 			}
 		}
-		for len(out) < max && r.next < len(r.jobs) {
+		if size == 0 && len(expired)+r.pending > 0 {
+			size = t.grantSizeLocked(len(expired)+r.pending, now)
+		}
+		for _, i := range expired {
+			if len(out) == size {
+				t.noteExpiry(r.expiry[i])
+				continue
+			}
+			t.requeues++
+			metricLeaseRequeues.Inc()
+			out = t.grantLocked(out, id, r, i, worker, now)
+		}
+		for len(out) < size && r.next < len(r.jobs) {
 			if r.state[r.next] == statePending {
+				r.pending--
 				out = t.grantLocked(out, id, r, r.next, worker, now)
 			}
 			r.next++
 		}
-		if len(out) == max && !due {
+		if size > 0 && len(out) == size && !due {
 			break
 		}
 	}
 	return out
+}
+
+// grantSizeLocked is the table's grant-sizing rule, factoring
+// (Hummel, Schonberg and Flynn): a grant takes ceil(R/2W) of a run's R
+// available cells, where W is the number of workers that asked for a
+// lease, heartbeated or completed within the last TTL (at least 1). A
+// grant holds at least one cell and at most maxGrant. Each worker's
+// first grants carry the bulk of a run in a few round trips, and the
+// grants shrink as the run drains, down to single cells at its tail, so
+// the last cells still spread over every worker instead of waiting
+// behind one worker's long batch. Workers not seen within the TTL are
+// forgotten here.
+func (t *Table) grantSizeLocked(avail int, now time.Time) int {
+	w := 0
+	for name, seen := range t.active {
+		if now.Sub(seen) >= t.ttl {
+			delete(t.active, name)
+			continue
+		}
+		w++
+	}
+	w = max(w, 1)
+	return min(max((avail+2*w-1)/(2*w), 1), maxGrant)
 }
 
 // grantLocked leases run r's cell i to worker and appends the grant.
@@ -391,6 +434,25 @@ func (t *Table) noteExpiry(e time.Time) {
 func (t *Table) Heartbeat(runID string, index int, lease uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.heartbeatLocked(runID, index, lease)
+}
+
+// Renew is the batched Heartbeat: it renews every lease worker lists
+// and returns the ones that are no longer current, in list order.
+func (t *Table) Renew(worker string, leases []LeaseRef) (lost []LeaseRef) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.active[worker] = t.now()
+	for _, l := range leases {
+		if !t.heartbeatLocked(l.Run, l.Index, l.Lease) {
+			lost = append(lost, l)
+		}
+	}
+	return lost
+}
+
+// heartbeatLocked is Heartbeat's body; t.mu must be held.
+func (t *Table) heartbeatLocked(runID string, index int, lease uint64) bool {
 	r, ok := t.runs[runID]
 	if !ok {
 		return false
@@ -418,6 +480,7 @@ func (t *Table) Heartbeat(runID string, index int, lease uint64) bool {
 func (t *Table) Complete(runID string, index int, lease uint64, worker string, cached bool, values []float64, errMsg string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.active[worker] = t.now()
 	r, ok := t.runs[runID]
 	if !ok {
 		return nil
@@ -447,6 +510,9 @@ func (t *Table) Complete(runID string, index int, lease uint64, worker string, c
 	t.completions++
 	t.completedBy[worker]++
 	metricCompletions.Inc()
+	if r.state[i] == statePending {
+		r.pending--
+	}
 	r.state[i] = stateDone
 	r.worker[i] = worker
 	r.remaining--

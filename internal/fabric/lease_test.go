@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -333,7 +334,7 @@ func TestCompleteValidates(t *testing.T) {
 
 // TestNaNValuesCrossTheWire pins the NaN<->null completion encoding.
 func TestNaNValuesCrossTheWire(t *testing.T) {
-	req := completeRequest{Values: encodeValues([]float64{1, math.NaN(), -2})}
+	req := completion{Values: encodeValues([]float64{1, math.NaN(), -2})}
 	data, err := req.Values[1].MarshalJSON()
 	if err != nil || string(data) != "null" {
 		t.Fatalf("NaN marshals to %s, %v", data, err)
@@ -429,4 +430,121 @@ func BenchmarkLeaseBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestLeaseGrantSizing pins the table's grant sizing (factoring): a
+// grant takes ceil(R/2W) of a run's R available cells, W being the
+// workers seen within the last TTL, at most maxGrant and at least one,
+// so a run drains in shrinking grants that end in single cells. An
+// expired lease is re-granted first, and a worker that went quiet for
+// a TTL no longer counts.
+func TestLeaseGrantSizing(t *testing.T) {
+	const cells = 300
+	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
+	for _, workers := range []int{2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			clock := newFakeClock()
+			tab := NewTable(10*time.Second, clock.now)
+			names := make([]string, workers)
+			for w := range names {
+				names[w] = fmt.Sprintf("w%d", w)
+				// An idle lease request makes the worker known.
+				if g := tab.LeaseWait(context.Background(), names[w], 0); len(g) != 0 {
+					t.Fatalf("empty table granted %d cells", len(g))
+				}
+			}
+			if _, err := tab.Register("r", mkJobs(cells), nil); err != nil {
+				t.Fatal(err)
+			}
+			var sizes []int
+			seen := map[int]bool{}
+			for left, k := cells, 0; left > 0; k++ {
+				grants := tab.LeaseWait(context.Background(), names[k%workers], 0)
+				if want := min(ceilDiv(left, 2*workers), maxGrant); len(grants) != want {
+					t.Fatalf("grant %d with %d cells left: %d cells, want ceil(%d/%d) = %d", k, left, len(grants), left, 2*workers, want)
+				}
+				for _, g := range grants {
+					if seen[g.Job.Index] {
+						t.Fatalf("cell %d granted twice", g.Job.Index)
+					}
+					seen[g.Job.Index] = true
+				}
+				sizes = append(sizes, len(grants))
+				left -= len(grants)
+			}
+			if workers == 2 && fmt.Sprint(sizes[:3]) != "[75 57 42]" {
+				t.Fatalf("first grants %v, want [75 57 42]", sizes[:3])
+			}
+			// The run's last cells go out one at a time, one round per
+			// worker at least.
+			for _, n := range sizes[len(sizes)-workers:] {
+				if n != 1 {
+					t.Fatalf("tail grants %v, want single cells", sizes[len(sizes)-workers:])
+				}
+			}
+			if g := tab.LeaseWait(context.Background(), names[0], 0); len(g) != 0 {
+				t.Fatalf("drained run granted %d more cells", len(g))
+			}
+			t.Logf("%d workers: %d grants %v", workers, len(sizes), sizes)
+		})
+	}
+
+	t.Run("cap", func(t *testing.T) {
+		tab := NewTable(10*time.Second, newFakeClock().now)
+		if _, err := tab.Register("r", mkJobs(10*maxGrant), nil); err != nil {
+			t.Fatal(err)
+		}
+		if g := tab.LeaseWait(context.Background(), "solo", 0); len(g) != maxGrant {
+			t.Fatalf("one worker on %d cells got %d, want the cap %d", 10*maxGrant, len(g), maxGrant)
+		}
+	})
+
+	t.Run("expiry", func(t *testing.T) {
+		clock := newFakeClock()
+		tab := NewTable(10*time.Second, clock.now)
+		for _, w := range []string{"a", "b", "c"} {
+			tab.LeaseWait(context.Background(), w, 0)
+		}
+		if _, err := tab.Register("r", mkJobs(cells), nil); err != nil {
+			t.Fatal(err)
+		}
+		held := map[string][]LeaseRef{}
+		for _, w := range []string{"a", "b", "c"} {
+			for _, g := range tab.LeaseWait(context.Background(), w, 0) {
+				held[w] = append(held[w], g.ref())
+			}
+		}
+		if n := []int{len(held["a"]), len(held["b"]), len(held["c"])}; fmt.Sprint(n) != "[50 42 35]" {
+			t.Fatalf("grants %v, want [50 42 35]", n)
+		}
+		// b and c renew their leases; a goes quiet, so its leases lapse
+		// and it stops counting as a worker.
+		clock.advance(8 * time.Second)
+		for _, w := range []string{"b", "c"} {
+			if lost := tab.Renew(w, held[w]); len(lost) != 0 {
+				t.Fatalf("%s lost %d live leases", w, len(lost))
+			}
+		}
+		clock.advance(3 * time.Second)
+		grants := tab.LeaseWait(context.Background(), "b", 0)
+		// R = 50 expired + 173 pending, W = 2 (b and c).
+		if want := ceilDiv(50+173, 4); len(grants) != want {
+			t.Fatalf("grant after expiry: %d cells, want %d", len(grants), want)
+		}
+		for i, g := range grants {
+			want := i // a's cells 0..49 first, then the pending cells from 127
+			if i >= 50 {
+				want = 127 + i - 50
+			}
+			if g.Job.Index != want {
+				t.Fatalf("grant position %d is cell %d, want %d (expired leases first)", i, g.Job.Index, want)
+			}
+		}
+		if n := tab.Requeues(); n != 50 {
+			t.Fatalf("requeues = %d, want 50", n)
+		}
+		if lost := tab.Renew("a", held["a"]); len(lost) != 50 {
+			t.Fatalf("a renewed its re-granted leases: %d of 50 lost", len(lost))
+		}
+	})
 }

@@ -105,7 +105,7 @@ func TestLeaseWaitRegrantsExpiredLease(t *testing.T) {
 		t.Fatal("no lease for alice")
 	}
 	start := time.Now()
-	grants := tab.LeaseWait(context.Background(), "bob", 1, 5*time.Second)
+	grants := tab.LeaseWait(context.Background(), "bob", 5*time.Second)
 	d := time.Since(start)
 	if len(grants) != 1 || grants[0].Job.Index != 0 || grants[0].Lease == first.Lease {
 		t.Fatalf("held request got %+v, want cell 0 re-granted", grants)
@@ -126,7 +126,7 @@ func TestLeaseWaitReleasedByCancelAndClose(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	if g := tab.LeaseWait(ctx, "w", 1, 5*time.Second); len(g) != 0 {
+	if g := tab.LeaseWait(ctx, "w", 5*time.Second); len(g) != 0 {
 		t.Fatalf("empty table granted %+v", g)
 	}
 	if d := time.Since(start); d > 2*time.Second {
@@ -135,14 +135,14 @@ func TestLeaseWaitReleasedByCancelAndClose(t *testing.T) {
 
 	time.AfterFunc(50*time.Millisecond, tab.Close)
 	start = time.Now()
-	if g := tab.LeaseWait(context.Background(), "w", 1, 5*time.Second); len(g) != 0 {
+	if g := tab.LeaseWait(context.Background(), "w", 5*time.Second); len(g) != 0 {
 		t.Fatalf("empty table granted %+v", g)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("hold outlived Close by %v", d)
 	}
 	start = time.Now()
-	tab.LeaseWait(context.Background(), "w", 1, 5*time.Second)
+	tab.LeaseWait(context.Background(), "w", 5*time.Second)
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("request after Close was held %v", d)
 	}

@@ -55,9 +55,11 @@ func TestLeaseBatchGrantsUpToMax(t *testing.T) {
 	}
 }
 
-// TestWorkerBatchedLeaseLoop runs the full protocol with LeaseMax > 1:
-// the worker leases cells several at a round trip, heartbeats every
-// held grant, and the run completes exactly once per cell.
+// TestWorkerBatchedLeaseLoop runs the full protocol with
+// coordinator-sized batches: the worker leases cells several at a round
+// trip, renews every held lease in one heartbeat and reports finished
+// cells in list-shaped completions, and the run completes exactly once
+// per cell.
 func TestWorkerBatchedLeaseLoop(t *testing.T) {
 	const cells = 12
 	coord := NewCoordinator(400*time.Millisecond, nil)
@@ -81,7 +83,6 @@ func TestWorkerBatchedLeaseLoop(t *testing.T) {
 		Coordinator: srv.URL,
 		Client:      srv.Client(),
 		Store:       store.NewMemory(),
-		LeaseMax:    4,
 		Poll:        10 * time.Millisecond,
 		Runner: func(j Job) ([]float64, error) {
 			// Longer than TTL/3: every held grant in the batch depends on
@@ -239,10 +240,10 @@ func TestWorkerRidesOutCoordinatorRestart(t *testing.T) {
 	if err := hs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The outage must outlast the worker's complete-retry window
-	// (6 backoffs capped at 200ms), so the worker abandons its in-flight
-	// completion, returns to the lease loop, and registers the outage
-	// there before the coordinator comes back.
+	// The outage outlasts the worker's batch, so the batch's completion
+	// post fails, the worker keeps the completions, and its next contact
+	// fails too: the loop registers the outage and backs off until the
+	// coordinator comes back.
 	time.Sleep(1200 * time.Millisecond)
 
 	// Rebind the same address (retry: the kernel may briefly hold it)

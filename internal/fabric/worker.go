@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -17,15 +18,18 @@ import (
 	"gridseg/internal/store"
 )
 
-// Worker is the compute side of the fabric: a loop that leases cells
-// from a coordinator, serves them from the shared store when possible,
-// computes them otherwise, and reports completion. The worker never
-// writes the store: the completion carries the values, and the
-// coordinator fills its store from it.
+// Worker is the compute side of the fabric: a loop that leases batches
+// of cells from a coordinator (the coordinator sizes each batch),
+// serves each cell from the shared store when possible, computes it
+// otherwise, and reports the batch's completions in one post at its
+// end and on every heartbeat tick. The worker never writes the store:
+// the completions carry the values, and the coordinator fills its
+// store from them.
 //
-// The loop is deliberately stateless between cells — a worker can die
-// at any point without corrupting anything. Die before completion and
-// the lease expires and the cell requeues to a worker that computes it
+// The only state a worker keeps between batches is the completions
+// the coordinator has not acknowledged yet, and a worker can die at
+// any point without corrupting anything. Die before reporting and the
+// leases expire and the cells requeue to a worker that computes them
 // again, to the same bytes.
 //
 // The loop also outlives the coordinator: every HTTP call carries a
@@ -33,9 +37,11 @@ import (
 // coordinator can never hang the worker, and lease failures back off
 // exponentially with jitter (BackoffBase..BackoffMax) until the
 // coordinator is reachable again — a coordinator restart needs no
-// operator intervention on the worker side. Outage entries and
-// recoveries are counted in fabric_worker_outages_total and
-// fabric_worker_reconnects_total.
+// operator intervention on the worker side. Completions a failed post
+// could not deliver are kept and sent again before the next lease:
+// completion is idempotent, so a resent cell that did land is a no-op.
+// Outage entries and recoveries are counted in
+// fabric_worker_outages_total and fabric_worker_reconnects_total.
 type Worker struct {
 	// Name identifies the worker in leases and SSE events.
 	Name string
@@ -70,10 +76,6 @@ type Worker struct {
 	// zero means 100ms base and 5s cap.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// LeaseMax asks the coordinator for up to k cells per lease round
-	// trip (batched leasing; heartbeats and completions stay per
-	// cell). Values < 2 lease one cell at a time.
-	LeaseMax int
 	// Token, when non-empty, is sent as an "Authorization: Bearer"
 	// header on every fabric call, matching the coordinator's -token.
 	Token string
@@ -89,13 +91,11 @@ type Worker struct {
 	// coordinator restart does not stampede in lockstep. Seeded from
 	// the worker name; only touched from the Run goroutine.
 	jitter *rng.Source
+	// unsent holds the finished cells the coordinator has not
+	// acknowledged, in finishing order.
+	unsentMu sync.Mutex
+	unsent   []completion
 }
-
-// completeRetries bounds how often a worker retries posting one
-// completion before abandoning the cell to lease expiry. With the
-// default backoff shape the retries span several seconds, enough to
-// ride out a coordinator restart.
-const completeRetries = 6
 
 // Run executes the lease loop until ctx is canceled, returning
 // ctx.Err(). Transport errors never abort the loop — a worker outlives
@@ -112,7 +112,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		asked := time.Now()
-		grants, err := w.lease(ctx, poll)
+		grants, err := w.contact(ctx, poll)
 		if err != nil {
 			if failures == 0 {
 				metricWorkerOutages.Inc()
@@ -166,48 +166,45 @@ func (w *Worker) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(w.jitter.Float64()*float64(d/2))
 }
 
-// leaseKey identifies one held grant; a batch can span runs, so the
-// cell index alone is not unique.
-type leaseKey struct {
-	run   string
-	index int
-}
-
-// heldLeases is the set of grants a worker currently holds, shared
-// between the batch's compute loop and its heartbeat goroutine.
+// heldLeases is the set of leases a worker holds for the cells of its
+// batch that are not finished yet, shared between the batch's compute
+// loop and its heartbeat goroutine.
 type heldLeases struct {
 	mu     sync.Mutex
-	grants map[leaseKey]LeaseGrant
+	leases map[LeaseRef]struct{}
 }
 
 func newHeldLeases(grants []LeaseGrant) *heldLeases {
-	h := &heldLeases{grants: make(map[leaseKey]LeaseGrant, len(grants))}
+	h := &heldLeases{leases: make(map[LeaseRef]struct{}, len(grants))}
 	for _, g := range grants {
-		h.grants[leaseKey{g.Job.Run, g.Job.Index}] = g
+		h.leases[g.ref()] = struct{}{}
 	}
 	return h
 }
 
-func (h *heldLeases) remove(g LeaseGrant) {
+func (h *heldLeases) remove(l LeaseRef) {
 	h.mu.Lock()
-	delete(h.grants, leaseKey{g.Job.Run, g.Job.Index})
+	delete(h.leases, l)
 	h.mu.Unlock()
 }
 
-func (h *heldLeases) snapshot() []LeaseGrant {
+func (h *heldLeases) snapshot() []LeaseRef {
 	h.mu.Lock()
-	out := make([]LeaseGrant, 0, len(h.grants))
-	for _, g := range h.grants {
-		out = append(out, g)
+	out := make([]LeaseRef, 0, len(h.leases))
+	for l := range h.leases {
+		out = append(out, l)
 	}
 	h.mu.Unlock()
 	return out
 }
 
-// workBatch handles one lease batch end to end: a single heartbeat
-// goroutine renews every still-held grant while the cells are computed
-// in order. A worker killed mid-batch stops heartbeating everything,
-// and all its unfinished leases expire and requeue.
+// workBatch handles one lease batch end to end: the cells are computed
+// in order while a heartbeat goroutine renews the leases of the
+// unfinished ones and reports the finished ones on every tick, and the
+// rest are reported when the batch ends. A worker killed mid-batch
+// stops heartbeating everything, and all its unreported cells' leases
+// expire and requeue. Completions whose post fails stay queued for the
+// next contact (see Run).
 func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 	held := newHeldLeases(grants)
 	hbCtx, stopHB := context.WithCancel(ctx)
@@ -220,23 +217,28 @@ func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 		if ctx.Err() != nil {
 			break
 		}
-		w.workCell(ctx, g)
-		held.remove(g)
+		if c, ok := w.workCell(ctx, g); ok {
+			w.queue(c)
+		}
+		held.remove(g.ref())
 	}
 	stopHB()
 	<-hbDone
+	if err := w.flush(ctx); err != nil {
+		w.log("complete failed, kept for the next contact", "err", err)
+	}
 }
 
-// workCell handles one granted lease: store probe, compute,
-// completion. The completion carries the values, and the coordinator
-// fills the store from it; heartbeats are the batch's job, not the
-// cell's.
-func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) {
+// workCell handles one granted lease: store probe, then compute on a
+// miss. It returns the cell's completion, or false when the worker was
+// stopped mid-cell.
+func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) (completion, bool) {
 	job := grant.Job
+	c := completion{LeaseRef: grant.ref()}
 	if w.Store != nil {
 		if v, ok, err := w.Store.Get(job.Key); err == nil && ok && len(v) == len(job.Columns) {
-			w.complete(ctx, grant, v, true, "")
-			return
+			c.Cached, c.Values = true, encodeValues(v)
+			return c, true
 		}
 	}
 	values, err := w.Runner(job)
@@ -244,24 +246,35 @@ func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) {
 		// Killed mid-cell: abandon without completing. Even if the
 		// runner returned a value, reporting it now would race our own
 		// shutdown; the lease expiry path covers the cell.
-		return
+		return c, false
 	}
 	if err != nil {
-		w.complete(ctx, grant, nil, false, err.Error())
-		return
+		c.Error = err.Error()
+		if len(c.Error) > maxErrorBytes {
+			c.Error = c.Error[:maxErrorBytes]
+		}
+		return c, true
 	}
-	w.complete(ctx, grant, values, false, "")
+	c.Values = encodeValues(values)
+	return c, true
 }
 
-// lease asks the coordinator for up to LeaseMax cells, letting it hold
-// the request up to wait for one to appear. A nil slice with nil error
+// contact is the worker's turn at the coordinator between batches: it
+// first delivers the completions an earlier post failed to deliver,
+// then asks for a lease. A delivery failure fails the contact, so the
+// loop backs off through an outage before it leases anything new.
+func (w *Worker) contact(ctx context.Context, wait time.Duration) ([]LeaseGrant, error) {
+	if err := w.flush(ctx); err != nil {
+		return nil, err
+	}
+	return w.lease(ctx, wait)
+}
+
+// lease asks the coordinator for a batch of cells, letting it hold the
+// request up to wait for one to appear. A nil slice with nil error
 // means no work became available.
 func (w *Worker) lease(ctx context.Context, wait time.Duration) ([]LeaseGrant, error) {
-	max := w.LeaseMax
-	if max < 1 {
-		max = 1
-	}
-	status, body, err := w.post(ctx, "/lease", leaseRequest{Worker: w.Name, Max: max, WaitMs: wait.Milliseconds()}, wait)
+	status, body, err := w.post(ctx, "/lease", leaseRequest{Worker: w.Name, WaitMs: wait.Milliseconds()}, wait)
 	if err != nil {
 		return nil, err
 	}
@@ -272,26 +285,20 @@ func (w *Worker) lease(ctx context.Context, wait time.Duration) ([]LeaseGrant, e
 	default:
 		return nil, fmt.Errorf("lease: %s", respError(status, body))
 	}
-	if max > 1 {
-		var batch leaseBatchResponse
-		if err := json.Unmarshal(body, &batch); err != nil {
-			return nil, fmt.Errorf("lease: %w", err)
-		}
-		return batch.Grants, nil
-	}
-	var grant LeaseGrant
-	if err := json.Unmarshal(body, &grant); err != nil {
+	var resp leaseResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, fmt.Errorf("lease: %w", err)
 	}
-	return []LeaseGrant{grant}, nil
+	return resp.Grants, nil
 }
 
-// heartbeats renews every held lease at a third of the TTL until
-// stopped. A 409 means that lease was requeued; its renewal stops but
-// the computation continues — the completion will still be accepted
-// idempotently. Transport failures are logged and retried on the next
-// tick; the per-request deadline keeps a dead coordinator from
-// hanging the goroutine.
+// heartbeats ticks at a third of the TTL until stopped. Each tick
+// reports the cells finished since the last one and then renews every
+// held lease in one post. A lease the answer lists as lost was
+// requeued; its renewal stops but the computation continues — the
+// completion will still be accepted idempotently. Transport failures
+// are logged and retried on the next tick; the per-request deadline
+// keeps a dead coordinator from hanging the goroutine.
 func (w *Worker) heartbeats(ctx context.Context, ttlMilli int64, held *heldLeases) {
 	interval := time.Duration(ttlMilli) * time.Millisecond / 3
 	if interval <= 0 {
@@ -301,54 +308,70 @@ func (w *Worker) heartbeats(ctx context.Context, ttlMilli int64, held *heldLease
 		if !sleep(ctx, interval) {
 			return
 		}
-		for _, g := range held.snapshot() {
-			status, _, err := w.post(ctx, "/heartbeat", heartbeatRequest{Run: g.Job.Run, Index: g.Job.Index, Lease: g.Lease}, 0)
-			if err != nil {
-				w.log("heartbeat failed", "run", g.Job.Run, "cell", g.Job.Index, "err", err)
-				continue
-			}
-			if status == http.StatusConflict {
-				w.log("lease lost", "run", g.Job.Run, "cell", g.Job.Index)
-				held.remove(g)
-			}
+		if err := w.flush(ctx); err != nil {
+			w.log("complete failed, kept for the next tick", "err", err)
+		}
+		leases := held.snapshot()
+		if len(leases) == 0 {
+			continue
+		}
+		status, body, err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, Leases: leases}, 0)
+		if err == nil && status != http.StatusOK {
+			err = errors.New(respError(status, body))
+		}
+		var resp heartbeatResponse
+		if err == nil {
+			err = json.Unmarshal(body, &resp)
+		}
+		if err != nil {
+			w.log("heartbeat failed", "leases", len(leases), "err", err)
+			continue
+		}
+		for _, l := range resp.Lost {
+			w.log("lease lost", "run", l.Run, "cell", l.Index)
+			held.remove(l)
 		}
 	}
 }
 
-// complete reports a finished cell, retrying with backoff through
-// transport faults: the coordinator's Complete is idempotent, so a
-// torn connection whose request actually landed is safely resent, and
-// the backoff window is wide enough to span a coordinator restart.
-func (w *Worker) complete(ctx context.Context, grant LeaseGrant, values []float64, cached bool, errMsg string) {
-	req := completeRequest{
-		Run:    grant.Job.Run,
-		Index:  grant.Job.Index,
-		Lease:  grant.Lease,
-		Worker: w.Name,
-		Cached: cached,
-		Values: encodeValues(values),
-		Error:  errMsg,
+// queue adds a finished cell to the completions awaiting delivery.
+func (w *Worker) queue(c completion) {
+	w.unsentMu.Lock()
+	w.unsent = append(w.unsent, c)
+	w.unsentMu.Unlock()
+}
+
+// flush posts every queued completion in one list-shaped complete. A
+// transport failure or a 5xx keeps them queued, ahead of any queued
+// since, for the next flush: the coordinator's Complete is idempotent,
+// so a torn post whose request actually landed is safely resent. A 4xx
+// is final — those entries were malformed or the worker is not
+// authorized, and sending them again cannot change the answer; every
+// valid entry of the post was applied — so they are dropped, and their
+// cells requeue when the leases expire.
+func (w *Worker) flush(ctx context.Context) error {
+	w.unsentMu.Lock()
+	cells := w.unsent
+	w.unsent = nil
+	w.unsentMu.Unlock()
+	if len(cells) == 0 {
+		return nil
 	}
-	for attempt := 1; attempt <= completeRetries; attempt++ {
-		status, body, err := w.post(ctx, "/complete", req, 0)
-		if err == nil {
-			if status == http.StatusNoContent || status == http.StatusOK {
-				if errMsg == "" {
-					w.log("cell complete", "run", grant.Job.Run, "cell", grant.Job.Index, "cached", cached)
-				}
-				return
-			}
-			w.log("complete rejected", "run", grant.Job.Run, "cell", grant.Job.Index, "status", status, "body", respError(status, body))
-		} else {
-			w.log("complete failed", "run", grant.Job.Run, "cell", grant.Job.Index, "err", err)
-		}
-		if !sleep(ctx, w.backoff(attempt)) {
-			return
-		}
+	status, body, err := w.post(ctx, "/complete", completeRequest{Worker: w.Name, Cells: cells}, 0)
+	switch {
+	case err == nil && status < 300:
+		w.log("cells complete", "cells", len(cells))
+		return nil
+	case err == nil && status < 500:
+		w.log("complete rejected", "cells", len(cells), "status", status, "body", respError(status, body))
+		return nil
+	case err == nil:
+		err = errors.New(respError(status, body))
 	}
-	// Abandoned: the lease expires and the cell requeues, and the
-	// next worker recomputes the same bytes.
-	w.log("complete abandoned", "run", grant.Job.Run, "cell", grant.Job.Index, "attempts", completeRetries)
+	w.unsentMu.Lock()
+	w.unsent = append(cells, w.unsent...)
+	w.unsentMu.Unlock()
+	return fmt.Errorf("complete: %w", err)
 }
 
 // post sends one JSON protocol request under the per-request deadline,

@@ -3,8 +3,10 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,5 +137,105 @@ func TestWorkerReportsDeterministicError(t *testing.T) {
 	}
 	if got.count() != 1 || got.cells[0].Err != "bad cell" {
 		t.Fatalf("got %+v", got.cells)
+	}
+}
+
+// TestWorkerResendsWithheldCompletions pins the completion outbox: a
+// worker whose completion posts fail keeps the finished cells and
+// sends them again, instead of abandoning them to lease expiry and a
+// recomputation. The coordinator's /complete is down for a while; its
+// first refused post is torn (applied, but the answer lost), the rest
+// are turned away. Once it recovers, every cell lands exactly once and
+// none was computed twice.
+func TestWorkerResendsWithheldCompletions(t *testing.T) {
+	const cells = 6
+	outagesBefore := metricWorkerOutages.Value()
+	reconnectsBefore := metricWorkerReconnects.Value()
+	coord := NewCoordinator(time.Minute, nil)
+	h := coord.Handler()
+	var outage atomic.Bool
+	outage.Store(true)
+	var refused atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/complete" && outage.Load() {
+			if refused.Add(1) == 1 {
+				h.ServeHTTP(httptest.NewRecorder(), r) // torn: applied, answer lost
+			}
+			http.Error(w, "coordinator restarting", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	var got collector
+	done, err := coord.Table().Register("run", mkJobs(cells), got.add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	computed := map[int]int{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{
+		Name:        "keeper",
+		Coordinator: srv.URL,
+		Client:      srv.Client(),
+		Poll:        10 * time.Millisecond,
+		BackoffBase: 5 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+		Runner: func(j Job) ([]float64, error) {
+			mu.Lock()
+			computed[j.Index]++
+			mu.Unlock()
+			return []float64{float64(j.Index), 0}, nil
+		},
+		Logf: t.Logf,
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Run(ctx)
+	}()
+	defer wg.Wait()
+	defer cancel()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for refused.Load() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never retried its withheld completions")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// While its completions are withheld the worker leases nothing new.
+	if runs, _ := coord.Table().Status(); len(runs) != 1 || runs[0].Pending == 0 {
+		t.Fatalf("worker leased past its undelivered batch: %+v", runs)
+	}
+	outage.Store(false)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not complete after the outage")
+	}
+	cancel()
+	wg.Wait()
+
+	seen := map[int]int{}
+	for _, d := range got.cells {
+		seen[d.Index]++
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < cells; i++ {
+		if seen[i] != 1 || computed[i] != 1 {
+			t.Fatalf("cell %d reported %d times and computed %d times, want once each", i, seen[i], computed[i])
+		}
+	}
+	if delta := metricWorkerOutages.Value() - outagesBefore; delta < 1 {
+		t.Fatalf("fabric_worker_outages_total advanced by %d, want >= 1", delta)
+	}
+	if delta := metricWorkerReconnects.Value() - reconnectsBefore; delta < 1 {
+		t.Fatalf("fabric_worker_reconnects_total advanced by %d, want >= 1", delta)
 	}
 }

@@ -37,7 +37,14 @@ type job struct {
 	res    *gridseg.GridResult
 	cache  gridseg.CacheStats
 	events []sseEvent
-	subs   map[chan sseEvent]struct{}
+	// A terminal run's log, compacted by trimEventsLocked in place of
+	// events: the payloads back to back in logData, event i's ending at
+	// logEnds[i]. Every event but the last is a cell event; the last is
+	// the terminal one, of type logFinal.
+	logData  []byte
+	logEnds  []int32
+	logFinal string
+	subs     map[chan sseEvent]struct{}
 }
 
 // sseEvent is one Server-Sent Event: a type label and a JSON payload.
@@ -210,14 +217,40 @@ func (j *job) broadcastLocked(e sseEvent) {
 	}
 }
 
-// trimEventsLocked copies a terminal run's event log into an
-// exact-length slice, dropping the append headroom (up to ~40% of a
-// finished log) that every retained run would otherwise keep until
-// eviction; j.mu must be held. A terminal run logs no more events.
+// trimEventsLocked compacts a terminal run's event log for the time
+// the registry retains the run: the payloads go back to back into one
+// buffer and the events become their end offsets, 4 bytes each instead
+// of a 40-byte sseEvent and an allocation per payload; j.mu must be
+// held. A terminal run logs no more events: its log is cell events
+// followed by the one terminal event.
 func (j *job) trimEventsLocked() {
-	events := make([]sseEvent, len(j.events))
-	copy(events, j.events)
-	j.events = events
+	size := 0
+	for _, e := range j.events {
+		size += len(e.Data)
+	}
+	j.logData = make([]byte, 0, size)
+	j.logEnds = make([]int32, len(j.events))
+	for i, e := range j.events {
+		j.logData = append(j.logData, e.Data...)
+		j.logEnds[i] = int32(len(j.logData))
+	}
+	j.logFinal = j.events[len(j.events)-1].Type
+	j.events = nil
+}
+
+// historyLocked returns a copy of the event log; j.mu must be held.
+func (j *job) historyLocked() []sseEvent {
+	if j.logEnds == nil {
+		return append([]sseEvent(nil), j.events...)
+	}
+	history := make([]sseEvent, len(j.logEnds))
+	start := int32(0)
+	for i, end := range j.logEnds {
+		history[i] = sseEvent{Type: "cell", Data: j.logData[start:end:end]}
+		start = end
+	}
+	history[len(history)-1].Type = j.logFinal
+	return history
 }
 
 // subscribe returns the event history so far and, unless the run is
@@ -226,8 +259,7 @@ func (j *job) trimEventsLocked() {
 func (j *job) subscribe() ([]sseEvent, chan sseEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history := make([]sseEvent, len(j.events))
-	copy(history, j.events)
+	history := j.historyLocked()
 	if j.state == StateDone || j.state == StateFailed {
 		return history, nil
 	}

@@ -32,9 +32,9 @@
 // fabric workers and serving the shared store over HTTP, with two
 // extra endpoint groups:
 //
-//	POST /fabric/lease       worker requests a cell lease (held up to wait_ms; 204 when no work)
-//	POST /fabric/heartbeat   renew a held lease (409 once the lease is lost)
-//	POST /fabric/complete    report a finished cell (idempotent)
+//	POST /fabric/lease       worker requests work: a batch of cell leases the coordinator sizes (held up to wait_ms; 204 when no work)
+//	POST /fabric/heartbeat   renew every held lease; the answer lists the lost ones
+//	POST /fabric/complete    report finished cells, one list per post (idempotent per cell)
 //	GET  /fabric/status      lease-table snapshot and cumulative requeues
 //	GET  /objects/{key}      fetch one cell result by store key (404 on miss)
 //	PUT  /objects/{key}      store one cell result (atomic, key-checked)
