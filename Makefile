@@ -25,11 +25,15 @@ race-stress:
 # Distributed-fabric gate: the lease-protocol unit tests (fake clock,
 # grant sizing by factoring included), the worker loop with its batched
 # heartbeats and completions (withheld completions resent exactly once
-# after an outage included), the retained-run heap bound, the journal
-# replay/compaction edge cases, and the chaos e2es — the worker-kill sweep (coordinator + three workers with
-# seeded fault injection, two killed mid-run) and the coordinator-kill
-# restart (journaled coordinator killed mid-sweep and rebooted against
-# the same journal and store, with recovery-metrics assertions) — all
+# after an outage included, a key two runs share computed once), the
+# retained-run heap bound, the journal's replay/compaction edge cases
+# (old per-cell journals included) and its two lines per finished run,
+# store healing of damaged objects, and the chaos e2es — the
+# worker-kill sweep (coordinator + three workers with seeded fault
+# injection, two killed mid-run) and the coordinator-kill restart
+# (journaled coordinator killed mid-sweep and rebooted against the
+# same journal and store, its cells recovered from the store alone,
+# with recovery-metrics assertions) — all
 # under the race detector, then a segload smoke against an in-process
 # server as a closed-loop client sanity check.
 cluster-test:
@@ -48,9 +52,11 @@ obscheck:
 # oracle, the packed segregation kernels against their scalar forms,
 # the fast engines' word-at-a-time construction against the per-site
 # classification loop, the fabric coordinator's lease, heartbeat and
-# complete handlers against untrusted (list-shaped) bodies, and the
-# store's object endpoint against untrusted keys and bodies (the
-# CI-sized budget; raise -fuzztime locally for deeper exploration).
+# complete handlers against untrusted (list-shaped) bodies, the
+# store's object endpoint against untrusted keys and bodies, and the
+# metrics text parser against untrusted scrapes and the registry's own
+# expositions (the CI-sized budget; raise -fuzztime locally for deeper
+# exploration).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime 30s ./internal/batch/
 	go test -run '^$$' -fuzz FuzzUnmarshalBinary -fuzztime 30s ./internal/grid/
@@ -59,6 +65,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzEngineBuild -fuzztime 30s ./internal/dynamics/fastglauber/
 	go test -run '^$$' -fuzz FuzzCoordinatorHandler -fuzztime 30s ./internal/fabric/
 	go test -run '^$$' -fuzz FuzzObjectHandler -fuzztime 30s ./internal/store/
+	go test -run '^$$' -fuzz FuzzParseText -fuzztime 30s ./internal/metrics/
 
 # Record the benchmark trajectory (flip throughput on both engines —
 # default path, every scenario axis, and the Kawasaki and Move

@@ -10,10 +10,10 @@
 //	curl localhost:8080/grids/<id>/artifact.csv  # final artifact
 //
 // segd also scales out: a coordinator decomposes grids into
-// content-addressed cells and leases them to worker processes, which
-// probe the coordinator's store through its object endpoint and report
-// computed cells back for the coordinator to store. Results
-// are byte-identical to a single process, whatever the cluster does.
+// content-addressed cells and leases the ones its store lacks to worker
+// processes, which compute them and report the values back for the
+// coordinator to store. Results are byte-identical to a single
+// process, whatever the cluster does.
 //
 //	segd -role coordinator -addr :8080 -store segstore/
 //	segd -role worker -peer http://coordinator:8080
@@ -39,7 +39,6 @@ import (
 	"gridseg/internal/fabric"
 	"gridseg/internal/metrics"
 	"gridseg/internal/server"
-	"gridseg/internal/store"
 )
 
 // config holds the parsed command-line options.
@@ -73,7 +72,7 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.StringVar(&c.peer, "peer", "", "coordinator base URL a worker attaches to, e.g. http://host:8080 (worker role)")
 	fs.StringVar(&c.name, "name", "", "worker name reported in leases and SSE events (worker role; default host-pid)")
 	fs.DurationVar(&c.leaseTTL, "lease-ttl", fabric.DefaultTTL, "how long a leased cell may go unrenewed before it is requeued to another worker (coordinator role)")
-	fs.StringVar(&c.journal, "journal", "", "crash-recovery journal file for the coordinator's lease table (coordinator role; empty = <store>/fabric.journal, \"off\" disables); a restarted coordinator replays it and resumes every unfinished run")
+	fs.StringVar(&c.journal, "journal", "", "crash-recovery journal of the coordinator's unfinished runs (coordinator role; empty = <store>/fabric.journal, \"off\" disables); a restarted coordinator replays it and resumes every unfinished run, recomputing only the cells its store lacks")
 	fs.StringVar(&c.token, "token", "", "shared secret gating the /fabric/ and /objects/ endpoints (coordinator role: required of callers when set; worker role: sent as a bearer token)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json (log/slog)")
 	fs.Int64Var(&c.liveEvery, "live-every", 0, "flips between live trajectory frames on /grids/{id}/live (0 = the server default); sampling only runs while someone is subscribed")
@@ -131,8 +130,9 @@ func serve(cfg *config) {
 		LiveEvery:  cfg.liveEvery,
 	}
 	// Coordinators journal beside the store by default, so a crashed or
-	// restarted coordinator resumes its registered runs with zero lost
-	// (or recomputed) cells. -journal names another file; "off" opts out.
+	// restarted coordinator resumes its registered runs, losing no cell
+	// whose store fill landed. -journal names another file; "off" opts
+	// out.
 	var journal *fabric.Journal
 	if cfg.role == "coordinator" && cfg.journal != "off" {
 		path := cfg.journal
@@ -192,11 +192,10 @@ func serve(cfg *config) {
 }
 
 // work runs the worker loop against the coordinator at -peer: lease a
-// batch of cells (the coordinator sizes it), probe the coordinator's
-// object store for each, compute on a miss, and report the batch's
-// completions with their values (the coordinator fills its store from
-// them). Killing a worker at any point is safe — its leases expire and
-// requeue.
+// batch of cells (the coordinator sizes it), compute each, and report
+// the batch's completions with their values (the coordinator fills its
+// store from them). Killing a worker at any point is safe — its leases
+// expire and requeue.
 func work(cfg *config) {
 	if cfg.peer == "" {
 		log.Fatal("worker role requires -peer (coordinator base URL)")
@@ -212,15 +211,15 @@ func work(cfg *config) {
 	w := &fabric.Worker{
 		Name:        name,
 		Coordinator: cfg.peer + "/fabric",
-		Store:       store.NewRemoteWith(cfg.peer+"/objects", store.RemoteOptions{Token: cfg.token}),
 		Runner:      gridseg.ComputeJob,
 		Token:       cfg.token,
 		Logger:      newLogger(cfg),
 	}
 
 	// Workers expose /metrics and /healthz on -addr like the serving
-	// roles, so one scrape config covers the whole fleet (store and
-	// compute counters live process-side, not on the coordinator).
+	// roles, so one scrape config covers the whole fleet (compute and
+	// worker resilience counters live process-side, not on the
+	// coordinator).
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", metrics.Default().Handler())
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {

@@ -21,11 +21,16 @@
 //     cell available the request is held until a run registers cells
 //     or a lease expires, so an idle worker starts on a new grid the
 //     moment it arrives.
-//   - Worker: the client loop — lease a batch of cells, probe the
-//     shared store for each, compute on a miss, and report the batch's
-//     completions with their values in one post, heartbeating every
-//     held lease in one post while it computes. The coordinator, not
-//     the worker, fills the store from each completion.
+//   - Worker: the client loop — lease a batch of cells, compute each,
+//     and report the batch's completions with their values in one
+//     post, heartbeating every held lease in one post while it
+//     computes. The coordinator, not the worker, fills the store from
+//     each completion, and the table completes every other registered
+//     run's cell with the same key in the same call.
+//   - Journal: the coordinator's durable set of unfinished runs. The
+//     store is the only per-cell state; a restarted coordinator
+//     re-registers each unfinished run and leases the cells its store
+//     lacks.
 //   - ChaosTransport: a seeded fault-injecting http.RoundTripper used
 //     by the chaos tests to prove the above survives timeouts, 5xx,
 //     and torn connections.
@@ -129,8 +134,9 @@ type completeRequest struct {
 // completion is one finished cell of a completeRequest.
 type completion struct {
 	LeaseRef
-	// Cached reports that the worker served the cell from the shared
-	// store instead of computing it.
+	// Cached reports that the worker served the cell from a store
+	// instead of computing it. Current workers always compute; the
+	// field is still accepted from older ones.
 	Cached bool `json:"cached,omitempty"`
 	// Values is the metric vector; NaN crosses the wire as null,
 	// mirroring the store's object encoding. Empty when Error is set.

@@ -30,7 +30,7 @@ var (
 		[]float64{0.001, 0.01, 0.05, 0.2, 1, 5, 30})
 	metricRecoveredCells = metrics.Default().NewCounter(
 		"fabric_recovered_cells_total",
-		"Cells absorbed as already done during coordinator restart recovery (journal replay + store reconciliation) instead of recomputed.")
+		"Cells of runs resumed by coordinator restart recovery that were found in the store instead of recomputed.")
 )
 
 // Worker-side resilience instruments. These live process-side: in a

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +20,16 @@ func openTestJournal(t *testing.T, path string) *Journal {
 	return j
 }
 
+// journalLines returns the journal file's lines.
+func journalLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
 // TestJournalColdStart covers the empty-journal boot: a fresh (or
 // absent) file replays to zero runs and accepts appends.
 func TestJournalColdStart(t *testing.T) {
@@ -37,46 +46,25 @@ func TestJournalColdStart(t *testing.T) {
 	}
 }
 
-// TestJournalRoundTrip writes a run's full transition history and
-// checks a reopened journal rebuilds exactly the recoverable state:
-// done cells with their values (NaN included), leases reverted.
+// TestJournalRoundTrip checks a reopened journal rebuilds exactly the
+// registered runs, in registration order, with their identities.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.journal")
 	j := openTestJournal(t, path)
-	if err := j.Register("run-a", "spec-a", 42, 4); err != nil {
-		t.Fatalf("Register: %v", err)
+	want := []RecoveredRun{
+		{Run: "run-a", Spec: "spec-a", Seed: 42, Cells: 4},
+		{Run: "run-b", Spec: "spec-b", Seed: 0, Cells: 300},
 	}
-	j.RecordLease("run-a", 0, "w1")
-	j.RecordLease("run-a", 1, "w2")
-	j.RecordDone("run-a", 0, "w1", false, []float64{1.5, math.NaN()})
-	j.RecordDone("run-a", 2, "w2", true, []float64{3})
-	// Cell 1 stays leased: it must revert to pending on replay.
+	for _, r := range want {
+		if err := j.Register(r.Run, r.Spec, r.Seed, r.Cells); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	j2 := openTestJournal(t, path)
-	runs := j2.Runs()
-	if len(runs) != 1 {
-		t.Fatalf("recovered %d runs, want 1", len(runs))
-	}
-	r := runs[0]
-	if r.Run != "run-a" || r.Spec != "spec-a" || r.Seed != 42 || r.Cells != 4 {
-		t.Fatalf("recovered run = %+v", r)
-	}
-	if len(r.Done) != 2 {
-		t.Fatalf("recovered %d done cells, want 2: %+v", len(r.Done), r.Done)
-	}
-	d0 := r.Done[0]
-	if d0.Worker != "w1" || d0.Cached || len(d0.Values) != 2 || d0.Values[0] != 1.5 || !math.IsNaN(d0.Values[1]) {
-		t.Fatalf("done[0] = %+v", d0)
-	}
-	d2 := r.Done[2]
-	if d2.Worker != "w2" || !d2.Cached || len(d2.Values) != 1 || d2.Values[0] != 3 {
-		t.Fatalf("done[2] = %+v", d2)
-	}
-	if r.Leased != 1 {
-		t.Fatalf("recovered Leased = %d, want 1 (cell 1 was out on lease)", r.Leased)
+	if got := openTestJournal(t, path).Runs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
 	}
 }
 
@@ -90,8 +78,6 @@ func TestJournalFinishRetiresRun(t *testing.T) {
 			t.Fatalf("Register(%s): %v", id, err)
 		}
 	}
-	j.RecordDone("retire", 0, "w", false, []float64{1})
-	j.RecordDone("retire", 1, "w", false, []float64{2})
 	if err := j.Finish("retire"); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -114,13 +100,12 @@ func TestJournalTornFinalRecord(t *testing.T) {
 	if err := j.Register("r1", "spec", 1, 3); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	j.RecordDone("r1", 0, "w", false, []float64{1})
 	j.Close()
 
-	// Tear the tail: a done record cut mid-value, no newline. Even
+	// Tear the tail: a register record cut mid-value, no newline. Even
 	// though the fragment is parseable JSON prefix-wise, it must not be
 	// trusted.
-	torn := `{"t":"done","run":"r1","index":1,"worker":"w","values":[2`
+	torn := `{"t":"register","run":"r2","spec":"spec","seed":2`
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -132,23 +117,21 @@ func TestJournalTornFinalRecord(t *testing.T) {
 	before, _ := os.ReadFile(path)
 
 	j2 := openTestJournal(t, path)
-	runs := j2.Runs()
-	if len(runs) != 1 || len(runs[0].Done) != 1 {
-		t.Fatalf("after torn tail recovered %+v, want 1 run with 1 done cell", runs)
+	if runs := j2.Runs(); len(runs) != 1 || runs[0].Run != "r1" {
+		t.Fatalf("after torn tail recovered %+v, want only r1", runs)
 	}
 	after, _ := os.ReadFile(path)
 	if len(after) != len(before)-len(torn) {
 		t.Fatalf("torn tail not truncated: file %d bytes, want %d", len(after), len(before)-len(torn))
 	}
 	// The journal must keep working on the truncated file.
-	j2.RecordDone("r1", 2, "w", false, []float64{3})
-	j2.Close()
-	j3 := openTestJournal(t, path)
-	if runs := j3.Runs(); len(runs) != 1 || len(runs[0].Done) != 2 {
-		t.Fatalf("after post-truncation append recovered %+v, want 2 done cells", runs)
+	if err := j2.Register("r3", "spec", 3, 1); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := j3.Runs()[0].Done[1]; ok {
-		t.Fatal("torn record for cell 1 leaked into the replayed state")
+	j2.Close()
+	runs := openTestJournal(t, path).Runs()
+	if len(runs) != 2 || runs[0].Run != "r1" || runs[1].Run != "r3" {
+		t.Fatalf("after post-truncation append recovered %+v, want r1 and r3", runs)
 	}
 }
 
@@ -160,13 +143,8 @@ func TestJournalReplayIdempotency(t *testing.T) {
 	j := openTestJournal(t, path)
 	j.Register("a", "spec-a", 1, 3)
 	j.Register("b", "spec-b", 2, 2)
-	j.RecordLease("a", 0, "w1")
-	j.RecordDone("a", 0, "w1", false, []float64{1})
-	// Duplicate and conflicting records must fold away: a re-register,
-	// a second completion of a done cell, a lease of a done cell.
-	j.Register("a", "spec-a", 1, 3)
-	j.RecordDone("a", 0, "w9", true, []float64{99})
-	j.RecordLease("a", 0, "w9")
+	// A re-register must fold away: the first registration wins.
+	j.Register("a", "spec-other", 9, 9)
 	j.Finish("b")
 	j.Close()
 
@@ -179,9 +157,8 @@ func TestJournalReplayIdempotency(t *testing.T) {
 	if good1 != good2 || n1 != n2 || !reflect.DeepEqual(order1, order2) || !reflect.DeepEqual(runs1, runs2) {
 		t.Fatalf("replay not idempotent: (%d,%d,%v) vs (%d,%d,%v)", good1, n1, order1, good2, n2, order2)
 	}
-	a := runs1["a"]
-	if a == nil || len(a.done) != 1 || a.done[0].Worker != "w1" || len(a.leased) != 0 {
-		t.Fatalf("replayed run a = %+v; first completion must win and done cells must not re-lease", a)
+	if a := runs1["a"]; a.Spec != "spec-a" || a.Seed != 1 || a.Cells != 3 {
+		t.Fatalf("replayed run a = %+v; the first registration must win", a)
 	}
 	if _, ok := runs1["b"]; ok {
 		t.Fatal("finished run b survived replay")
@@ -196,37 +173,86 @@ func TestJournalMalformedInteriorLine(t *testing.T) {
 	lines := []string{
 		`{"t":"register","run":"a","spec":"s","seed":1,"cells":2}`,
 		`not json at all`,
-		`{"t":"done","run":"a","index":0,"worker":"w","values":[1]}`,
+		`{"t":"register","run":"b","spec":"s","seed":2,"cells":2}`,
 	}
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j := openTestJournal(t, path)
-	runs := j.Runs()
-	if len(runs) != 1 || len(runs[0].Done) != 0 {
-		t.Fatalf("recovered %+v, want run a with no done cells (replay stops at corruption)", runs)
+	if runs := j.Runs(); len(runs) != 1 || runs[0].Run != "a" {
+		t.Fatalf("recovered %+v, want only run a (replay stops at corruption)", runs)
 	}
 }
 
-// TestJournalCompaction exercises compaction racing live completions:
-// goroutines append done records while Compact rewrites the file, and
-// the reopened journal must hold every record regardless of which side
-// of the rewrite each append landed on.
+// TestJournalReplaysOldFormat reads a journal written when the journal
+// also carried per-cell "lease" and "done" records, ending in a torn
+// done record: it replays to the same unfinished runs as its register
+// and finish lines alone, and a compaction leaves one register line
+// per unfinished run.
+func TestJournalReplaysOldFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.journal")
+	old := strings.Join([]string{
+		`{"t":"register","run":"a","spec":"spec-a","seed":1,"cells":3}`,
+		`{"t":"lease","run":"a","index":0,"worker":"w1"}`,
+		`{"t":"done","run":"a","index":0,"worker":"w1","values":[1.5,null]}`,
+		`{"t":"register","run":"b","spec":"spec-b","seed":2,"cells":2}`,
+		`{"t":"lease","run":"b","index":1,"worker":"w2"}`,
+		`{"t":"done","run":"b","index":1,"worker":"w2","cached":true,"values":[3]}`,
+		`{"t":"register","run":"c","spec":"spec-c","seed":3,"cells":1}`,
+		`{"t":"done","run":"c","index":0,"worker":"w1","values":[4]}`,
+		`{"t":"finish","run":"c"}`,
+		`{"t":"lease","run":"a","index":1,"worker":"w2"}`,
+		`{"t":"done","run":"a","index":1,"worker":"w2","values":[2`,
+	}, "\n")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []RecoveredRun{
+		{Run: "a", Spec: "spec-a", Seed: 1, Cells: 3},
+		{Run: "b", Spec: "spec-b", Seed: 2, Cells: 2},
+	}
+	j := openTestJournal(t, path)
+	if got := j.Runs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old-format journal recovered %+v, want %+v", got, want)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	lines := journalLines(t, path)
+	if len(lines) != len(want) {
+		t.Fatalf("compacted journal holds %d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, `{"t":"register",`) {
+			t.Fatalf("compacted journal kept a non-register line: %s", l)
+		}
+	}
+	j.Close()
+	if got := openTestJournal(t, path).Runs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted journal recovered %+v, want %+v", got, want)
+	}
+}
+
+// TestJournalCompaction exercises compaction racing live appends:
+// goroutines register and finish runs while Compact rewrites the file,
+// and the reopened journal must hold exactly the unfinished runs
+// regardless of which side of the rewrite each append landed on.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.journal")
 	j := openTestJournal(t, path)
-	const cells = 64
-	if err := j.Register("live", "spec", 1, cells); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
+	const runs = 64
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g * (cells / 4); i < (g+1)*(cells/4); i++ {
-				j.RecordDone("live", i, fmt.Sprintf("w%d", g), false, []float64{float64(i)})
+			for i := g * (runs / 4); i < (g+1)*(runs/4); i++ {
+				id := fmt.Sprintf("run-%02d", i)
+				j.Register(id, "spec", uint64(i), 1)
+				if i%2 == 1 {
+					j.Finish(id)
+				}
 			}
 		}(g)
 	}
@@ -246,15 +272,16 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	j.Close()
 
-	j2 := openTestJournal(t, path)
-	runs := j2.Runs()
-	if len(runs) != 1 || len(runs[0].Done) != cells {
-		t.Fatalf("after compaction recovered %d runs / %d done cells, want 1 / %d", len(runs), len(runs[0].Done), cells)
+	got := map[string]uint64{}
+	for _, r := range openTestJournal(t, path).Runs() {
+		got[r.Run] = r.Seed
 	}
-	for i := 0; i < cells; i++ {
-		d, ok := runs[0].Done[i]
-		if !ok || len(d.Values) != 1 || d.Values[0] != float64(i) {
-			t.Fatalf("done[%d] = %+v, ok=%v", i, d, ok)
+	if len(got) != runs/2 {
+		t.Fatalf("after compaction recovered %d runs, want %d", len(got), runs/2)
+	}
+	for i := 0; i < runs; i += 2 {
+		if seed, ok := got[fmt.Sprintf("run-%02d", i)]; !ok || seed != uint64(i) {
+			t.Fatalf("run-%02d recovered as seed %d, ok=%v", i, seed, ok)
 		}
 	}
 }
@@ -268,31 +295,24 @@ func TestJournalAutoCompaction(t *testing.T) {
 	if err := j.Register("keeper", "spec", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	j.RecordDone("keeper", 0, "w", false, []float64{1})
 	for n := 0; n < 50; n++ {
 		id := fmt.Sprintf("churn-%d", n)
 		if err := j.Register(id, "spec", 1, 4); err != nil {
 			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			j.RecordDone(id, i, "w", false, []float64{float64(i)})
 		}
 		if err := j.Finish(id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	j.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 50 churned runs wrote ~300 records; the live state is 2. Compaction
-	// must have kept the file within the 2*live+16 trigger's reach.
-	if lines := strings.Count(string(data), "\n"); lines > 2*2+16 {
-		t.Fatalf("journal holds %d records after churn; auto-compaction failed", lines)
+	// 50 churned runs wrote 100 records; the live state is 1.
+	// Compaction must have kept the file within the 2*live+16 trigger's
+	// reach.
+	if lines := journalLines(t, path); len(lines) > 2*1+16 {
+		t.Fatalf("journal holds %d records after churn; auto-compaction failed", len(lines))
 	}
 	j2 := openTestJournal(t, path)
-	if runs := j2.Runs(); len(runs) != 1 || runs[0].Run != "keeper" || len(runs[0].Done) != 1 {
-		t.Fatalf("after churn recovered %+v, want only keeper with 1 done cell", runs)
+	if runs := j2.Runs(); len(runs) != 1 || runs[0].Run != "keeper" {
+		t.Fatalf("after churn recovered %+v, want only keeper", runs)
 	}
 }

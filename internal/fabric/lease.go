@@ -75,10 +75,10 @@ type Table struct {
 	// expiry only once it has passed; heartbeats and completions may
 	// leave it early, which costs one scan that finds nothing.
 	nextExpiry time.Time
-	// recorder, when set, receives lease grants and accepted
-	// completions under mu (see TableRecorder); the journal implements
-	// it for crash durability.
-	recorder TableRecorder
+	// keys indexes every registered cell that is not done by its
+	// Job.Key, so a computed completion also completes the same cell of
+	// every other registered run (see Complete).
+	keys map[string][]cellRef
 	// Observability aggregates, cumulative across runs (see
 	// TableMetrics). Guarded by mu like everything else; the protocol
 	// handlers already hold it at every increment site.
@@ -90,8 +90,8 @@ type Table struct {
 	leaseSum    float64 // seconds, grant -> accepted completion
 	leaseMax    float64
 	// Restart-recovery aggregates: runs re-registered from the journal
-	// on reboot, and their cells absorbed as done (from journal done
-	// records or store reconciliation) instead of recomputed.
+	// on reboot, and their cells found in the store instead of
+	// recomputed.
 	recoveredRuns  int
 	recoveredCells int
 	// active records each worker's last lease request, heartbeat or
@@ -100,28 +100,10 @@ type Table struct {
 	active map[string]time.Time
 }
 
-// TableRecorder receives the table's durable state transitions —
-// lease grants and accepted completions — synchronously under the
-// table lock, in the exact order they happened. *Journal implements
-// it; implementations must not call back into the Table.
-type TableRecorder interface {
-	RecordLease(run string, index int, worker string)
-	RecordDone(run string, index int, worker string, cached bool, values []float64)
-}
-
-// SetRecorder installs the transition recorder (nil disables). Call
-// before the table starts serving; the fabric does not re-deliver
-// transitions that happened earlier.
-func (t *Table) SetRecorder(r TableRecorder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recorder = r
-}
-
 // NoteRecovered adds to the restart-recovery aggregates surfaced in
 // TableMetrics and the fabric_recovered_cells_total counter: runs
-// re-registered from the journal, and cells absorbed as already done
-// during their re-registration scan.
+// re-registered from the journal, and cells their re-registration
+// scan found in the store.
 func (t *Table) NoteRecovered(runs, cells int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -160,6 +142,12 @@ type tableRun struct {
 	byIndex map[int]int
 }
 
+// cellRef names one registered cell: its run and its position there.
+type cellRef struct {
+	r *tableRun
+	i int
+}
+
 // NewTable builds a lease table. A zero ttl means DefaultTTL; a nil
 // clock means time.Now.
 func NewTable(ttl time.Duration, clock Clock) *Table {
@@ -169,8 +157,8 @@ func NewTable(ttl time.Duration, clock Clock) *Table {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{},
-		active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
+	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, keys: map[string][]cellRef{},
+		completedBy: map[string]int{}, active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
 }
 
 // TTL returns the lease TTL.
@@ -213,6 +201,9 @@ func (t *Table) Register(runID string, jobs []Job, onDone func(CellDone)) (<-cha
 	}
 	t.runs[runID] = r
 	t.order = append(t.order, runID)
+	for i := range r.jobs {
+		t.keys[r.jobs[i].Key] = append(t.keys[r.jobs[i].Key], cellRef{r, i})
+	}
 	close(t.wake)
 	t.wake = make(chan struct{})
 	return r.done, nil
@@ -235,8 +226,14 @@ func (t *Table) Cancel(runID string) {
 }
 
 func (t *Table) removeLocked(runID string) {
-	if _, ok := t.runs[runID]; !ok {
+	r, ok := t.runs[runID]
+	if !ok {
 		return
+	}
+	for i := 0; r.remaining > 0 && i < len(r.jobs); i++ {
+		if r.state[i] != stateDone {
+			t.unindexLocked(r, i)
+		}
 	}
 	delete(t.runs, runID)
 	for i, id := range t.order {
@@ -244,6 +241,23 @@ func (t *Table) removeLocked(runID string) {
 			t.order = append(t.order[:i], t.order[i+1:]...)
 			break
 		}
+	}
+}
+
+// unindexLocked drops run r's cell i from the key index.
+func (t *Table) unindexLocked(r *tableRun, i int) {
+	key := r.jobs[i].Key
+	refs := t.keys[key]
+	for k, ref := range refs {
+		if ref.r == r && ref.i == i {
+			refs = append(refs[:k], refs[k+1:]...)
+			break
+		}
+	}
+	if len(refs) == 0 {
+		delete(t.keys, key)
+	} else {
+		t.keys[key] = refs
 	}
 }
 
@@ -362,12 +376,12 @@ func (t *Table) leaseLocked(worker string, size int) []LeaseGrant {
 			}
 			t.requeues++
 			metricLeaseRequeues.Inc()
-			out = t.grantLocked(out, id, r, i, worker, now)
+			out = t.grantLocked(out, r, i, worker, now)
 		}
 		for len(out) < size && r.next < len(r.jobs) {
 			if r.state[r.next] == statePending {
 				r.pending--
-				out = t.grantLocked(out, id, r, r.next, worker, now)
+				out = t.grantLocked(out, r, r.next, worker, now)
 			}
 			r.next++
 		}
@@ -402,7 +416,7 @@ func (t *Table) grantSizeLocked(avail int, now time.Time) int {
 }
 
 // grantLocked leases run r's cell i to worker and appends the grant.
-func (t *Table) grantLocked(out []LeaseGrant, id string, r *tableRun, i int, worker string, now time.Time) []LeaseGrant {
+func (t *Table) grantLocked(out []LeaseGrant, r *tableRun, i int, worker string, now time.Time) []LeaseGrant {
 	t.seq++
 	t.grants++
 	metricLeaseGrants.Inc()
@@ -412,9 +426,6 @@ func (t *Table) grantLocked(out []LeaseGrant, id string, r *tableRun, i int, wor
 	r.expiry[i] = now.Add(t.ttl)
 	r.granted[i] = now
 	t.noteExpiry(r.expiry[i])
-	if t.recorder != nil {
-		t.recorder.RecordLease(id, r.jobs[i].Index, worker)
-	}
 	return append(out, LeaseGrant{Job: r.jobs[i], Lease: t.seq, TTLMilli: t.ttl.Milliseconds()})
 }
 
@@ -477,6 +488,11 @@ func (t *Table) heartbeatLocked(runID string, index int, lease uint64) bool {
 // carries exactly the bytes the replacement would produce. Only the
 // first completion fires the run's callback, so a cell is never
 // double-reported.
+//
+// A successful completion also completes every other registered run's
+// cell with the same Job.Key that is not done yet, as Cached with the
+// same values and worker: the same key is the same computation, so a
+// key two runs share is computed once.
 func (t *Table) Complete(runID string, index int, lease uint64, worker string, cached bool, values []float64, errMsg string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -510,25 +526,42 @@ func (t *Table) Complete(runID string, index int, lease uint64, worker string, c
 	t.completions++
 	t.completedBy[worker]++
 	metricCompletions.Inc()
+	t.unindexLocked(r, i)
+	t.doneLocked(runID, r, i, CellDone{Index: index, Values: values, Worker: worker, Cached: cached, Err: errMsg})
+	if errMsg != "" {
+		return nil
+	}
+	key := r.jobs[i].Key
+	refs := t.keys[key]
+	delete(t.keys, key)
+	for _, ref := range refs {
+		if ref.r == r {
+			t.keys[key] = append(t.keys[key], ref)
+			continue
+		}
+		j := ref.r.jobs[ref.i]
+		t.doneLocked(j.Run, ref.r, ref.i, CellDone{Index: j.Index, Values: values, Worker: worker, Cached: true})
+	}
+	return nil
+}
+
+// doneLocked moves run r's cell i to done and reports it, retiring the
+// run once its last cell is done; the cell must already be out of the
+// key index.
+func (t *Table) doneLocked(runID string, r *tableRun, i int, d CellDone) {
 	if r.state[i] == statePending {
 		r.pending--
 	}
 	r.state[i] = stateDone
-	r.worker[i] = worker
+	r.worker[i] = d.Worker
 	r.remaining--
-	if t.recorder != nil && errMsg == "" {
-		// Error completions are not journaled: a deterministic cell
-		// failure fails the run, which the server journals as a finish.
-		t.recorder.RecordDone(runID, index, worker, cached, values)
-	}
 	if r.onDone != nil {
-		r.onDone(CellDone{Index: index, Values: values, Worker: worker, Cached: cached, Err: errMsg})
+		r.onDone(d)
 	}
 	if r.remaining == 0 {
 		t.removeLocked(runID)
 		close(r.done)
 	}
-	return nil
 }
 
 // Requeues returns the cumulative number of expired-lease requeues
@@ -565,9 +598,8 @@ type TableMetrics struct {
 	LeaseSecondsSum   float64        `json:"lease_seconds_sum"`
 	LeaseSecondsMax   float64        `json:"lease_seconds_max"`
 	// RecoveredRuns and RecoveredCells surface coordinator restart
-	// recovery: runs re-registered from the lease journal on reboot,
-	// and their cells absorbed as done (journal replay plus store
-	// reconciliation) instead of recomputed.
+	// recovery: runs re-registered from the journal on reboot, and
+	// their cells found in the store instead of recomputed.
 	RecoveredRuns  int `json:"recovered_runs"`
 	RecoveredCells int `json:"recovered_cells"`
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gridseg/internal/store"
+	"gridseg/internal/testlog"
 )
 
 // The lease long poll: a lease request that finds no work is held
@@ -63,7 +64,7 @@ func TestLeaseWaitWakesWorkerOnRegister(t *testing.T) {
 		Client:      srv.Client(),
 		Poll:        5 * time.Second,
 		Runner:      func(j Job) ([]float64, error) { return []float64{float64(j.Index)}, nil },
-		Logf:        t.Logf,
+		Logger:      testlog.New(t),
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

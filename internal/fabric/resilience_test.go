@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridseg/internal/store"
+	"gridseg/internal/testlog"
 )
 
 // TestLeaseBatchGrantsUpToMax pins the batched-lease table semantics:
@@ -82,7 +83,6 @@ func TestWorkerBatchedLeaseLoop(t *testing.T) {
 		Name:        "batcher",
 		Coordinator: srv.URL,
 		Client:      srv.Client(),
-		Store:       store.NewMemory(),
 		Poll:        10 * time.Millisecond,
 		Runner: func(j Job) ([]float64, error) {
 			// Longer than TTL/3: every held grant in the batch depends on
@@ -90,7 +90,7 @@ func TestWorkerBatchedLeaseLoop(t *testing.T) {
 			time.Sleep(150 * time.Millisecond)
 			return []float64{float64(j.Index)}, nil
 		},
-		Logf: t.Logf,
+		Logger: testlog.New(t),
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -211,7 +211,6 @@ func TestWorkerRidesOutCoordinatorRestart(t *testing.T) {
 	w := &Worker{
 		Name:           "phoenix",
 		Coordinator:    "http://" + addr,
-		Store:          store.NewMemory(),
 		Poll:           10 * time.Millisecond,
 		RequestTimeout: 500 * time.Millisecond,
 		BackoffBase:    20 * time.Millisecond,
@@ -221,7 +220,7 @@ func TestWorkerRidesOutCoordinatorRestart(t *testing.T) {
 			time.Sleep(30 * time.Millisecond)
 			return []float64{float64(j.Index)}, nil
 		},
-		Logf: t.Logf,
+		Logger: testlog.New(t),
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -20,11 +20,11 @@ import (
 
 // Worker is the compute side of the fabric: a loop that leases batches
 // of cells from a coordinator (the coordinator sizes each batch),
-// serves each cell from the shared store when possible, computes it
-// otherwise, and reports the batch's completions in one post at its
-// end and on every heartbeat tick. The worker never writes the store:
-// the completions carry the values, and the coordinator fills its
-// store from them.
+// computes each cell, and reports the batch's completions in one post
+// at its end and on every heartbeat tick. The worker never touches the
+// store: the coordinator leases only cells its store lacked, the
+// completions carry the values, and the coordinator fills its store
+// from them.
 //
 // The only state a worker keeps between batches is the completions
 // the coordinator has not acknowledged yet, and a worker can die at
@@ -51,9 +51,9 @@ type Worker struct {
 	// Client is the HTTP client; nil means http.DefaultClient. The
 	// chaos tests inject faults through this client's transport.
 	Client *http.Client
-	// Store is the shared result store (usually a store.Remote over
-	// the coordinator's object endpoint), probed before computing a
-	// cell; the worker only reads it. Optional: nil disables the probe.
+	// Store is ignored: the worker computes every leased cell without
+	// probing a store. The field remains only for callers that still
+	// set it.
 	Store store.Backend
 	// Runner computes one cell. Required.
 	Runner func(Job) ([]float64, error)
@@ -80,12 +80,8 @@ type Worker struct {
 	// header on every fabric call, matching the coordinator's -token.
 	Token string
 	// Logger, when non-nil, receives structured progress and retry
-	// events (log/slog) tagged with the worker name and per-cell
-	// attrs. It takes precedence over Logf.
+	// events (log/slog) tagged with the worker name; nil discards them.
 	Logger *slog.Logger
-	// Logf receives progress and retry noise when Logger is nil; nil
-	// discards it. Kept for tests that want t.Logf plumbing.
-	Logf func(format string, args ...any)
 
 	// jitter randomizes backoff so a worker fleet released by a
 	// coordinator restart does not stampede in lockstep. Seeded from
@@ -229,19 +225,11 @@ func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 	}
 }
 
-// workCell handles one granted lease: store probe, then compute on a
-// miss. It returns the cell's completion, or false when the worker was
-// stopped mid-cell.
+// workCell computes one granted cell. It returns the cell's
+// completion, or false when the worker was stopped mid-cell.
 func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) (completion, bool) {
-	job := grant.Job
 	c := completion{LeaseRef: grant.ref()}
-	if w.Store != nil {
-		if v, ok, err := w.Store.Get(job.Key); err == nil && ok && len(v) == len(job.Columns) {
-			c.Cached, c.Values = true, encodeValues(v)
-			return c, true
-		}
-	}
-	values, err := w.Runner(job)
+	values, err := w.Runner(grant.Job)
 	if ctx.Err() != nil {
 		// Killed mid-cell: abandon without completing. Even if the
 		// runner returned a value, reporting it now would race our own
@@ -414,24 +402,12 @@ func (w *Worker) post(ctx context.Context, path string, body any, hold time.Dura
 	return resp.StatusCode, b, nil
 }
 
-// log emits one structured event. With a Logger it goes through
-// log/slog at Info with the worker name attached; otherwise the attrs
-// are rendered as k=v pairs through Logf so tests wiring t.Logf keep
-// readable output.
+// log emits one structured event through Logger, at Info with the
+// worker name attached.
 func (w *Worker) log(msg string, attrs ...any) {
 	if w.Logger != nil {
 		w.Logger.Info(msg, append([]any{slog.String("worker", w.Name)}, attrs...)...)
-		return
 	}
-	if w.Logf == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fabric worker %s: %s", w.Name, msg)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", attrs[i], attrs[i+1])
-	}
-	w.Logf("%s", b.String())
 }
 
 // respError summarizes a non-success protocol response.

@@ -11,100 +11,137 @@ import (
 	"time"
 
 	"gridseg/internal/store"
+	"gridseg/internal/testlog"
 )
 
+// countingStore is a store.Backend that counts every call to it.
+type countingStore struct{ calls atomic.Int64 }
+
+func (s *countingStore) Get(string) ([]float64, bool, error) {
+	s.calls.Add(1)
+	return nil, false, nil
+}
+
+func (s *countingStore) Put(string, []float64) error {
+	s.calls.Add(1)
+	return nil
+}
+
 // TestWorkerLoop runs the full protocol over real HTTP: a coordinator
-// with a short TTL, four workers whose runner outlives a heartbeat
-// interval (so renewal is load-bearing), and a shared store. Every
-// cell must complete exactly once, and the workers must only read the
-// store: filling it from the completions is the coordinator's job.
+// with a short TTL, a worker whose runner outlives a heartbeat interval
+// (so renewal is load-bearing), and two registered runs that share
+// half their keys. Every cell of both runs must complete exactly once,
+// each shared key must be computed once (the other run's cell
+// completes as cached), and the worker must not touch its Store: the
+// coordinator leases only cells its store lacks and fills the store
+// from the completions.
 func TestWorkerLoop(t *testing.T) {
-	const cells = 24
+	const cells, shift = 8, 4
 	coord := NewCoordinator(300*time.Millisecond, nil)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	jobs := make([]Job, cells)
-	for i := range jobs {
-		jobs[i] = Job{Index: i, Key: store.CellSpec{Scope: "wl", Rep: i}.Key(), Seed: uint64(i), Columns: []string{"a", "b"}}
-	}
-	shared := store.NewMemory()
-	// Pre-seed a few cells so the cache-probe path is exercised too.
-	for i := 0; i < 4; i++ {
-		if err := shared.Put(jobs[i].Key, []float64{float64(i), -1}); err != nil {
+	runs := map[string]int{"run-a": 0, "run-b": shift}
+	var got [2]collector
+	var dones []<-chan struct{}
+	for r, id := range []string{"run-a", "run-b"} {
+		jobs := make([]Job, cells)
+		for i := range jobs {
+			rep := runs[id] + i
+			jobs[i] = Job{Index: i, Key: store.CellSpec{Scope: "wl", Rep: rep}.Key(), Seed: uint64(rep), Columns: []string{"a", "b"}}
+		}
+		done, err := coord.Table().Register(id, jobs, got[r].add)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	var got collector
-	done, err := coord.Table().Register("run", jobs, got.add)
-	if err != nil {
-		t.Fatal(err)
+		dones = append(dones, done)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		w := &Worker{
-			Name:        fmt.Sprintf("w%d", i),
-			Coordinator: srv.URL,
-			Client:      srv.Client(),
-			Store:       shared,
-			Poll:        10 * time.Millisecond,
-			Runner: func(j Job) ([]float64, error) {
-				// Longer than TTL/3: completion depends on heartbeats.
-				time.Sleep(150 * time.Millisecond)
-				return []float64{float64(j.Index), -1}, nil
-			},
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx)
-		}()
+	var mu sync.Mutex
+	computed := map[string]int{}
+	st := &countingStore{}
+	w := &Worker{
+		Name:        "w0",
+		Coordinator: srv.URL,
+		Client:      srv.Client(),
+		Store:       st,
+		Poll:        10 * time.Millisecond,
+		Runner: func(j Job) ([]float64, error) {
+			mu.Lock()
+			computed[j.Key]++
+			mu.Unlock()
+			// Longer than TTL/3: completion depends on heartbeats.
+			time.Sleep(150 * time.Millisecond)
+			return []float64{float64(j.Seed), -1}, nil
+		},
 	}
-
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not complete")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Run(ctx)
+	}()
+	for _, done := range dones {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("run did not complete")
+		}
 	}
 	cancel()
 	wg.Wait()
 
-	if got.count() != cells {
-		t.Fatalf("reported %d cells, want %d", got.count(), cells)
+	cached := 0
+	for r, id := range []string{"run-a", "run-b"} {
+		if got[r].count() != cells {
+			t.Fatalf("%s reported %d cells, want %d", id, got[r].count(), cells)
+		}
+		seen := map[int]bool{}
+		for _, d := range got[r].cells {
+			if seen[d.Index] {
+				t.Fatalf("%s cell %d reported twice", id, d.Index)
+			}
+			seen[d.Index] = true
+			if d.Err != "" {
+				t.Fatalf("%s cell %d failed: %s", id, d.Index, d.Err)
+			}
+			if d.Values[0] != float64(runs[id]+d.Index) || d.Values[1] != -1 {
+				t.Fatalf("%s cell %d values = %v", id, d.Index, d.Values)
+			}
+			if d.Worker != "w0" {
+				t.Fatalf("%s cell %d attributed to %q, want w0", id, d.Index, d.Worker)
+			}
+			// A cell whose key the other run also holds is computed for
+			// whichever run leased it first and completes as cached in
+			// the other.
+			if shared := runs[id]+d.Index >= shift && runs[id]+d.Index < cells; d.Cached && !shared {
+				t.Fatalf("%s cell %d reported cached but its key is not shared", id, d.Index)
+			}
+			if d.Cached {
+				cached++
+			}
+		}
 	}
-	seen := map[int]bool{}
-	cachedHits := 0
-	for _, d := range got.cells {
-		if seen[d.Index] {
-			t.Fatalf("cell %d reported twice", d.Index)
-		}
-		seen[d.Index] = true
-		if d.Err != "" {
-			t.Fatalf("cell %d failed: %s", d.Index, d.Err)
-		}
-		if d.Values[0] != float64(d.Index) || d.Values[1] != -1 {
-			t.Fatalf("cell %d values = %v", d.Index, d.Values)
-		}
-		if d.Worker == "" {
-			t.Fatalf("cell %d missing worker attribution", d.Index)
-		}
-		if d.Cached {
-			cachedHits++
+	if cached != cells-shift {
+		t.Fatalf("%d cells completed as cached, want one per shared key (%d)", cached, cells-shift)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(computed) != cells+shift {
+		t.Fatalf("runner saw %d keys, want %d", len(computed), cells+shift)
+	}
+	for key, n := range computed {
+		if n != 1 {
+			t.Fatalf("key %s computed %d times, want once", key[:8], n)
 		}
 	}
-	if cachedHits < 4 {
-		t.Fatalf("cached completions = %d, want >= 4 (pre-seeded cells)", cachedHits)
-	}
-	// The workers wrote nothing: only the pre-seeded cells are stored.
-	if n := shared.Len(); n != 4 {
-		t.Fatalf("store holds %d cells after the run, want the 4 pre-seeded", n)
+	if n := st.calls.Load(); n != 0 {
+		t.Fatalf("worker called its store %d times, want 0", n)
 	}
 	if n, _ := coord.Table().Status(); len(n) != 0 {
-		t.Fatalf("completed run still registered: %+v", n)
+		t.Fatalf("completed runs still registered: %+v", n)
 	}
 }
 
@@ -190,7 +227,7 @@ func TestWorkerResendsWithheldCompletions(t *testing.T) {
 			mu.Unlock()
 			return []float64{float64(j.Index), 0}, nil
 		},
-		Logf: t.Logf,
+		Logger: testlog.New(t),
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

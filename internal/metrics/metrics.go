@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -100,6 +101,11 @@ func formatFloat(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
+
+// labelEscaper escapes a label value as the text format does: only
+// backslash, double quote and line feed, so ParseText reads back every
+// byte (Go's %q would escape more than the format unescapes).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func writeHeader(w io.Writer, name, help, typ string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
@@ -283,6 +289,6 @@ func (v *CounterVec) write(w io.Writer) {
 	}
 	v.mu.Unlock()
 	for i, val := range order {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, val, children[i].Value())
+		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, labelEscaper.Replace(val), children[i].Value())
 	}
 }

@@ -62,16 +62,12 @@ func parseSample(line string) (Sample, error) {
 	rest = rest[end:]
 	// Optional label block.
 	if strings.HasPrefix(rest, "{") {
-		close := strings.Index(rest, "}")
-		if close < 0 {
-			return s, fmt.Errorf("unterminated label block in %q", line)
-		}
-		labels, err := parseLabels(rest[1:close])
+		labels, tail, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, fmt.Errorf("%w in %q", err, line)
 		}
 		s.Labels = labels
-		rest = rest[close+1:]
+		rest = tail
 	}
 	fields := strings.Fields(rest)
 	// A trailing timestamp is legal in the exposition format; we accept
@@ -92,27 +88,35 @@ func parseValue(tok string) (float64, error) {
 	return strconv.ParseFloat(tok, 64)
 }
 
-func parseLabels(body string) (map[string]string, error) {
-	labels := map[string]string{}
-	for body != "" {
-		eq := strings.Index(body, "=")
+// parseLabels reads the label pairs of a label block up to its closing
+// brace, which counts only outside a quoted value, and returns the
+// text after the brace.
+func parseLabels(body string) (labels map[string]string, tail string, err error) {
+	labels = map[string]string{}
+	for {
+		body = strings.TrimSpace(body)
+		if strings.HasPrefix(body, "}") {
+			return labels, body[1:], nil
+		}
+		eq := strings.IndexByte(body, '=')
 		if eq <= 0 {
-			return nil, fmt.Errorf("malformed label pair")
+			return nil, "", fmt.Errorf("malformed label pair")
 		}
 		key := strings.TrimSpace(body[:eq])
+		if !validMetricName(key) {
+			return nil, "", fmt.Errorf("invalid label name %q", key)
+		}
 		rest := body[eq+1:]
 		if !strings.HasPrefix(rest, `"`) {
-			return nil, fmt.Errorf("unquoted label value")
+			return nil, "", fmt.Errorf("unquoted label value")
 		}
-		val, tail, err := unquoteLabel(rest)
+		val, after, err := unquoteLabel(rest)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		labels[key] = val
-		body = strings.TrimPrefix(strings.TrimSpace(tail), ",")
-		body = strings.TrimSpace(body)
+		body = strings.TrimPrefix(strings.TrimSpace(after), ",")
 	}
-	return labels, nil
 }
 
 // unquoteLabel consumes a leading double-quoted string (with \\, \",

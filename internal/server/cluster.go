@@ -37,30 +37,13 @@ func (s *Server) runCluster(j *job) {
 	done, hits, misses, recCells := 0, 0, 0, 0
 	for _, fj := range jobs {
 		byIndex[fj.Index] = fj
-		// A journaled done record is absorbed first: it survives even
-		// when the crash took the cell's write-behind store fill. The
-		// Put reconciles the store so the cell also serves future grids.
-		if d, ok := j.recovered[fj.Index]; ok && len(d.Values) == len(fj.Columns) {
-			values[fj.Index] = d.Values
-			done++
-			hits++
-			recCells++
-			if _, ok, err := s.store.Get(fj.Key); err == nil && !ok {
-				if err := s.store.Put(fj.Key, d.Values); err != nil {
-					s.logRun(j.id, "caching recovered cell failed", "cell", fj.Index, "err", err)
-				}
-			}
-			j.progress(clusterProgress(fj, done, len(jobs), true, d.Worker))
-			continue
-		}
 		if v, ok, err := s.store.Get(fj.Key); err == nil && ok && len(v) == len(fj.Columns) {
 			values[fj.Index] = v
 			done++
 			hits++
-			if j.recovered != nil {
-				// Store reconciliation: the completion's journal record was
-				// lost to the crash (batched fsync) but its write-behind
-				// store fill landed, so the cell is still not recomputed.
+			if j.recovered {
+				// Completed before the crash and filled: the store is the
+				// only per-cell record a restarted coordinator needs.
 				recCells++
 			}
 			j.progress(clusterProgress(fj, done, len(jobs), true, ""))
@@ -133,7 +116,7 @@ func (s *Server) runCluster(j *job) {
 	case stopped:
 		// Deliberately NOT journaled as finished: a clean shutdown and a
 		// crash look the same to the journal, so the next coordinator
-		// boot resumes this run from its journaled completions.
+		// boot resumes this run from the cells its store holds.
 		j.fail(fmt.Errorf("server shut down before the run completed"))
 	case runErr != nil:
 		s.failCluster(j, runErr)

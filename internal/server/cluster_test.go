@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"gridseg"
 	"gridseg/internal/fabric"
 	"gridseg/internal/store"
+	"gridseg/internal/testlog"
 )
 
 // clusterSpec is large enough that three workers genuinely interleave
@@ -25,7 +29,7 @@ const clusterSpec = "n=16 w=1 tau=0.4,0.42,0.44,0.46 reps=4"
 // newClusterServer starts a coordinator-mode Server behind httptest.
 func newClusterServer(t *testing.T, st gridseg.CellStore, ttl time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: ttl, Logf: t.Logf})
+	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: ttl, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +130,9 @@ func TestClusterChaos(t *testing.T) {
 			Name:        wk.name,
 			Coordinator: hs.URL + "/fabric",
 			Client:      client,
-			Store:       store.NewRemote(hs.URL+"/objects", client),
 			Runner:      wk.runner,
 			Poll:        20 * time.Millisecond,
-			Logf:        t.Logf,
+			Logger:      testlog.New(t),
 		}
 		wg.Add(1)
 		go func(ctx context.Context) {
@@ -293,7 +296,6 @@ func TestClusterWorkerErrorFailsRun(t *testing.T) {
 	w := &fabric.Worker{
 		Name:        "w-broken",
 		Coordinator: hs.URL + "/fabric",
-		Store:       store.NewRemote(hs.URL+"/objects", nil),
 		Runner:      func(j fabric.Job) ([]float64, error) { return nil, fmt.Errorf("synthetic cell failure") },
 		Poll:        10 * time.Millisecond,
 	}
@@ -344,7 +346,7 @@ func sseCellEvents(t *testing.T, url string) []cellEvent {
 // coordinator is holding for work answers 204 at shutdown instead of
 // keeping Shutdown waiting for its whole wait_ms.
 func TestClusterShutdownReleasesHeldLease(t *testing.T) {
-	s, err := New(Options{Store: gridseg.NewMemoryStore(), Cluster: true, Logf: t.Logf})
+	s, err := New(Options{Store: gridseg.NewMemoryStore(), Cluster: true, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +420,6 @@ func startClusterWorkers(t *testing.T, base string, n int) {
 		w := &fabric.Worker{
 			Name:        fmt.Sprintf("w%d", i),
 			Coordinator: base + "/fabric",
-			Store:       store.NewRemote(base+"/objects", nil),
 			Runner:      gridseg.ComputeJob,
 			Poll:        20 * time.Millisecond,
 		}
@@ -513,15 +514,10 @@ func TestClusterFillsStoreBeforeDone(t *testing.T) {
 // artifacts, and the failed fills are logged.
 func TestClusterFillFailureIsSoft(t *testing.T) {
 	const seed = 17
-	var mu sync.Mutex
-	var logs []string
+	var logs logLines
 	s, err := New(Options{
 		Store: failPutStore{gridseg.NewMemoryStore()}, Cluster: true, LeaseTTL: time.Second,
-		Logf: func(format string, args ...interface{}) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -545,15 +541,87 @@ func TestClusterFillFailureIsSoft(t *testing.T) {
 	if got, _ := fetch(t, hs.URL+"/grids/"+status.ID+"/artifact.json"); !bytes.Equal(got, wantJSON) {
 		t.Fatal("JSON differs from single-process run")
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	logs.mu.Lock()
+	defer logs.mu.Unlock()
 	failed := 0
-	for _, l := range logs {
+	for _, l := range logs.lines {
 		if strings.Contains(l, "caching cell failed") && strings.Contains(l, "synthetic disk full") {
 			failed++
 		}
 	}
 	if failed != final.Cells {
-		t.Fatalf("logged %d failed fills, want %d:\n%s", failed, final.Cells, strings.Join(logs, "\n"))
+		t.Fatalf("logged %d failed fills, want %d:\n%s", failed, final.Cells, strings.Join(logs.lines, ""))
+	}
+}
+
+// logLines collects a slog handler's output, one record per Write.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	l.lines = append(l.lines, string(p))
+	l.mu.Unlock()
+	return len(p), nil
+}
+
+// TestClusterHealsCorruptObjects pins store healing on the cluster
+// path: the coordinator's registration scan finds one undecodable
+// object and one holding another key, leases exactly those two cells,
+// and the run finishes byte-identical to a single-process run with
+// both objects rewritten and counted in gridseg_store_corrupt_total.
+func TestClusterHealsCorruptObjects(t *testing.T) {
+	const seed = 19
+	root := filepath.Join(t.TempDir(), "store")
+	st, err := gridseg.OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gridseg.RunGrid(testSpec, gridseg.GridOptions{Seed: seed, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := gridseg.GridJobs(testSpec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := func(key string) string { return filepath.Join(root, "objects", key[:2], key[2:]) }
+	if err := os.WriteFile(path(jobs[0].Key), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadFile(path(jobs[2].Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path(jobs[1].Key), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newClusterServer(t, st, time.Second)
+	startClusterWorkers(t, hs.URL, 2)
+	before := scrapeCounter(t, "gridseg_store_corrupt_total")
+	status, code := submit(t, hs.URL, testSpec, seed)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	final := waitDone(t, hs.URL, status.ID)
+	if final.State != StateDone || final.Cache.Hits != len(jobs)-2 || final.Cache.Misses != 2 {
+		t.Fatalf("final = %+v, want done with the 2 damaged cells computed", final)
+	}
+	wantCSV, wantJSON := localArtifacts(t, testSpec, seed)
+	if got, _ := fetch(t, hs.URL+"/grids/"+status.ID+"/artifact.csv"); !bytes.Equal(got, wantCSV) {
+		t.Fatalf("CSV differs from single-process run\ngot:\n%s\nwant:\n%s", got, wantCSV)
+	}
+	if got, _ := fetch(t, hs.URL+"/grids/"+status.ID+"/artifact.json"); !bytes.Equal(got, wantJSON) {
+		t.Fatal("JSON differs from single-process run")
+	}
+	for _, fj := range jobs[:2] {
+		if v, ok, err := st.Get(fj.Key); err != nil || !ok || len(v) != len(fj.Columns) {
+			t.Fatalf("cell %d not rewritten: %v, %v, %v", fj.Index, v, ok, err)
+		}
+	}
+	if d := scrapeCounter(t, "gridseg_store_corrupt_total") - before; d != 2 {
+		t.Fatalf("gridseg_store_corrupt_total advanced by %v, want 2", d)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"gridseg"
 	"gridseg/internal/batch"
-	"gridseg/internal/fabric"
 )
 
 // job is one grid run: its identity, its lifecycle state, and the SSE
@@ -20,11 +19,11 @@ type job struct {
 	seed  uint64
 	cells int
 
-	// recovered carries the journaled done cells of a run re-enqueued
-	// by coordinator restart recovery; runCluster absorbs them without
-	// recomputation. Nil for ordinary submissions. Written once before
-	// the job is enqueued, read only by the dispatcher.
-	recovered map[int]fabric.JournalDone
+	// recovered marks a run re-enqueued by coordinator restart
+	// recovery; runCluster counts the cells it finds in the store as
+	// recovered. Written once before the job is enqueued, read only by
+	// the dispatcher.
+	recovered bool
 
 	// live fans the run's trajectory frames out to /live subscribers
 	// (see live.go); closed when the run reaches a terminal state.

@@ -11,7 +11,6 @@ import (
 
 	"gridseg"
 	"gridseg/internal/fabric"
-	"gridseg/internal/store"
 )
 
 // TestTerminalEventLogTrimmed pins the retained-run memory contract: a
@@ -103,7 +102,6 @@ func TestClusterRetainedRunBytes(t *testing.T) {
 		w := &fabric.Worker{
 			Name:        fmt.Sprintf("w%d", i),
 			Coordinator: hs.URL + "/fabric",
-			Store:       store.NewRemote(hs.URL+"/objects", nil),
 			Runner:      gridseg.ComputeJob,
 			Poll:        20 * time.Millisecond,
 		}

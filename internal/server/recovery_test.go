@@ -8,7 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"gridseg/internal/fabric"
 	"gridseg/internal/metrics"
 	"gridseg/internal/store"
+	"gridseg/internal/testlog"
 )
 
 // jsonUnmarshal is json.Unmarshal under a test-local name, so the
@@ -125,7 +128,7 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := New(Options{Store: st, Cluster: true, LeaseTTL: 300 * time.Millisecond, Journal: j1, Logf: t.Logf})
+	s1, err := New(Options{Store: st, Cluster: true, LeaseTTL: 300 * time.Millisecond, Journal: j1, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,6 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 			Name:           name,
 			Coordinator:    base + "/fabric",
 			Client:         client,
-			Store:          store.NewRemoteWith(base+"/objects", store.RemoteOptions{Client: client, Timeout: 2 * time.Second}),
 			Poll:           20 * time.Millisecond,
 			RequestTimeout: 2 * time.Second,
 			BackoffBase:    20 * time.Millisecond,
@@ -163,7 +165,7 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 				time.Sleep(60 * time.Millisecond)
 				return gridseg.ComputeJob(j)
 			},
-			Logf: t.Logf,
+			Logger: testlog.New(t),
 		}
 		wg.Add(1)
 		go func() {
@@ -197,7 +199,7 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening journal: %v", err)
 	}
-	s2, err := New(Options{Store: st, Cluster: true, LeaseTTL: 300 * time.Millisecond, Journal: j2, Logf: t.Logf})
+	s2, err := New(Options{Store: st, Cluster: true, LeaseTTL: 300 * time.Millisecond, Journal: j2, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +252,9 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered JSON differs from single-process run (status %d)", code)
 	}
 
-	// The recovery actually recovered: the new table absorbed journaled
-	// or store-reconciled cells instead of recomputing the whole grid,
-	// and its status surfaces the recovery accounting.
+	// The recovery actually recovered: the new table absorbed the cells
+	// the store held instead of recomputing the whole grid, and its
+	// status surfaces the recovery accounting.
 	var fstatus struct {
 		Metrics fabric.TableMetrics `json:"metrics"`
 	}
@@ -307,7 +309,7 @@ func TestClusterCoordinatorRestartRecovery(t *testing.T) {
 func TestClusterTokenAuth(t *testing.T) {
 	const token = "sesame-cluster-secret"
 	st := gridseg.NewMemoryStore()
-	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: time.Second, Token: token, Logf: t.Logf})
+	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: time.Second, Token: token, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +357,10 @@ func TestClusterTokenAuth(t *testing.T) {
 	w := &fabric.Worker{
 		Name:        "keyed",
 		Coordinator: hs.URL + "/fabric",
-		Store:       store.NewRemoteWith(hs.URL+"/objects", store.RemoteOptions{Token: token}),
 		Runner:      gridseg.ComputeJob,
 		Poll:        10 * time.Millisecond,
 		Token:       token,
-		Logf:        t.Logf,
+		Logger:      testlog.New(t),
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -395,7 +396,7 @@ func TestClusterJournalLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: time.Second, Journal: j, Logf: t.Logf})
+	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: time.Second, Journal: j, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +412,43 @@ func TestClusterJournalLifecycle(t *testing.T) {
 	}
 	if runs := j.Runs(); len(runs) != 0 {
 		t.Fatalf("journal holds %d runs after a clean completion: %+v", len(runs), runs)
+	}
+}
+
+// TestJournalTwoLinesPerRun pins what the journal holds: the set of
+// unfinished runs and nothing per cell. A finished 300-cell cluster
+// run appends exactly its register and finish lines.
+func TestJournalTwoLinesPerRun(t *testing.T) {
+	const spec = "n=16 w=1 tau=0.4,0.42,0.44,0.46 reps=75" // 300 cells
+	path := filepath.Join(t.TempDir(), "fabric.journal")
+	j, err := fabric.OpenJournal(path, fabric.DefaultSyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s, err := New(Options{Store: gridseg.NewMemoryStore(), Cluster: true, LeaseTTL: time.Second, Journal: j, Logger: testlog.New(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptestNewServer(t, s)
+	startClusterWorkers(t, hs.URL, 2)
+
+	status, code := submit(t, hs.URL, spec, 3)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	final := waitDone(t, hs.URL, status.ID)
+	if final.State != StateDone || final.Cells != 300 || final.Cache.Misses != 300 {
+		t.Fatalf("final = %+v, want done with all 300 cells computed", final)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], `{"t":"register","run":"`+status.ID+`"`) ||
+		lines[1] != `{"t":"finish","run":"`+status.ID+`"}` {
+		t.Fatalf("journal after one finished run holds %d lines, want its register and finish:\n%s", len(lines), data)
 	}
 }

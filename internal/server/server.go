@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -72,7 +71,6 @@ type Server struct {
 	workers   int
 	maxRuns   int
 	liveEvery int64
-	logf      func(format string, args ...interface{})
 	logger    *slog.Logger
 	// runGrid executes one grid run; it is gridseg.RunGrid except in
 	// tests, which stub it to exercise run-time failure paths that
@@ -114,11 +112,8 @@ type Options struct {
 	// evicted (their cells stay in the store, so resubmitting an
 	// evicted grid replays it from cache without recomputation).
 	MaxRuns int
-	// Logf, when non-nil, receives one line per lifecycle event.
-	Logf func(format string, args ...interface{})
 	// Logger, when non-nil, receives structured lifecycle events
-	// (log/slog) tagged with per-run attrs. It takes precedence over
-	// Logf, which is kept for tests that want t.Logf plumbing.
+	// (log/slog) tagged with per-run attrs; nil discards them.
 	Logger *slog.Logger
 	// LiveEvery is the flip interval between live trajectory frames on
 	// the /grids/{id}/live stream; values < 1 mean the package default
@@ -128,21 +123,21 @@ type Options struct {
 	// Cluster switches the server into coordinator mode: submitted
 	// grids are decomposed into content-addressed cell jobs and leased
 	// to segd worker processes over the /fabric/ endpoints instead of
-	// being computed in-process, and the shared store is exported at
-	// /objects/ so workers probe the same cache; the coordinator fills
-	// it from their completions. A coordinator computes nothing itself
-	// — with no workers attached, a grid whose cells are not already
-	// cached waits until one arrives.
+	// being computed in-process; the coordinator fills the shared store
+	// from their completions and exports it read-write at /objects/ for
+	// external readers. A coordinator computes nothing itself — with no
+	// workers attached, a grid whose cells are not already cached waits
+	// until one arrives.
 	Cluster bool
 	// LeaseTTL bounds how long a leased cell may go unrenewed before it
 	// is requeued to another worker (cluster mode; 0 means
 	// fabric.DefaultTTL). Workers heartbeat at a third of the TTL.
 	LeaseTTL time.Duration
-	// Journal, when non-nil in cluster mode, makes run registrations and
-	// cell completions crash-durable: New replays the journal and
-	// re-enqueues every unfinished run, absorbing its journaled (and
-	// store-reconciled) done cells without recomputation. The server
-	// takes ownership of the journal; close it after Close.
+	// Journal, when non-nil in cluster mode, makes run registrations
+	// crash-durable: New replays the journal and re-enqueues every
+	// unfinished run, which absorbs the cells already in the store
+	// without recomputation. The server takes ownership of the journal;
+	// close it after Close.
 	Journal *fabric.Journal
 	// Token, when non-empty, requires "Authorization: Bearer <Token>"
 	// on every /fabric/ and /objects/ request (compared in constant
@@ -183,7 +178,6 @@ func New(opt Options) (*Server, error) {
 		workers:   opt.Workers,
 		maxRuns:   maxRuns,
 		liveEvery: liveEvery,
-		logf:      opt.Logf,
 		logger:    opt.Logger,
 		runGrid:   gridseg.RunGrid,
 		grids:     map[string]*job{},
@@ -193,24 +187,20 @@ func New(opt Options) (*Server, error) {
 	if opt.Cluster {
 		s.fabric = fabric.NewCoordinator(opt.LeaseTTL, nil)
 		s.token = opt.Token
-		if opt.Journal != nil {
-			s.journal = opt.Journal
-			s.fabric.Table().SetRecorder(opt.Journal)
-		}
+		s.journal = opt.Journal
 	}
 	// Replay-recovered runs are enqueued before the dispatcher starts,
-	// in their original registration order, carrying their journaled
-	// done cells so runCluster absorbs them instead of recomputing.
+	// in their original registration order; runCluster absorbs the cells
+	// their store holds and counts them as recovered.
 	for _, r := range recovered {
 		j := newJob(r.Run, r.Spec, r.Seed, r.Cells)
-		j.recovered = r.Done
+		j.recovered = true
 		s.grids[r.Run] = j
 		s.order = append(s.order, r.Run)
 		s.queue <- j
 		metricQueueDepth.Add(1)
 		s.fabric.Table().NoteRecovered(1, 0)
-		s.logRun(r.Run, "recovered from journal", "spec", r.Spec, "seed", r.Seed,
-			"cells", r.Cells, "journaled_done", len(r.Done))
+		s.logRun(r.Run, "recovered from journal", "spec", r.Spec, "seed", r.Seed, "cells", r.Cells)
 	}
 	s.wg.Add(1)
 	go s.dispatch()
@@ -234,35 +224,18 @@ func (s *Server) ReleaseLeases() {
 	}
 }
 
-// log emits a free-form lifecycle line: through the structured logger
-// when configured, the printf logger otherwise.
+// log emits a free-form lifecycle line through the structured logger.
 func (s *Server) log(format string, args ...interface{}) {
 	if s.logger != nil {
 		s.logger.Info(fmt.Sprintf(format, args...))
-		return
-	}
-	if s.logf != nil {
-		s.logf(format, args...)
 	}
 }
 
 // logRun emits one structured lifecycle event tagged with the run id.
-// With a Logger it goes through log/slog; otherwise the attrs are
-// rendered as k=v pairs through Logf so test logs stay readable.
 func (s *Server) logRun(id, msg string, attrs ...any) {
 	if s.logger != nil {
 		s.logger.Info(msg, append([]any{slog.String("grid", id)}, attrs...)...)
-		return
 	}
-	if s.logf == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "grid %s: %s", id, msg)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", attrs[i], attrs[i+1])
-	}
-	s.logf("%s", b.String())
 }
 
 // dispatch executes queued runs one at a time, in submission order.
@@ -340,7 +313,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	if s.fabric != nil {
 		// Cluster mode: the lease protocol for workers and the shared
-		// object store they probe. Both groups sit behind the
+		// object store for external readers. Both groups sit behind the
 		// shared-secret check when one is configured; the public grid
 		// API above stays open either way.
 		fh := http.Handler(http.StripPrefix("/fabric", s.fabric.Handler()))

@@ -9,9 +9,9 @@ import (
 // The store's instruments live on the default registry so every
 // process role — single-node segd, coordinator, worker — exports the
 // same metric names from whichever backends it happens to wire
-// together. On a worker the Remote backend's samples ARE the cache hit
-// rate the coordinator's dashboard wants, because workers probe the
-// shared store before computing.
+// together. Workers no longer touch a store, so the hit rate lives on
+// the process that owns one: a single-node segd, a coordinator (its
+// registration scan), or a cmd/sweep -cache run.
 var (
 	storeGets = metrics.Default().NewCounterVec(
 		"gridseg_store_gets_total",
@@ -27,6 +27,10 @@ var (
 		"result")
 	storePutOK    = storePuts.WithLabel("ok")
 	storePutError = storePuts.WithLabel("error")
+
+	storeCorrupt = metrics.Default().NewCounter(
+		"gridseg_store_corrupt_total",
+		"Damaged store objects (undecodable, or holding another key) moved aside and answered as misses.")
 
 	storeGetSeconds = metrics.Default().NewHistogram(
 		"gridseg_store_get_seconds",

@@ -297,7 +297,11 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get implements Backend.
+// Get implements Backend. An object that does not decode, or that
+// holds another key, is damaged: Get moves it out of the objects tree
+// to corrupt/<key> under the root, counts it in
+// gridseg_store_corrupt_total, and answers a miss, so the cell is
+// recomputed to the same bytes and stored again.
 func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 	defer observeGet(time.Now(), &ok, &err)
 	if !validKey(key) {
@@ -311,17 +315,39 @@ func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
 	var obj object
-	if err := json.Unmarshal(data, &obj); err != nil {
-		return nil, false, fmt.Errorf("store: corrupt object %s: %w", key, err)
-	}
-	if obj.Key != key {
-		return nil, false, fmt.Errorf("store: object %s holds key %s", key, obj.Key)
+	if json.Unmarshal(data, &obj) != nil || obj.Key != key {
+		return nil, false, d.quarantine(key)
 	}
 	out := make([]float64, len(obj.Values))
 	for i, v := range obj.Values {
 		out[i] = float64(v)
 	}
 	return out, true, nil
+}
+
+// quarantine moves the damaged object under key to corrupt/<key>,
+// replacing any earlier damaged copy, and drops it from the count.
+// Losing a race to another Get that moved it first is not an error,
+// and only the winner counts the object.
+func (d *Dir) quarantine(key string) error {
+	dir := filepath.Join(d.root, "corrupt")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	err := os.Rename(d.path(key), filepath.Join(dir, key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: quarantining object %s: %w", key, err)
+	}
+	storeCorrupt.Inc()
+	if d.counted {
+		d.count--
+	}
+	return nil
 }
 
 // Put implements Backend.

@@ -286,27 +286,94 @@ func TestRemoteRejectsMalformedKeys(t *testing.T) {
 	}
 }
 
+// TestDirCorruptObject pins store healing: an object that does not
+// decode, or that holds another key, is moved to corrupt/<key>, counted,
+// dropped from Len, and answered as a miss; a Put then rewrites it.
 func TestDirCorruptObject(t *testing.T) {
-	d, err := Open(filepath.Join(t.TempDir(), "cache"))
+	root := filepath.Join(t.TempDir(), "cache")
+	d, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellSpec{Scope: "corrupt"}.Key()
-	if err := d.Put(key, []float64{1}); err != nil {
+	torn, swapped, other := CellSpec{Scope: "corrupt"}.Key(), CellSpec{Scope: "swapped"}.Key(), CellSpec{Scope: "other"}.Key()
+	for _, key := range []string{torn, swapped, other} {
+		if err := d.Put(key, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := d.Len(); n != 3 {
+		t.Fatalf("Len = %d, want 3", n)
+	}
+	if err := os.WriteFile(d.path(torn), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(d.path(key), []byte("{not json"), 0o644); err != nil {
+	data, err := os.ReadFile(d.path(other))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Get(key); err == nil {
-		t.Fatal("corrupt object must surface an error, not a silent miss")
+	if err := os.WriteFile(d.path(swapped), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := storeCorrupt.Value()
+	for _, key := range []string{torn, swapped} {
+		if v, ok, err := d.Get(key); err != nil || ok || v != nil {
+			t.Fatalf("Get of a damaged object = %v, %v, %v; want a miss", v, ok, err)
+		}
+		if _, err := os.Stat(d.path(key)); !os.IsNotExist(err) {
+			t.Fatalf("damaged object still in the objects tree: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(root, "corrupt", key)); err != nil {
+			t.Fatalf("damaged object not kept under corrupt/: %v", err)
+		}
+		if _, ok, err := d.Get(key); err != nil || ok {
+			t.Fatalf("second Get = %v, %v; want a plain miss", ok, err)
+		}
+	}
+	if delta := storeCorrupt.Value() - before; delta != 2 {
+		t.Fatalf("gridseg_store_corrupt_total advanced by %d, want 2", delta)
+	}
+	if n, _ := d.Len(); n != 1 {
+		t.Fatalf("Len = %d after quarantine, want 1", n)
+	}
+	if err := d.Put(torn, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := d.Get(torn); err != nil || !ok || v[0] != 2 {
+		t.Fatalf("Get after rewrite = %v, %v, %v", v, ok, err)
+	}
+	if n, _ := d.Len(); n != 2 {
+		t.Fatalf("Len = %d after rewrite, want 2", n)
+	}
+
+	// Readers racing on one damaged object: every one misses, and the
+	// object is moved and counted once.
+	if err := os.WriteFile(d.path(torn), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = storeCorrupt.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok, err := d.Get(torn); err != nil || ok {
+				t.Errorf("racing Get of a damaged object = %v, %v; want a miss", ok, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if delta := storeCorrupt.Value() - before; delta != 1 {
+		t.Fatalf("racing readers counted the damaged object %d times, want 1", delta)
+	}
+	if n, _ := d.Len(); n != 1 {
+		t.Fatalf("Len = %d after racing quarantine, want 1", n)
 	}
 }
 
-// TestRemoteCorruptObject pins that corruption crosses the wire as an
-// error: a torn object behind the server, and a confused server
-// responding with the wrong key, must both fail the remote Get rather
-// than degrade into a silent miss or a wrong value.
+// TestRemoteCorruptObject pins what corruption looks like over the
+// wire: a damaged object behind the server heals there and reads as a
+// miss, never a wrong value, and a confused server responding with the
+// wrong key fails the remote Get.
 func TestRemoteCorruptObject(t *testing.T) {
 	d, err := Open(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
@@ -323,8 +390,8 @@ func TestRemoteCorruptObject(t *testing.T) {
 	if err := os.WriteFile(d.path(key), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Get(key); err == nil {
-		t.Fatal("corrupt object behind the server must surface an error")
+	if v, ok, err := r.Get(key); err != nil || ok {
+		t.Fatalf("damaged object behind the server = %v, %v, %v; want a miss", v, ok, err)
 	}
 
 	// A server that answers with a different object's key.

@@ -2,9 +2,12 @@ package gridseg
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"gridseg/internal/metrics"
 )
 
 // countingStore wraps a CellStore and counts Get hits and Puts, so the
@@ -143,5 +146,85 @@ func TestGridID(t *testing.T) {
 	}
 	if _, err := GridID("nope", 1); err == nil {
 		t.Fatal("malformed spec must fail")
+	}
+}
+
+// damageObjects damages the store objects of cells a and b under the
+// store directory root: a's no longer decodes, and b's is replaced by
+// other's object, a valid object that holds another key.
+func damageObjects(t *testing.T, root, a, b, other string) {
+	t.Helper()
+	path := func(key string) string { return filepath.Join(root, "objects", key[:2], key[2:]) }
+	if err := os.WriteFile(path(a), []byte(`{"key":"`+a[:10]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path(b), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptTotal reads gridseg_store_corrupt_total off the default
+// registry.
+func corruptTotal(t *testing.T) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	metrics.Default().WritePrometheus(&buf)
+	samples, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := samples["gridseg_store_corrupt_total"]; len(s) == 1 {
+		return s[0].Value
+	}
+	t.Fatal("gridseg_store_corrupt_total missing from the exposition")
+	return 0
+}
+
+// TestRunGridHealsCorruptObjects pins store healing on the in-process
+// path: a cached grid whose store holds an undecodable object and an
+// object holding another key recomputes exactly those two cells,
+// byte-identical to the first run, never disables the store, rewrites
+// both objects, and counts them in gridseg_store_corrupt_total.
+func TestRunGridHealsCorruptObjects(t *testing.T) {
+	const spec, seed = "n=16 w=1 tau=0.4,0.45 reps=2", 3
+	root := filepath.Join(t.TempDir(), "cache")
+	st, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := RunGrid(spec, GridOptions{Seed: seed, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := GridJobs(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damageObjects(t, root, jobs[0].Key, jobs[1].Key, jobs[2].Key)
+
+	before := corruptTotal(t)
+	second, err := RunGrid(spec, GridOptions{Seed: seed, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := second.Cache(); c.Hits != len(jobs)-2 || c.Misses != 2 || c.Err != "" {
+		t.Fatalf("cache = %+v, want %d hits, the 2 damaged cells computed, no store error", c, len(jobs)-2)
+	}
+	wantCSV, wantJSON := artifacts(t, first)
+	gotCSV, gotJSON := artifacts(t, second)
+	if !bytes.Equal(gotCSV, wantCSV) || !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatal("artifacts over a damaged store differ from the first run")
+	}
+	for _, fj := range jobs[:2] {
+		if v, ok, err := st.Get(fj.Key); err != nil || !ok || len(v) != len(fj.Columns) {
+			t.Fatalf("cell %d not rewritten: %v, %v, %v", fj.Index, v, ok, err)
+		}
+	}
+	if d := corruptTotal(t) - before; d != 2 {
+		t.Fatalf("gridseg_store_corrupt_total advanced by %v, want 2", d)
 	}
 }
