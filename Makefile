@@ -25,7 +25,7 @@ race-stress:
 # Distributed-fabric gate: the lease-protocol unit tests (fake clock,
 # grant sizing by factoring included), the worker loop with its batched
 # heartbeats and completions (withheld completions resent exactly once
-# after an outage included, a key two runs share computed once), the
+# after an outage included, no worker touching its store), the
 # retained-run heap bound, the journal's replay/compaction edge cases
 # (old per-cell journals included) and its two lines per finished run,
 # store healing of damaged objects, and the chaos e2es — the

@@ -24,9 +24,9 @@
 //   - Worker: the client loop — lease a batch of cells, compute each,
 //     and report the batch's completions with their values in one
 //     post, heartbeating every held lease in one post while it
-//     computes. The coordinator, not the worker, fills the store from
-//     each completion, and the table completes every other registered
-//     run's cell with the same key in the same call.
+//     computes. The worker never touches the store: the coordinator
+//     leases only the cells its store lacks and fills the store from
+//     each completion.
 //   - Journal: the coordinator's durable set of unfinished runs. The
 //     store is the only per-cell state; a restarted coordinator
 //     re-registers each unfinished run and leases the cells its store

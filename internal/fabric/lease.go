@@ -75,10 +75,6 @@ type Table struct {
 	// expiry only once it has passed; heartbeats and completions may
 	// leave it early, which costs one scan that finds nothing.
 	nextExpiry time.Time
-	// keys indexes every registered cell that is not done by its
-	// Job.Key, so a computed completion also completes the same cell of
-	// every other registered run (see Complete).
-	keys map[string][]cellRef
 	// Observability aggregates, cumulative across runs (see
 	// TableMetrics). Guarded by mu like everything else; the protocol
 	// handlers already hold it at every increment site.
@@ -142,12 +138,6 @@ type tableRun struct {
 	byIndex map[int]int
 }
 
-// cellRef names one registered cell: its run and its position there.
-type cellRef struct {
-	r *tableRun
-	i int
-}
-
 // NewTable builds a lease table. A zero ttl means DefaultTTL; a nil
 // clock means time.Now.
 func NewTable(ttl time.Duration, clock Clock) *Table {
@@ -157,8 +147,8 @@ func NewTable(ttl time.Duration, clock Clock) *Table {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, keys: map[string][]cellRef{},
-		completedBy: map[string]int{}, active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
+	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{},
+		active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
 }
 
 // TTL returns the lease TTL.
@@ -201,9 +191,6 @@ func (t *Table) Register(runID string, jobs []Job, onDone func(CellDone)) (<-cha
 	}
 	t.runs[runID] = r
 	t.order = append(t.order, runID)
-	for i := range r.jobs {
-		t.keys[r.jobs[i].Key] = append(t.keys[r.jobs[i].Key], cellRef{r, i})
-	}
 	close(t.wake)
 	t.wake = make(chan struct{})
 	return r.done, nil
@@ -226,14 +213,8 @@ func (t *Table) Cancel(runID string) {
 }
 
 func (t *Table) removeLocked(runID string) {
-	r, ok := t.runs[runID]
-	if !ok {
+	if _, ok := t.runs[runID]; !ok {
 		return
-	}
-	for i := 0; r.remaining > 0 && i < len(r.jobs); i++ {
-		if r.state[i] != stateDone {
-			t.unindexLocked(r, i)
-		}
 	}
 	delete(t.runs, runID)
 	for i, id := range t.order {
@@ -241,23 +222,6 @@ func (t *Table) removeLocked(runID string) {
 			t.order = append(t.order[:i], t.order[i+1:]...)
 			break
 		}
-	}
-}
-
-// unindexLocked drops run r's cell i from the key index.
-func (t *Table) unindexLocked(r *tableRun, i int) {
-	key := r.jobs[i].Key
-	refs := t.keys[key]
-	for k, ref := range refs {
-		if ref.r == r && ref.i == i {
-			refs = append(refs[:k], refs[k+1:]...)
-			break
-		}
-	}
-	if len(refs) == 0 {
-		delete(t.keys, key)
-	} else {
-		t.keys[key] = refs
 	}
 }
 
@@ -488,11 +452,6 @@ func (t *Table) heartbeatLocked(runID string, index int, lease uint64) bool {
 // carries exactly the bytes the replacement would produce. Only the
 // first completion fires the run's callback, so a cell is never
 // double-reported.
-//
-// A successful completion also completes every other registered run's
-// cell with the same Job.Key that is not done yet, as Cached with the
-// same values and worker: the same key is the same computation, so a
-// key two runs share is computed once.
 func (t *Table) Complete(runID string, index int, lease uint64, worker string, cached bool, values []float64, errMsg string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -526,42 +485,20 @@ func (t *Table) Complete(runID string, index int, lease uint64, worker string, c
 	t.completions++
 	t.completedBy[worker]++
 	metricCompletions.Inc()
-	t.unindexLocked(r, i)
-	t.doneLocked(runID, r, i, CellDone{Index: index, Values: values, Worker: worker, Cached: cached, Err: errMsg})
-	if errMsg != "" {
-		return nil
-	}
-	key := r.jobs[i].Key
-	refs := t.keys[key]
-	delete(t.keys, key)
-	for _, ref := range refs {
-		if ref.r == r {
-			t.keys[key] = append(t.keys[key], ref)
-			continue
-		}
-		j := ref.r.jobs[ref.i]
-		t.doneLocked(j.Run, ref.r, ref.i, CellDone{Index: j.Index, Values: values, Worker: worker, Cached: true})
-	}
-	return nil
-}
-
-// doneLocked moves run r's cell i to done and reports it, retiring the
-// run once its last cell is done; the cell must already be out of the
-// key index.
-func (t *Table) doneLocked(runID string, r *tableRun, i int, d CellDone) {
 	if r.state[i] == statePending {
 		r.pending--
 	}
 	r.state[i] = stateDone
-	r.worker[i] = d.Worker
+	r.worker[i] = worker
 	r.remaining--
 	if r.onDone != nil {
-		r.onDone(d)
+		r.onDone(CellDone{Index: index, Values: values, Worker: worker, Cached: cached, Err: errMsg})
 	}
 	if r.remaining == 0 {
 		t.removeLocked(runID)
 		close(r.done)
 	}
+	return nil
 }
 
 // Requeues returns the cumulative number of expired-lease requeues

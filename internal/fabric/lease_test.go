@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -33,15 +32,11 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// jobKeys numbers the keys mkJobs hands out.
-var jobKeys atomic.Int64
-
-// mkJobs builds n trivial jobs with a two-column schema. Every job gets
-// a key no other mkJobs job has, so runs built from it share no cells.
+// mkJobs builds n trivial jobs with a two-column schema.
 func mkJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Index: i, Key: fmt.Sprintf("k%d", jobKeys.Add(1)), Seed: uint64(i), Columns: []string{"a", "b"}}
+		jobs[i] = Job{Index: i, Key: "k", Seed: uint64(i), Columns: []string{"a", "b"}}
 	}
 	return jobs
 }
@@ -319,100 +314,6 @@ func TestCompleteErrorAndCancel(t *testing.T) {
 	}
 	if _, ok := tab.Lease("bob"); ok {
 		t.Fatal("canceled run still leasing")
-	}
-}
-
-// TestLeaseFoldsSharedKeys pins the key index: a computed completion
-// also completes every other registered run's not-done cell with the
-// same key — pending or leased — as cached, with the same values and
-// worker, one callback each; a late completion of a folded cell is a
-// no-op; and removal, by completion or by cancel, leaves nothing in the
-// index.
-func TestLeaseFoldsSharedKeys(t *testing.T) {
-	tab := NewTable(10*time.Second, newFakeClock().now)
-	a, b := mkJobs(3), mkJobs(3)
-	// b's cells 0 and 1 are a's cells 1 and 2; b's cell 2 is its own.
-	b[0].Key, b[1].Key = a[1].Key, a[2].Key
-	var gotA, gotB collector
-	doneA, err := tab.Register("a", a, gotA.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doneB, err := tab.Register("b", b, gotB.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tab.keys); n != 4 {
-		t.Fatalf("key index holds %d keys, want 4", n)
-	}
-	// Leases go oldest run first: alice holds all of a, bob b's first
-	// cell, so one shared key is leased twice and the other is pending
-	// in b.
-	ga := tab.LeaseBatch("alice", 3)
-	gb := tab.LeaseBatch("bob", 1)
-	if len(ga) != 3 || len(gb) != 1 || gb[0].Job.Run != "b" || gb[0].Job.Index != 0 {
-		t.Fatalf("grants = %+v / %+v", ga, gb)
-	}
-	for _, g := range ga {
-		if err := tab.Complete("a", g.Job.Index, g.Lease, "alice", false, []float64{float64(g.Job.Index), 0}, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-doneA
-	if gotA.count() != 3 {
-		t.Fatalf("run a reported %d cells, want 3", gotA.count())
-	}
-	if gotB.count() != 2 {
-		t.Fatalf("run b reported %d cells, want its 2 shared ones", gotB.count())
-	}
-	for k, d := range gotB.cells {
-		want := []float64{float64(k + 1), 0}
-		if d.Index != k || !d.Cached || d.Worker != "alice" || d.Err != "" || d.Values[0] != want[0] || d.Values[1] != want[1] {
-			t.Fatalf("folded cell %d = %+v, want cached by alice with %v", k, d, want)
-		}
-	}
-	// Bob's late completion of the folded cell is a no-op.
-	if err := tab.Complete("b", 0, gb[0].Lease, "bob", false, []float64{1, 0}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if gotB.count() != 2 {
-		t.Fatalf("late completion of a folded cell reported again: %+v", gotB.cells)
-	}
-	if runs, _ := tab.Status(); len(runs) != 1 || runs[0].Run != "b" || runs[0].Done != 2 || runs[0].Pending != 1 {
-		t.Fatalf("status = %+v, want run b with 2 done and 1 pending", runs)
-	}
-	if n := len(tab.keys); n != 1 {
-		t.Fatalf("key index holds %d keys, want b's unshared one", n)
-	}
-	// A canceled run leaves nothing in the index, and a later run with
-	// its key computes it itself.
-	tab.Cancel("b")
-	if n := len(tab.keys); n != 0 {
-		t.Fatalf("key index holds %d keys after cancel, want 0", n)
-	}
-	c := mkJobs(1)
-	c[0].Key = b[2].Key
-	var gotC collector
-	if _, err := tab.Register("c", c, gotC.add); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := tab.Lease("carol")
-	if !ok || g.Job.Run != "c" {
-		t.Fatalf("lease after cancel = %+v, %v; want run c's cell", g, ok)
-	}
-	if err := tab.Complete("c", 0, g.Lease, "carol", false, []float64{7, 0}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if gotC.count() != 1 || gotC.cells[0].Cached || gotB.count() != 2 {
-		t.Fatalf("after cancel: c reported %+v, b reported %d", gotC.cells, gotB.count())
-	}
-	select {
-	case <-doneB:
-		t.Fatal("canceled run b closed its done channel")
-	default:
-	}
-	if n := len(tab.keys); n != 0 {
-		t.Fatalf("key index holds %d keys after every run finished, want 0", n)
 	}
 }
 

@@ -307,6 +307,20 @@ func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 	if !validKey(key) {
 		return nil, false, fmt.Errorf("store: malformed key %q", key)
 	}
+	values, ok, err = d.read(key)
+	if err == errDamaged {
+		return d.quarantine(key)
+	}
+	return values, ok, err
+}
+
+// errDamaged reports an object that does not decode or holds another
+// key.
+var errDamaged = errors.New("store: damaged object")
+
+// read loads and decodes the object under key: a miss if there is
+// none, errDamaged if it is damaged.
+func (d *Dir) read(key string) ([]float64, bool, error) {
 	data, err := os.ReadFile(d.path(key))
 	if os.IsNotExist(err) {
 		return nil, false, nil
@@ -316,7 +330,7 @@ func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 	}
 	var obj object
 	if json.Unmarshal(data, &obj) != nil || obj.Key != key {
-		return nil, false, d.quarantine(key)
+		return nil, false, errDamaged
 	}
 	out := make([]float64, len(obj.Values))
 	for i, v := range obj.Values {
@@ -326,28 +340,33 @@ func (d *Dir) Get(key string) (values []float64, ok bool, err error) {
 }
 
 // quarantine moves the damaged object under key to corrupt/<key>,
-// replacing any earlier damaged copy, and drops it from the count.
-// Losing a race to another Get that moved it first is not an error,
-// and only the winner counts the object.
-func (d *Dir) quarantine(key string) error {
+// replacing any earlier damaged copy, drops it from the count and
+// answers a miss. It reads the object again under the mutex Put renames
+// under, so an object this handle rewrote since Get's read is answered
+// as a hit and left in place, and one another Get already moved is a
+// plain miss that only the mover counted.
+func (d *Dir) quarantine(key string) ([]float64, bool, error) {
 	dir := filepath.Join(d.root, "corrupt")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if values, ok, err := d.read(key); err != errDamaged {
+		return values, ok, err
+	}
 	err := os.Rename(d.path(key), filepath.Join(dir, key))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: quarantining object %s: %w", key, err)
+		return nil, false, fmt.Errorf("store: quarantining object %s: %w", key, err)
 	}
 	storeCorrupt.Inc()
 	if d.counted {
 		d.count--
 	}
-	return nil
+	return nil, false, nil
 }
 
 // Put implements Backend.

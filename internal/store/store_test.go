@@ -370,6 +370,54 @@ func TestDirCorruptObject(t *testing.T) {
 	}
 }
 
+// TestDirQuarantineSparesRewrite pins the race between a reader that
+// saw a damaged object and a Put that rewrites it before the reader
+// moves it: the reader's quarantine, run after the Put landed, must
+// answer the rewritten object as a hit and leave it in place,
+// uncounted.
+func TestDirQuarantineSparesRewrite(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "cache")
+	d, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CellSpec{Scope: "rewritten"}.Key()
+	if err := d.Put(key, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := d.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
+	}
+	if err := os.WriteFile(d.path(key), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A Get's read sees the damaged bytes ...
+	if _, _, err := d.read(key); err != errDamaged {
+		t.Fatalf("read of a damaged object = %v, want errDamaged", err)
+	}
+	// ... the cell is recomputed and rewritten ...
+	if err := d.Put(key, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	// ... and only then does the reader quarantine.
+	before := storeCorrupt.Value()
+	if v, ok, err := d.quarantine(key); err != nil || !ok || len(v) != 1 || v[0] != 2 {
+		t.Fatalf("quarantine after a rewrite = %v, %v, %v; want a hit on the rewrite", v, ok, err)
+	}
+	if delta := storeCorrupt.Value() - before; delta != 0 {
+		t.Fatalf("gridseg_store_corrupt_total advanced by %d for a good object", delta)
+	}
+	if _, err := os.Stat(filepath.Join(root, "corrupt", key)); !os.IsNotExist(err) {
+		t.Fatalf("rewritten object moved to corrupt/: %v", err)
+	}
+	if v, ok, err := d.Get(key); err != nil || !ok || v[0] != 2 {
+		t.Fatalf("Get after the race = %v, %v, %v", v, ok, err)
+	}
+	if n, _ := d.Len(); n != 1 {
+		t.Fatalf("Len = %d after the race, want 1", n)
+	}
+}
+
 // TestRemoteCorruptObject pins what corruption looks like over the
 // wire: a damaged object behind the server heals there and reads as a
 // miss, never a wrong value, and a confused server responding with the
