@@ -1,7 +1,7 @@
 # Developer entry points. CI runs verify, docs, staticcheck, and
 # bench-check.
 
-.PHONY: all build test race race-stress cluster-test obscheck fuzz bench bench-check bench-check-ci memcheck diff docs profile staticcheck verify
+.PHONY: all build test race race-stress cluster-test obscheck fuzz bench bench-check bench-check-ci memcheck diff docs profile staticcheck loc verify
 
 all: verify
 
@@ -28,6 +28,7 @@ race-stress:
 # after an outage included, no worker touching its store), the
 # retained-run heap bound, the journal's replay/compaction edge cases
 # (old per-cell journals included) and its two lines per finished run,
+# written register first even when a cached run finishes at once,
 # store healing of damaged objects, and the chaos e2es — the
 # worker-kill sweep (coordinator + three workers with seeded fault
 # injection, two killed mid-run) and the coordinator-kill restart
@@ -126,6 +127,18 @@ docs:
 # and the CI job agree on the finding set.
 staticcheck:
 	go run honnef.co/go/tools/cmd/staticcheck@2025.1.1 ./...
+
+# Go line counts of the tracked files, non-test and test, for the root
+# module and the perfbench/ module separately: a simplification's net
+# size reads off this target's output before and after it.
+loc:
+	@for m in root perfbench; do \
+		if [ $$m = root ]; then files=$$(git ls-files -- '*.go' ':(exclude)perfbench'); \
+		else files=$$(git ls-files -- 'perfbench/*.go'); fi; \
+		src=$$(printf '%s\n' $$files | grep -v '_test\.go$$' | xargs -r cat | wc -l); \
+		tst=$$(printf '%s\n' $$files | grep '_test\.go$$' | xargs -r cat | wc -l); \
+		printf '%-10s non-test %6d  test %6d\n' $$m $$src $$tst; \
+	done
 
 verify: build
 	gofmt -l . | (! grep .) || (echo "gofmt needed" >&2; exit 1)

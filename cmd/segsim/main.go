@@ -25,9 +25,9 @@
 //
 //	segsim -n 4096 -w 1 -tau 0.45 -engine parallel -par 8
 //
-// -tile coarse-grains each stage through the tiled giant-grid layout
-// (internal/fastgrid.Tiled) at the given tile side, classifying tiles
-// by their majority type — a block-level segregation diagnostic:
+// -tile coarse-grains each stage into square tiles of the given side,
+// classifying tiles by their majority type — a block-level segregation
+// diagnostic:
 //
 //	segsim -n 512 -w 4 -tau 0.42 -tile 64
 package main
@@ -41,7 +41,7 @@ import (
 
 	"gridseg"
 	"gridseg/internal/dynamics/engines"
-	"gridseg/internal/fastgrid"
+	"gridseg/internal/grid"
 )
 
 // config holds the parsed command-line options.
@@ -118,6 +118,9 @@ func main() {
 	if opts.snapshots < 2 {
 		opts.snapshots = 2
 	}
+	if opts.tile > 0 && opts.tile%64 != 0 {
+		log.Fatalf("-tile %d must be a positive multiple of 64", opts.tile)
+	}
 
 	cfg := gridseg.Config{
 		N: opts.n, W: opts.w, Tau: opts.tau, P: opts.p, Seed: opts.seed, Dynamic: dyn,
@@ -191,20 +194,31 @@ func main() {
 	}
 }
 
-// tileSummary coarse-grains the current configuration through the
-// tiled layout and classifies each tile by its majority type: plus- or
-// minus-dominated when that type holds over 90% of the tile's agents,
-// mixed otherwise (empty tiles count as mixed). Dominated-tile counts
-// rise as segregation domains outgrow the tile side.
+// tileSummary coarse-grains the current configuration into tiles of
+// side ts, zero-padded at the edges (an edge tile holds only its
+// in-bounds sites), and classifies each tile by its majority type:
+// plus- or minus-dominated when that type holds over 90% of the tile's
+// agents, mixed otherwise (empty tiles count as mixed). Dominated-tile
+// counts rise as segregation domains outgrow the tile side.
 func tileSummary(m *gridseg.Model, ts int) string {
-	t, err := fastgrid.TiledFromView(m.View(), ts)
-	if err != nil {
-		log.Fatal(err)
+	v := m.View()
+	n := v.N()
+	tiles := (n + ts - 1) / ts
+	plus := make([]int, tiles*tiles)
+	occ := make([]int, tiles*tiles)
+	for i := 0; i < v.Sites(); i++ {
+		t := i/n/ts*tiles + i%n/ts
+		switch v.SpinAt(i) {
+		case grid.Plus:
+			plus[t]++
+			occ[t]++
+		case grid.Minus:
+			occ[t]++
+		}
 	}
-	plus, occ := t.TileCounts()
 	var plusDom, minusDom, mixed int
-	for i, p := range plus {
-		switch o := occ[i]; {
+	for t, p := range plus {
+		switch o := occ[t]; {
 		case o > 0 && float64(p)/float64(o) >= 0.9:
 			plusDom++
 		case o > 0 && float64(p)/float64(o) <= 0.1:
@@ -214,5 +228,5 @@ func tileSummary(m *gridseg.Model, ts int) string {
 		}
 	}
 	return fmt.Sprintf("tiles %dx%d side=%d: plus-dom=%d minus-dom=%d mixed=%d",
-		t.Tiles(), t.Tiles(), t.TileSide(), plusDom, minusDom, mixed)
+		tiles, tiles, ts, plusDom, minusDom, mixed)
 }

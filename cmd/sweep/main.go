@@ -14,11 +14,12 @@
 // (torus|open), rho (vacancy fraction), and taudist (per-site
 // intolerance distribution) — through the batch engine and writes
 // CSV/JSON artifacts; results are byte-identical for any -workers
-// setting, and -checkpoint lets long full-scale scans resume after
-// interruption:
+// setting, and -cache lets long full-scale scans resume after
+// interruption (rerun the same command: stored cells are not
+// recomputed):
 //
 //	sweep -grid "n=96,240 w=2:4 tau=0.40:0.48:0.02 reps=8" -out artifacts/ -workers 8
-//	sweep -grid "n=240 w=4 tau=0.45 dyn=glauber,kawasaki reps=16" -checkpoint scan.ck.json
+//	sweep -grid "n=240 w=4 tau=0.45 dyn=glauber,kawasaki reps=16" -cache store/
 //	sweep -grid "n=128 w=2 tau=0.42 boundary=torus,open rho=0:0.2:0.05 reps=8" -cache store/
 //	sweep -grid "n=128 w=2 tau=0.42 dyn=move rho=0.1 taudist=mix:0.35,0.45:0.5 reps=8"
 package main
@@ -37,17 +38,16 @@ import (
 
 // config holds the parsed command-line options.
 type config struct {
-	exp        string
-	grid       string
-	list       bool
-	full       bool
-	seed       uint64
-	out        string
-	workers    int
-	engine     string
-	checkpoint string
-	cache      string
-	verbose    bool
+	exp     string
+	grid    string
+	list    bool
+	full    bool
+	seed    uint64
+	out     string
+	workers int
+	engine  string
+	cache   string
+	verbose bool
 }
 
 // newFlagSet declares the command's flags; main parses it, and the
@@ -63,7 +63,6 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.StringVar(&c.out, "out", "", "artifact directory (PNG, CSV, JSON); created if missing")
 	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS); never affects results")
 	fs.StringVar(&c.engine, "engine", "auto", "engine: "+engines.Labels()+"; never affects results, only speed")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "grid mode: JSON checkpoint file to stream/resume cell results")
 	fs.StringVar(&c.cache, "cache", "", "content-addressed result store directory; cached cells are served without recomputation (shared with cmd/segd)")
 	fs.BoolVar(&c.verbose, "v", false, "progress logging")
 	return fs, c
@@ -98,7 +97,7 @@ func main() {
 	}
 
 	if cfg.grid != "" {
-		runGrid(cfg.grid, cfg.seed, cfg.workers, engine, cfg.out, cfg.checkpoint, cacheStore, cfg.verbose)
+		runGrid(cfg.grid, cfg.seed, cfg.workers, engine, cfg.out, cacheStore, cfg.verbose)
 		return
 	}
 
@@ -139,8 +138,8 @@ func main() {
 }
 
 // runGrid executes a parameter-grid scan and writes its artifacts.
-func runGrid(spec string, seed uint64, workers int, engine gridseg.Engine, out, checkpoint string, cache gridseg.CellStore, verbose bool) {
-	opt := gridseg.GridOptions{Seed: seed, Workers: workers, CheckpointPath: checkpoint, Engine: engine, Store: cache}
+func runGrid(spec string, seed uint64, workers int, engine gridseg.Engine, out string, cache gridseg.CellStore, verbose bool) {
+	opt := gridseg.GridOptions{Seed: seed, Workers: workers, Engine: engine, Store: cache}
 	if verbose {
 		opt.Progress = func(done, total int) {
 			log.Printf("grid: %d/%d cells", done, total)

@@ -66,8 +66,8 @@ func ComputeJob(j fabric.Job) ([]float64, error) {
 	_, fixated := m.Run(0)
 	metricFlips.Add(uint64(m.Flips()))
 	// The fabric worker path never enters batch.Run, so the computed
-	// counter is incremented here; the worker's own store probe covers
-	// cache hits (they never reach the Runner).
+	// counter is incremented here. Workers never see cached cells: the
+	// coordinator serves those from its store and leases only the rest.
 	batch.MetricCellsComputed.Inc()
 	return measureSweepCell(m, j.Cell, fixated, geometry), nil
 }

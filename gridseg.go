@@ -139,7 +139,8 @@ type Config struct {
 	Par int
 	// ParStrips is the strip count of EngineParallel's domain
 	// decomposition (0: the machine-independent automatic count; 1:
-	// no decomposition, which resolves to the sequential fast engine).
+	// no decomposition, which resolves to the sequential fast engine,
+	// as does an automatic count of 1 on a small lattice).
 	// Unlike Par, the strip count is part of the trajectory definition.
 	ParStrips int
 	// Boundary selects the lattice boundary condition: the paper's
@@ -244,8 +245,8 @@ func (m *Model) Config() Config { return m.cfg }
 
 // Engine returns the engine implementation actually in use
 // (EngineReference, EngineFast, or EngineParallel — never EngineAuto,
-// and never EngineParallel for the Kawasaki and Move dynamics or at
-// ParStrips == 1, which resolve to EngineFast).
+// and never EngineParallel for the Kawasaki and Move dynamics or on
+// one strip, requested or automatic, which resolve to EngineFast).
 func (m *Model) Engine() Engine { return m.eng.Kind }
 
 // Size returns the torus side length.

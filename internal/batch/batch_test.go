@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -72,7 +71,7 @@ func TestCellSeedDeterministic(t *testing.T) {
 
 // runGrid is the shared fixture: a small grid with a runner whose
 // output depends only on the cell and its source.
-func runGrid(t *testing.T, workers int, checkpoint string) *ResultSet {
+func runGrid(t *testing.T, workers int) *ResultSet {
 	t.Helper()
 	g := Grid{
 		Ns:         []int{8, 16},
@@ -82,7 +81,7 @@ func runGrid(t *testing.T, workers int, checkpoint string) *ResultSet {
 	}
 	rs, err := Run(g, []string{"a", "b"}, func(c Cell, src *rng.Source) ([]float64, error) {
 		return []float64{float64(c.N*c.W) * c.Tau, src.Float64()}, nil
-	}, Options{Seed: 42, Scope: "test", Workers: workers, CheckpointPath: checkpoint})
+	}, Options{Seed: 42, Scope: "test", Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,8 @@ func runGrid(t *testing.T, workers int, checkpoint string) *ResultSet {
 func TestSchedulingIndependence(t *testing.T) {
 	// The tentpole regression: Workers 1 and Workers 8 must produce
 	// byte-identical serialized tables, CSV, and JSON.
-	seq := runGrid(t, 1, "")
-	par := runGrid(t, 8, "")
+	seq := runGrid(t, 1)
+	par := runGrid(t, 8)
 	if seq.Table("t").String() != par.Table("t").String() {
 		t.Fatal("tables differ across worker counts")
 	}
@@ -153,9 +152,23 @@ func TestGroupsAggregation(t *testing.T) {
 	}
 }
 
+// openDir opens a directory store, failing the test on error.
+func openDir(t *testing.T, dir string) *store.Dir {
+	t.Helper()
+	d, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestCheckpointResume pins resume over the store, the one
+// persistence scheme: an interrupted run keeps every cell it finished
+// in the store, and rerunning it against the same directory computes
+// only the remainder. A different seed addresses different keys, so
+// it shares nothing with the stored run.
 func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
 
 	// First run: abort partway by returning an error after some cells.
 	g := Grid{Taus: []float64{0.4}, Replicates: 10}
@@ -165,25 +178,23 @@ func TestCheckpointResume(t *testing.T) {
 			return nil, os.ErrDeadlineExceeded
 		}
 		return []float64{float64(c.Index)}, nil
-	}, Options{Seed: 1, Scope: "ck", Workers: 1, CheckpointPath: path})
+	}, Options{Seed: 1, Scope: "ck", Workers: 1, Store: openDir(t, dir)})
 	if err == nil {
 		t.Fatal("first run must fail")
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
 
-	// Second run: completed cells must be restored, not recomputed.
+	// Second run, on a freshly opened store: the five completed cells
+	// are served, not recomputed.
 	var reruns []int
 	rs, err := Run(g, []string{"v"}, func(c Cell, src *rng.Source) ([]float64, error) {
 		reruns = append(reruns, c.Index)
 		return []float64{float64(c.Index)}, nil
-	}, Options{Seed: 1, Scope: "ck", Workers: 1, CheckpointPath: path})
+	}, Options{Seed: 1, Scope: "ck", Workers: 1, Store: openDir(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reruns) >= 10 {
-		t.Fatalf("resume recomputed everything: %v", reruns)
+	if rs.Cache.Hits != 5 || rs.Cache.Misses != 5 || len(reruns) != 5 {
+		t.Fatalf("resume cache = %+v, recomputed %v; want 5 served and 5 computed", rs.Cache, reruns)
 	}
 	for i := 0; i < rs.Len(); i++ {
 		c, vals := rs.At(i)
@@ -192,19 +203,22 @@ func TestCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// A different seed must reject the stale checkpoint.
-	if _, err := Run(g, []string{"v"}, func(c Cell, src *rng.Source) ([]float64, error) {
+	other, err := Run(g, []string{"v"}, func(c Cell, src *rng.Source) ([]float64, error) {
 		return []float64{0}, nil
-	}, Options{Seed: 2, Scope: "ck", CheckpointPath: path}); err == nil {
-		t.Fatal("fingerprint mismatch must be rejected")
+	}, Options{Seed: 2, Scope: "ck", Store: openDir(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Cache.Hits != 0 {
+		t.Fatalf("another seed was served %d stored cells", other.Cache.Hits)
 	}
 }
 
 func TestNaNSurvivesCheckpointAndJSON(t *testing.T) {
 	// NaN is the engine's missing-sample convention; it must survive
-	// both the streaming checkpoint and the JSON artifact (encoded as
-	// null), not abort the run.
-	path := filepath.Join(t.TempDir(), "nan.ck.json")
+	// both a store-backed resume (the on-disk objects encode it as
+	// null) and the JSON artifact, not abort the run.
+	dir := t.TempDir()
 	g := Grid{Replicates: 3}
 	run := func() *ResultSet {
 		rs, err := Run(g, []string{"v"}, func(c Cell, src *rng.Source) ([]float64, error) {
@@ -212,16 +226,19 @@ func TestNaNSurvivesCheckpointAndJSON(t *testing.T) {
 				return []float64{math.NaN()}, nil
 			}
 			return []float64{float64(c.Rep)}, nil
-		}, Options{Seed: 5, Scope: "nan", CheckpointPath: path})
+		}, Options{Seed: 5, Scope: "nan", Store: openDir(t, dir)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs
 	}
 	first := run()
-	// Second run restores all cells from the checkpoint, including the
-	// NaN one.
+	// Second run restores all cells from the store, including the NaN
+	// one.
 	second := run()
+	if second.Cache.Hits != 3 {
+		t.Fatalf("resume cache = %+v, want all 3 cells served", second.Cache)
+	}
 	for i := 0; i < first.Len(); i++ {
 		_, a := first.At(i)
 		_, b := second.At(i)
@@ -437,40 +454,26 @@ func TestStoreOverlappingGrids(t *testing.T) {
 	}
 }
 
-// TestCheckpointFillsStore asserts cells restored from a checkpoint
-// are propagated into the shared store: the checkpoint is a view over
-// the store, not a separate persistence silo.
+// TestCheckpointFillsStore asserts the store is filled cell by cell,
+// not at the end of the run: by the time a computed cell is reported,
+// it and every cell before it are stored, which is what lets an
+// interrupted run resume.
 func TestCheckpointFillsStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
 	g := Grid{Replicates: 4}
-	cols := []string{"v"}
-	runner := func(c Cell, src *rng.Source) ([]float64, error) {
-		return []float64{float64(c.Rep)}, nil
-	}
-	// First run: checkpoint only.
-	if _, err := Run(g, cols, runner, Options{Seed: 9, Scope: "fill", CheckpointPath: path}); err != nil {
-		t.Fatal(err)
-	}
-	// Second run: checkpoint + store; everything restores from the
-	// checkpoint and lands in the store.
 	st := store.NewMemory()
-	rs, err := Run(g, cols, runner, Options{Seed: 9, Scope: "fill", CheckpointPath: path, Store: st})
+	rs, err := Run(g, []string{"v"}, func(c Cell, src *rng.Source) ([]float64, error) {
+		return []float64{float64(c.Rep)}, nil
+	}, Options{Seed: 9, Scope: "fill", Workers: 1, Store: st,
+		Progress: func(done, total int, c Cell, cached bool) {
+			if st.Len() != done {
+				t.Errorf("after %d of %d cells the store holds %d", done, total, st.Len())
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Cache.Hits != 4 || rs.Cache.Misses != 0 {
-		t.Fatalf("cache = %+v", rs.Cache)
-	}
-	if st.Len() != 4 {
-		t.Fatalf("store holds %d cells, want 4", st.Len())
-	}
-	// Third run: store only (no checkpoint) — full hit.
-	rs3, err := Run(g, cols, runner, Options{Seed: 9, Scope: "fill", Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs3.Cache.Hits != 4 || rs3.Cache.Misses != 0 {
-		t.Fatalf("store-only cache = %+v", rs3.Cache)
+	if rs.Cache.Hits != 0 || rs.Cache.Misses != 4 || st.Len() != 4 {
+		t.Fatalf("cache = %+v, store holds %d cells; want 4 computed and stored", rs.Cache, st.Len())
 	}
 }
 

@@ -29,20 +29,17 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, is invoked after each completed cell
 	// with the number of cells done so far; cached reports whether the
-	// cell was served from the checkpoint or the result store instead
-	// of being computed. Calls are serialized.
+	// cell was served from the result store instead of being computed.
+	// Calls are serialized.
 	Progress func(done, total int, c Cell, cached bool)
-	// CheckpointPath, when non-empty, streams completed cells to a
-	// JSON checkpoint file and resumes from it if it already exists.
-	// A checkpoint written for a different (grid, seed, scope,
-	// columns) combination is rejected.
-	CheckpointPath string
 	// Store, when non-nil, is the shared content-addressed result
 	// cache: every cell is looked up by its canonical key
-	// (store.CellSpec) before being computed, and computed cells are
-	// written back. Because cell seeds derive from the cell's identity
-	// — never its position in a grid — any grid containing the same
-	// cell hits the same key, so overlapping sweeps recompute nothing.
+	// (store.CellSpec) before being computed, and each computed cell
+	// is written back as it completes. Because cell seeds derive from
+	// the cell's identity — never its position in a grid — any grid
+	// containing the same cell hits the same key, so overlapping
+	// sweeps recompute nothing, and rerunning an interrupted sweep
+	// against the same store resumes it.
 	Store store.Backend
 }
 
@@ -172,8 +169,8 @@ func (g *storeGuard) firstErr() error {
 // Run expands the grid, executes fn over every cell on a bounded
 // worker pool, and collects the results indexed by cell. The returned
 // ResultSet is identical for any Workers setting. Cells found in the
-// checkpoint or the result store are served without recomputation;
-// ResultSet.Cache reports the split.
+// result store are served without recomputation; ResultSet.Cache
+// reports the split.
 func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("batch: no metric columns declared")
@@ -187,70 +184,34 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 	}
 
 	// Per-cell seeds are always needed; content-addressed keys only
-	// when a cache (checkpoint or store) is attached.
+	// when a store is attached.
 	seeds := make([]uint64, len(cells))
 	for i, c := range cells {
 		seeds[i] = CellSeed(opt.Seed, opt.Scope, c)
 	}
-	var keys []string
-	if opt.CheckpointPath != "" || opt.Store != nil {
+	var (
+		keys  []string
+		guard *storeGuard
+	)
+	if opt.Store != nil {
 		keys = make([]string, len(cells))
 		for i, c := range cells {
 			keys[i] = opt.CellSpec(c, ng.ExtraName, columns).Key()
 		}
-	}
-
-	var guard *storeGuard
-	if opt.Store != nil {
 		guard = &storeGuard{store: opt.Store}
-	}
-
-	var ckpt *checkpoint
-	done := make([]bool, len(cells))
-	if opt.CheckpointPath != "" {
-		var err error
-		ckpt, err = loadOrCreateCheckpoint(opt.CheckpointPath, ng.Fingerprint(opt.Seed, opt.Scope, columns), columns)
-		if err != nil {
-			return nil, err
-		}
-		for i := range cells {
-			if vals, ok := ckpt.get(keys[i]); ok && len(vals) == len(columns) {
-				rs.Values[i] = vals
-				done[i] = true
-				// The checkpoint is a single-run view over the store:
-				// anything it restored belongs in the shared cache too —
-				// but only fill actual gaps, so resuming with a warm
-				// store does not rewrite objects it already holds.
-				if _, ok := guard.get(keys[i]); !ok {
-					guard.put(keys[i], vals)
-				}
-			}
-		}
-	}
-
-	var pending []int
-	for i := range cells {
-		if !done[i] {
-			pending = append(pending, i)
-		}
 	}
 
 	var (
 		mu        sync.Mutex
 		firstErr  error
-		completed = len(cells) - len(pending)
+		completed int
 	)
-	rs.Cache.Hits = completed
-	MetricCellsCached.Add(uint64(completed))
 	failed := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return firstErr != nil
 	}
-	workers := opt.workers()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers := min(opt.workers(), len(cells))
 	runCell := func(i int) {
 		c := cells[i]
 		// Probe the shared store before computing. The probe runs
@@ -298,11 +259,6 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 		} else {
 			rs.Cache.Misses++
 		}
-		if ckpt != nil {
-			if err := ckpt.put(keys[i], vals); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 		if opt.Progress != nil {
 			opt.Progress(completed, len(cells), c, cached)
 		}
@@ -312,7 +268,7 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 	// should not spend hours finishing a grid whose run is already
 	// doomed. In-flight cells drain normally.
 	if workers <= 1 {
-		for _, i := range pending {
+		for i := range cells {
 			if failed() {
 				break
 			}
@@ -330,7 +286,7 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 				}
 			}()
 		}
-		for _, i := range pending {
+		for i := range cells {
 			if failed() {
 				break
 			}
@@ -338,13 +294,6 @@ func Run(g Grid, columns []string, fn Runner, opt Options) (*ResultSet, error) {
 		}
 		close(next)
 		wg.Wait()
-	}
-	if ckpt != nil {
-		// Flush even on failure: preserving completed cells for a
-		// resume is the entire point of the checkpoint.
-		if err := ckpt.flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -8,9 +8,9 @@
 // source from (seed, scope, cell identity) only — see CellSeed — so
 // the output of a run is byte-identical for any worker count, and a
 // cell's result does not depend on which grid contains it (the basis
-// of the content-addressed result cache). Long runs can stream
-// completed cells to a checkpoint file and resume from it after
-// interruption.
+// of the content-addressed result cache). A run with a store puts
+// each cell as it completes, so rerunning an interrupted sweep against
+// the same store resumes it.
 package batch
 
 import (
@@ -274,13 +274,11 @@ func (c Cell) identity() string {
 }
 
 // Fingerprint identifies a (grid, seed, scope, columns) combination;
-// it guards checkpoint compatibility and names whole-grid runs (the
-// HTTP service derives grid IDs from it). The engine is deliberately
-// excluded: engines are bit-identical, so a checkpoint written under
-// one engine is valid — cell for cell — under any other. The v3 prefix
-// marks the scenario-axis schema (boundary, rho, taudist folded into
-// the grid identity); v1 (index-derived seeds) and v2 (no scenario
-// axes) checkpoints are incompatible and rejected.
+// it names whole-grid runs (the HTTP service derives grid IDs from
+// it), so its output must stay stable. The engine is deliberately
+// excluded: engines are bit-identical, so a grid names the same run
+// under any engine. The v3 prefix marks the scenario-axis schema
+// (boundary, rho, taudist folded into the grid identity).
 func (g Grid) Fingerprint(seed uint64, scope string, columns []string) string {
 	n := g.normalized()
 	var b strings.Builder

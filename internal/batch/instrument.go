@@ -13,9 +13,9 @@ var (
 	MetricCellsComputed = metrics.Default().NewCounter(
 		"gridseg_cells_computed_total",
 		"Grid cells computed by simulation (cache misses).")
-	// MetricCellsCached counts cells served from a checkpoint or the
-	// content-addressed store without recomputation.
+	// MetricCellsCached counts cells served from the content-addressed
+	// store without recomputation.
 	MetricCellsCached = metrics.Default().NewCounter(
 		"gridseg_cells_cached_total",
-		"Grid cells served from the checkpoint or result store.")
+		"Grid cells served from the result store.")
 )

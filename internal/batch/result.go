@@ -9,12 +9,13 @@ import (
 	"strconv"
 
 	"gridseg/internal/report"
+	"gridseg/internal/store"
 )
 
 // CacheStats counts how the cells of a run were satisfied.
 type CacheStats struct {
-	// Hits is the number of cells served from the checkpoint or the
-	// content-addressed result store without recomputation.
+	// Hits is the number of cells served from the content-addressed
+	// result store without recomputation.
 	Hits int
 	// Misses is the number of cells computed by the runner this run.
 	Misses int
@@ -216,59 +217,23 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// nanFloat is a float64 whose JSON encoding maps NaN (the engine's
-// missing-sample marker, which encoding/json rejects) to null and
-// back.
-type nanFloat float64
-
-// MarshalJSON encodes NaN as null.
-func (f nanFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) {
-		return []byte("null"), nil
-	}
-	return []byte(strconv.FormatFloat(float64(f), 'g', -1, 64)), nil
-}
-
-// UnmarshalJSON decodes null as NaN.
-func (f *nanFloat) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*f = nanFloat(math.NaN())
-		return nil
-	}
-	v, err := strconv.ParseFloat(string(data), 64)
-	if err != nil {
-		return err
-	}
-	*f = nanFloat(v)
-	return nil
-}
-
-// nanFloats converts a metric vector for JSON encoding.
-func nanFloats(vs []float64) []nanFloat {
-	out := make([]nanFloat, len(vs))
-	for i, v := range vs {
-		out[i] = nanFloat(v)
-	}
-	return out
-}
-
 // jsonResult is the JSON shape of one cell result. The scenario
 // fields are populated only for grids that sweep a scenario axis
 // (like the CSV columns), so default sweeps keep their pre-scenario
 // shape.
 type jsonResult struct {
-	Index    int        `json:"index"`
-	Dynamic  string     `json:"dynamic"`
-	N        int        `json:"n"`
-	W        int        `json:"w"`
-	Tau      float64    `json:"tau"`
-	P        float64    `json:"p"`
-	Boundary string     `json:"boundary,omitempty"`
-	Rho      *float64   `json:"rho,omitempty"`
-	TauDist  string     `json:"taudist,omitempty"`
-	Extra    float64    `json:"extra,omitempty"`
-	Rep      int        `json:"rep"`
-	Values   []nanFloat `json:"values"`
+	Index    int              `json:"index"`
+	Dynamic  string           `json:"dynamic"`
+	N        int              `json:"n"`
+	W        int              `json:"w"`
+	Tau      float64          `json:"tau"`
+	P        float64          `json:"p"`
+	Boundary string           `json:"boundary,omitempty"`
+	Rho      *float64         `json:"rho,omitempty"`
+	TauDist  string           `json:"taudist,omitempty"`
+	Extra    float64          `json:"extra,omitempty"`
+	Rep      int              `json:"rep"`
+	Values   []store.NaNFloat `json:"values"`
 }
 
 // WriteJSON emits the result set as a single JSON document with the
@@ -284,7 +249,7 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 		jr := jsonResult{
 			Index: c.Index, Dynamic: c.Dynamic, N: c.N, W: c.W,
 			Tau: c.Tau, P: c.P, Extra: c.Extra, Rep: c.Rep,
-			Values: nanFloats(rs.Values[i]),
+			Values: store.NaNFloats(rs.Values[i]),
 		}
 		if scenario {
 			rho := c.Rho

@@ -20,7 +20,6 @@ import (
 
 	"gridseg"
 	"gridseg/internal/batch"
-	"gridseg/internal/fastgrid"
 	"gridseg/internal/measure"
 )
 
@@ -201,18 +200,13 @@ func diverges(ref, under *gridseg.Model) error {
 	if rs, us := ref.SegregationStats(), under.SegregationStats(); rs != us {
 		return fmt.Errorf("stats differ:\nunder test: %v\nreference:  %v", us, rs)
 	}
-	// Cross-layout pin: the streaming Phi over a tiled snapshot of the
-	// live view must agree with the engines' maintained Phi, tying the
-	// tiled storage and streaming measurement layers into the same
-	// bit-identity contract.
+	// Cross-layer pin: the streaming Phi over the live view must agree
+	// with the engines' maintained Phi, tying the streaming measurement
+	// layer into the same bit-identity contract.
 	cfg := under.Config()
-	tiled, err := fastgrid.TiledFromView(under.View(), 0)
-	if err != nil {
-		return fmt.Errorf("tiled snapshot: %w", err)
-	}
 	open := cfg.Boundary == gridseg.BoundaryOpen
-	if pv, rp := measure.PhiView(tiled, cfg.W, open), ref.Phi(); pv != rp {
-		return fmt.Errorf("streaming Phi over tiled snapshot = %d, maintained Phi = %d", pv, rp)
+	if pv, rp := measure.PhiView(under.View(), cfg.W, open), ref.Phi(); pv != rp {
+		return fmt.Errorf("streaming Phi over the live view = %d, maintained Phi = %d", pv, rp)
 	}
 	return nil
 }

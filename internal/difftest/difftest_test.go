@@ -126,7 +126,7 @@ var acceptanceCells = []Cell{
 
 // TestEnginesBitIdentical is the acceptance harness: >= 63 cells
 // (>= 12 of them scenario/Kawasaki cells under the fast engine,
-// >= 10 parallel-delegation cells across worker counts 1/2/4/8),
+// >= 10 one-strip parallel cells across worker counts 1/2/4/8),
 // >= 10^6 events, full-state comparisons every 8192 events, zero
 // divergences between the reference and the engines under test.
 func TestEnginesBitIdentical(t *testing.T) {
@@ -167,7 +167,7 @@ func TestEnginesBitIdentical(t *testing.T) {
 		t.Errorf("acceptance requires >= 12 scenario/Kawasaki cells under the fast engine, got %d", fastScenario)
 	}
 	if parallel < 10 {
-		t.Errorf("acceptance requires >= 10 parallel-delegation cells, got %d", parallel)
+		t.Errorf("acceptance requires >= 10 one-strip parallel cells, got %d", parallel)
 	}
 	if rep.Events < 1_000_000 {
 		t.Errorf("acceptance requires >= 10^6 events, got %d", rep.Events)

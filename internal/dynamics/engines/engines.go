@@ -11,7 +11,8 @@
 //     ErrNeighborhoodTooLarge instead of falling back;
 //   - Parallel applies to Glauber only: Kawasaki and Move resolve it to
 //     the sequential fast engine, and so does a one-strip decomposition,
-//     which would only delegate to the fast engine anyway.
+//     requested or automatic (pareng.AutoStrips), which is the fast
+//     engine's own trajectory.
 //
 // The sequential engines are interchangeable bit for bit (enforced by
 // internal/difftest), so the choice among them is purely about speed.
@@ -111,7 +112,7 @@ func Parse(s string) (Kind, error) {
 // Engine is a built engine and the kind it resolved to.
 type Engine struct {
 	// Kind is the implementation in use: never Auto, and Parallel only
-	// for a multi-strip (or automatic-strip) Glauber engine.
+	// for a Glauber engine of at least two strips.
 	Kind Kind
 	// Proc is the count-tracking engine. For Kawasaki and Move it is
 	// the engine underneath Swap or Move, for read-only use.
@@ -122,14 +123,16 @@ type Engine struct {
 	Move dynamics.MoveEngine
 }
 
-// resolve applies the selection rules to a request.
-func resolve(dyn Dynamic, kind Kind, w int, par pareng.Config) Kind {
+// resolve applies the selection rules to a request on a side-n
+// lattice.
+func resolve(dyn Dynamic, kind Kind, n, w int, par pareng.Config) Kind {
+	oneStrip := par.Strips == 1 || par.Strips == 0 && pareng.AutoStrips(n, w) == 1
 	switch {
 	case kind == Auto && fastglauber.Fits(w):
 		return Fast
 	case kind == Auto:
 		return Reference
-	case kind == Parallel && (dyn != Glauber || par.Strips == 1):
+	case kind == Parallel && (dyn != Glauber || oneStrip):
 		return Fast
 	}
 	return kind
@@ -140,7 +143,7 @@ func resolve(dyn Dynamic, kind Kind, w int, par pareng.Config) Kind {
 // drawing its randomness from src. par configures the parallel engine
 // and is ignored by the others.
 func New(dyn Dynamic, kind Kind, lat *grid.Lattice, w int, tau float64, sc dynamics.Scenario, src *rng.Source, par pareng.Config) (Engine, error) {
-	e := Engine{Kind: resolve(dyn, kind, w, par)}
+	e := Engine{Kind: resolve(dyn, kind, lat.N(), w, par)}
 	if e.Kind < Reference || e.Kind > Parallel {
 		return Engine{}, fmt.Errorf("unknown engine %v", kind)
 	}

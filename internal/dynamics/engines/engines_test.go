@@ -71,12 +71,18 @@ func TestNew(t *testing.T) {
 			})
 		}
 	}
-	// A one-strip parallel request is the fast engine outright.
-	e, err := build(Glauber, Parallel, 64, 2, pareng.Config{Workers: 4, Strips: 1})
-	if err != nil {
-		t.Fatal(err)
+	// A one-strip parallel request is the fast engine outright, whether
+	// the strip count is requested or automatic (AutoStrips(32, 2) = 1).
+	for _, r := range []struct {
+		n   int
+		par pareng.Config
+	}{{64, pareng.Config{Workers: 4, Strips: 1}}, {32, pareng.Config{Workers: 4}}} {
+		e, err := build(Glauber, Parallel, r.n, 2, r.par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEngine(t, Glauber, e, Fast, fastProc)
 	}
-	checkEngine(t, Glauber, e, Fast, fastProc)
 }
 
 var dynNames = map[Dynamic]string{Glauber: "glauber", Kawasaki: "kawasaki", Move: "move"}

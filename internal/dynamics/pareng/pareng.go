@@ -19,11 +19,10 @@ type Config struct {
 	// worker count is a pure execution detail — any count yields the
 	// same trajectory.
 	Workers int
-	// Strips is the strip count (0: AutoStrips(n, w); 1: no
-	// decomposition — the engine delegates to the sequential fast
-	// engine and is bit-identical to it). The strip count is part of
-	// the trajectory definition: different counts give different —
-	// individually reproducible — trajectories.
+	// Strips is the strip count (0: AutoStrips(n, w)); it must be at
+	// least 2. The strip count is part of the trajectory definition:
+	// different counts give different — individually reproducible —
+	// trajectories.
 	Strips int
 }
 
@@ -34,13 +33,12 @@ type Config struct {
 const cycleFloor = 256
 
 // Engine is the domain-decomposed parallel Glauber engine. Construct
-// with New; it satisfies dynamics.Engine. With one strip every method
-// delegates to the sequential fast engine; with several, Step and Run
-// advance whole phase cycles, so one Step may perform many flips —
-// Flips reports the exact total.
+// with New; it satisfies dynamics.Engine. Step and Run advance whole
+// phase cycles, so one Step may perform many flips — Flips reports the
+// exact total.
 type Engine struct {
 	proc     *fastglauber.Process
-	grp      *fastglauber.ShardGroup // nil when strips == 1
+	grp      *fastglauber.ShardGroup
 	part     Partition
 	base     *rng.Source
 	workers  int
@@ -57,12 +55,16 @@ var _ dynamics.Engine = (*Engine)(nil)
 // the same model semantics and validation as the sequential engines
 // (the scenario axes — open boundary, vacancies read off the lattice,
 // per-site intolerance — are all supported). Construction consumes no
-// randomness. With cfg.Strips == 1 the result is bit-identical to
-// fastglauber.NewScenario on the same source.
+// randomness. It fails when the strip count (cfg.Strips, or the
+// automatic one) is below 2: one strip is the sequential fast engine,
+// which the engine table builds instead.
 func New(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *rng.Source, cfg Config) (*Engine, error) {
 	strips := cfg.Strips
 	if strips == 0 {
 		strips = AutoStrips(lat.N(), w)
+	}
+	if strips < 2 {
+		return nil, fmt.Errorf("pareng: %d strips: the parallel engine needs at least 2", strips)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -72,10 +74,6 @@ func New(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *
 	if err != nil {
 		return nil, fmt.Errorf("pareng: %w", err)
 	}
-	e := &Engine{proc: proc, base: src, workers: workers, strips: strips}
-	if strips == 1 {
-		return e, nil
-	}
 	part, err := NewPartition(lat.N(), w, strips, sc.Open)
 	if err != nil {
 		return nil, err
@@ -84,8 +82,7 @@ func New(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenario, src *
 	if err != nil {
 		return nil, fmt.Errorf("pareng: %w", err)
 	}
-	e.part, e.grp = part, grp
-	return e, nil
+	return &Engine{proc: proc, grp: grp, part: part, base: src, workers: workers, strips: strips}, nil
 }
 
 // phaseLabel derives the random-stream label of (cycle, phase, strip):
@@ -94,15 +91,13 @@ func phaseLabel(cycle int64, phase, strip int) uint64 {
 	return (uint64(cycle)*2+uint64(phase))*64 + uint64(strip) + 1
 }
 
-// Strips returns the strip count in force (1 means sequential
-// delegation).
+// Strips returns the strip count in force.
 func (e *Engine) Strips() int { return e.strips }
 
 // Workers returns the worker count in force.
 func (e *Engine) Workers() int { return e.workers }
 
-// Cycles returns the number of completed phase cycles (0 under
-// delegation).
+// Cycles returns the number of completed phase cycles.
 func (e *Engine) Cycles() int64 { return e.cycles }
 
 // Lattice returns the underlying reference lattice (live view).
@@ -120,25 +115,14 @@ func (e *Engine) Threshold() int { return e.proc.Threshold() }
 // Tau returns the rational intolerance threshold/N.
 func (e *Engine) Tau() float64 { return e.proc.Tau() }
 
-// Time returns the elapsed continuous time of the last flip: the
-// sequential clock under delegation, the global time of the last flip
-// on the accumulated cycle horizons otherwise. Fixation-time
+// Time returns the elapsed continuous time of the last flip: its
+// global time on the accumulated cycle horizons. Fixation-time
 // statistics measure exactly this, so the tail cycles' large, mostly
 // empty horizons near fixation never inflate it.
-func (e *Engine) Time() float64 {
-	if e.grp == nil {
-		return e.proc.Time()
-	}
-	return e.lastFlip
-}
+func (e *Engine) Time() float64 { return e.lastFlip }
 
 // Flips returns the number of effective flips so far.
-func (e *Engine) Flips() int64 {
-	if e.grp == nil {
-		return e.proc.Flips()
-	}
-	return e.grp.Flips()
-}
+func (e *Engine) Flips() int64 { return e.grp.Flips() }
 
 // SameCount returns the same-type count of site i including itself.
 func (e *Engine) SameCount(i int) int { return e.proc.SameCount(i) }
@@ -148,9 +132,6 @@ func (e *Engine) Happy(i int) bool { return e.proc.Happy(i) }
 
 // HappyFraction returns the fraction of happy agents.
 func (e *Engine) HappyFraction() float64 {
-	if e.grp == nil {
-		return e.proc.HappyFraction()
-	}
 	if e.proc.Agents() == 0 {
 		return 1
 	}
@@ -158,20 +139,10 @@ func (e *Engine) HappyFraction() float64 {
 }
 
 // UnhappyCount returns the number of unhappy agents.
-func (e *Engine) UnhappyCount() int {
-	if e.grp == nil {
-		return e.proc.UnhappyCount()
-	}
-	return e.grp.UnhappyCount()
-}
+func (e *Engine) UnhappyCount() int { return e.grp.UnhappyCount() }
 
 // FlippableCount returns the number of admissible flips.
-func (e *Engine) FlippableCount() int {
-	if e.grp == nil {
-		return e.proc.FlippableCount()
-	}
-	return e.grp.FlippableCount()
-}
+func (e *Engine) FlippableCount() int { return e.grp.FlippableCount() }
 
 // Fixated reports whether no admissible flip remains.
 func (e *Engine) Fixated() bool { return e.FlippableCount() == 0 }
@@ -183,21 +154,12 @@ func (e *Engine) Phi() int64 { return e.proc.Phi() }
 func (e *Engine) MaxFlipsBound() int64 { return e.proc.MaxFlipsBound() }
 
 // CheckInvariants verifies bookkeeping against brute force.
-func (e *Engine) CheckInvariants() error {
-	if e.grp == nil {
-		return e.proc.CheckInvariants()
-	}
-	return e.grp.CheckInvariants()
-}
+func (e *Engine) CheckInvariants() error { return e.grp.CheckInvariants() }
 
-// Step advances the engine by one unit of progress: one flip under
-// delegation (site is the flipped site), one phase cycle otherwise
-// (site is -1; a cycle may perform many flips — or none, when every
-// drawn waiting time overshoots the horizon). ok=false after fixation.
+// Step advances the engine by one phase cycle (site is -1; a cycle
+// may perform many flips — or none, when every drawn waiting time
+// overshoots the horizon). ok=false after fixation.
 func (e *Engine) Step() (site int, ok bool) {
-	if e.grp == nil {
-		return e.proc.Step()
-	}
 	if e.grp.FlippableCount() == 0 {
 		return 0, false
 	}
@@ -206,13 +168,9 @@ func (e *Engine) Step() (site int, ok bool) {
 }
 
 // Run advances the engine until fixation or until at least maxFlips
-// additional flips have been performed (<= 0: no limit). Multi-strip
-// runs stop at cycle granularity, so performed may slightly overshoot
-// maxFlips.
+// additional flips have been performed (<= 0: no limit). Runs stop
+// at cycle granularity, so performed may slightly overshoot maxFlips.
 func (e *Engine) Run(maxFlips int64) (performed int64, fixated bool) {
-	if e.grp == nil {
-		return e.proc.Run(maxFlips)
-	}
 	for maxFlips <= 0 || performed < maxFlips {
 		if e.grp.FlippableCount() == 0 {
 			return performed, true

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gridseg/internal/dynamics"
-	"gridseg/internal/dynamics/fastglauber"
 	"gridseg/internal/grid"
 	"gridseg/internal/rng"
 )
@@ -101,42 +100,6 @@ func TestStripCountChangesTrajectory(t *testing.T) {
 	}
 }
 
-// TestDelegationBitIdentical pins the strips=1 contract: the parallel
-// engine delegates to the sequential fast engine and replays it
-// bit for bit, event by event.
-func TestDelegationBitIdentical(t *testing.T) {
-	for _, c := range scenarioCases {
-		t.Run(c.name, func(t *testing.T) {
-			lat, dsc, src := c.build(11)
-			par, err := New(lat, c.w, c.tau, dsc, src, Config{Workers: 4, Strips: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			latSeq, dscSeq, srcSeq := c.build(11)
-			seq, err := fastglauber.NewScenario(latSeq, c.w, c.tau, dscSeq, srcSeq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				i, ok := par.Step()
-				j, ok2 := seq.Step()
-				if ok != ok2 || i != j {
-					t.Fatalf("delegation diverged at flip %d: parallel (%d, %v), sequential (%d, %v)", par.Flips(), i, ok, j, ok2)
-				}
-				if !ok {
-					break
-				}
-				if par.Time() != seq.Time() {
-					t.Fatalf("clock diverged at flip %d: %v vs %v", par.Flips(), par.Time(), seq.Time())
-				}
-			}
-			if lat.String() != latSeq.String() {
-				t.Fatalf("terminal configurations differ under delegation")
-			}
-		})
-	}
-}
-
 // TestPhiMonotone pins the per-flip Lyapunov guarantee of the phase
 // protocol: every flip is admissible at the moment it happens, so Phi
 // gains at least 2 per flip — cycle over cycle, not just end to end.
@@ -182,7 +145,12 @@ func TestAutoStrips(t *testing.T) {
 			if _, err := NewPartition(c.n, c.w, got, false); err != nil {
 				t.Errorf("AutoStrips(%d, %d) = %d is not a valid partition: %v", c.n, c.w, got, err)
 			}
+		} else if _, err := New(grid.New(c.n, grid.Plus), c.w, 0.45, dynamics.Scenario{}, rng.New(1), Config{}); err == nil {
+			t.Errorf("New on n=%d w=%d built a one-strip engine, want an error", c.n, c.w)
 		}
+	}
+	if _, err := New(grid.New(64, grid.Plus), 2, 0.45, dynamics.Scenario{}, rng.New(1), Config{Strips: 1}); err == nil {
+		t.Error("New accepted Strips: 1")
 	}
 }
 

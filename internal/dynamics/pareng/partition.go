@@ -17,11 +17,9 @@
 // trajectories of the same process; the statistical-equivalence suite
 // pins their distributional agreement with the sequential engine.
 //
-// With one strip the engine delegates to the sequential fast engine
-// outright and is bit-identical to it (and to the reference engine)
-// for every seed and scenario. The engine table
-// (internal/dynamics/engines) resolves a one-strip request straight to
-// the fast engine.
+// The engine needs at least two strips: the engine table
+// (internal/dynamics/engines) resolves a one-strip request, explicit
+// or automatic, to the sequential fast engine.
 package pareng
 
 import (

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"gridseg/internal/store"
 )
 
 // maxBodyBytes bounds a protocol request body; the largest legitimate
@@ -79,7 +81,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		var errs []error
 		for _, d := range req.Cells {
-			if err := c.table.Complete(d.Run, d.Index, d.Lease, req.Worker, d.Cached, decodeValues(d.Values), d.Error); err != nil {
+			if err := c.table.Complete(d.Run, d.Index, d.Lease, req.Worker, d.Cached, store.Float64s(d.Values), d.Error); err != nil {
 				errs = append(errs, err)
 			}
 		}

@@ -37,10 +37,8 @@
 package fabric
 
 import (
-	"math"
-	"strconv"
-
 	"gridseg/internal/batch"
+	"gridseg/internal/store"
 )
 
 // Job is the unit of leasable work: one grid cell, carried with its
@@ -140,54 +138,10 @@ type completion struct {
 	Cached bool `json:"cached,omitempty"`
 	// Values is the metric vector; NaN crosses the wire as null,
 	// mirroring the store's object encoding. Empty when Error is set.
-	Values []nanFloat `json:"values,omitempty"`
+	Values []store.NaNFloat `json:"values,omitempty"`
 	// Error carries a deterministic per-cell failure. Since cells are
 	// pure functions of their identity, such an error would reproduce
 	// on any worker, so the coordinator fails the run instead of
 	// requeueing.
 	Error string `json:"error,omitempty"`
-}
-
-// nanFloat maps NaN <-> null across the JSON boundary, exactly like
-// the store's object encoding.
-type nanFloat float64
-
-// MarshalJSON encodes NaN as null.
-func (f nanFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) {
-		return []byte("null"), nil
-	}
-	return []byte(strconv.FormatFloat(float64(f), 'g', -1, 64)), nil
-}
-
-// UnmarshalJSON decodes null as NaN.
-func (f *nanFloat) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*f = nanFloat(math.NaN())
-		return nil
-	}
-	v, err := strconv.ParseFloat(string(data), 64)
-	if err != nil {
-		return err
-	}
-	*f = nanFloat(v)
-	return nil
-}
-
-// encodeValues and decodeValues convert between the engine's []float64
-// and the NaN-safe wire slice.
-func encodeValues(v []float64) []nanFloat {
-	out := make([]nanFloat, len(v))
-	for i, x := range v {
-		out[i] = nanFloat(x)
-	}
-	return out
-}
-
-func decodeValues(v []nanFloat) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
 }

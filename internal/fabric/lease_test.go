@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gridseg/internal/store"
 )
 
 // fakeClock is a hand-cranked Clock so the lease tests control expiry
@@ -334,12 +336,12 @@ func TestCompleteValidates(t *testing.T) {
 
 // TestNaNValuesCrossTheWire pins the NaN<->null completion encoding.
 func TestNaNValuesCrossTheWire(t *testing.T) {
-	req := completion{Values: encodeValues([]float64{1, math.NaN(), -2})}
+	req := completion{Values: store.NaNFloats([]float64{1, math.NaN(), -2})}
 	data, err := req.Values[1].MarshalJSON()
 	if err != nil || string(data) != "null" {
 		t.Fatalf("NaN marshals to %s, %v", data, err)
 	}
-	got := decodeValues(req.Values)
+	got := store.Float64s(req.Values)
 	if got[0] != 1 || !math.IsNaN(got[1]) || got[2] != -2 {
 		t.Fatalf("round trip = %v", got)
 	}

@@ -243,7 +243,7 @@ func (w *Worker) workCell(ctx context.Context, grant LeaseGrant) (completion, bo
 		}
 		return c, true
 	}
-	c.Values = encodeValues(values)
+	c.Values = store.NaNFloats(values)
 	return c, true
 }
 

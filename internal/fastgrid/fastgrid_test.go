@@ -149,3 +149,50 @@ func TestOnesInRowRange(t *testing.T) {
 		}
 	}
 }
+
+// TestVisitStreamsMatchMaterialized pins the streaming lane forms to
+// the reference counts, row by row and lane by lane — partial last
+// words (n%4 != 0), both boundaries, full and vacancy lattices, and
+// windows from w=1 to one wider than the lattice — and checks that
+// the lanes past column n-1 stay zero.
+func TestVisitStreamsMatchMaterialized(t *testing.T) {
+	for _, n := range []int{5, 7, 63, 65, 100, 129} {
+		for _, rho := range []float64{0, 0.1} {
+			lat := grid.RandomScenario(n, 0.5, rho, rng.New(uint64(21+n)))
+			p := FromLattice(lat)
+			for _, w := range []int{1, 2, 5, 40} {
+				for _, open := range []bool{false, true} {
+					if !open && 2*w+1 > n {
+						continue
+					}
+					check := func(name string, ref []int32, visit func(int, bool, func(int, []uint64))) {
+						rows := 0
+						visit(w, open, func(y int, lanes []uint64) {
+							if y != rows || len(lanes) != LaneWords(n) {
+								t.Fatalf("%s n=%d w=%d open=%v: row %d (len %d), want row %d (len %d)", name, n, w, open, y, len(lanes), rows, LaneWords(n))
+							}
+							for k, word := range lanes {
+								for l := 0; l < 4; l++ {
+									x, v := 4*k+l, int32(word>>uint(16*l)&0xffff)
+									want := int32(0)
+									if x < n {
+										want = ref[y*n+x]
+									}
+									if v != want {
+										t.Fatalf("%s n=%d w=%d open=%v rho=%v: lane (%d, %d) = %d, want %d", name, n, w, open, rho, x, y, v, want)
+									}
+								}
+							}
+							rows++
+						})
+						if rows != n {
+							t.Fatalf("%s: visited %d rows, want %d", name, rows, n)
+						}
+					}
+					check("plus", lat.PlusWindowCounts(w, open), p.VisitPlusWindowLanes)
+					check("occupied", lat.OccupiedWindowCounts(w, open), p.VisitOccupiedWindowLanes)
+				}
+			}
+		}
+	}
+}

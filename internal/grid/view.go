@@ -1,10 +1,9 @@
 package grid
 
-// LatticeView is the read-only lattice interface shared by every
-// storage layout: the reference spin array (Lattice), the flat
-// bit-packed layout (fastgrid.Lattice), and the tile-blocked layout
-// for giant grids (fastgrid.Tiled) all satisfy it. Code written
-// against LatticeView runs unchanged on any of them; the measurement
+// LatticeView is the read-only lattice interface shared by both
+// storage layouts: the reference spin array (Lattice) and the flat
+// bit-packed layout (fastgrid.Lattice) satisfy it. Code written
+// against LatticeView runs unchanged on either; the measurement
 // pass packs any view into bit planes without materializing a
 // reference copy first.
 //

@@ -97,19 +97,15 @@ func TestGeometryVacancySkipsPlaquettes(t *testing.T) {
 }
 
 // TestGeometryAcrossLayouts checks the estimators agree across the
-// reference, packed, and tiled storage layouts and stay consistent
+// reference and packed storage layouts and stay consistent
 // with the interface density (length = density * total agent pairs).
 func TestGeometryAcrossLayouts(t *testing.T) {
 	for _, tc := range streamCases {
 		lat := grid.RandomScenario(tc.n, 0.5, tc.rho, rng.New(uint64(tc.n*2000+tc.w)))
 		packed := fastgrid.FromLattice(lat)
-		tiled, err := fastgrid.TiledFromView(lat, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wantLen := InterfaceLengthView(lat, tc.open)
 		wantCurv := BoundaryCurvatureView(lat, tc.open)
-		for name, v := range map[string]grid.LatticeView{"packed": packed, "tiled": tiled} {
+		for name, v := range map[string]grid.LatticeView{"packed": packed} {
 			if got := InterfaceLengthView(v, tc.open); got != wantLen {
 				t.Errorf("n=%d open=%v %s: InterfaceLengthView = %v, want %v", tc.n, tc.open, name, got, wantLen)
 			}

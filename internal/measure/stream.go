@@ -34,7 +34,7 @@ type Packed struct {
 	buf       *[]uint64
 }
 
-// Pack copies any lattice view (reference, flat packed or tiled) into
+// Pack copies any lattice view (reference or flat packed) into
 // pooled bit planes.
 func Pack(v grid.LatticeView) *Packed {
 	n := v.N()

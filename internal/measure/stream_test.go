@@ -12,7 +12,7 @@ import (
 )
 
 // streamCases spans both boundaries, vacancies, window radii crossing
-// word and tile seams, and open windows larger than the grid.
+// word seams, and open windows larger than the grid.
 var streamCases = []struct {
 	n, w int
 	rho  float64
@@ -25,17 +25,13 @@ var streamCases = []struct {
 }
 
 // TestStreamingAgainstMaterialized pins every packed observable to a
-// brute-force oracle, packing the reference lattice and the packed and
-// tiled layouts of the same configuration.
+// brute-force oracle, packing the reference lattice and the packed
+// layout of the same configuration.
 func TestStreamingAgainstMaterialized(t *testing.T) {
 	for _, tc := range streamCases {
 		lat := grid.RandomScenario(tc.n, 0.5, tc.rho, rng.New(uint64(tc.n*1000+tc.w)))
 		packed := fastgrid.FromLattice(lat)
-		tiled, err := fastgrid.TiledFromView(lat, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views := map[string]grid.LatticeView{"reference": lat, "packed": packed, "tiled": tiled}
+		views := map[string]grid.LatticeView{"reference": lat, "packed": packed}
 
 		// Reference values by brute force over the reference lattice.
 		plus := lat.PlusWindowCounts(tc.w, tc.open)

@@ -165,12 +165,20 @@ func (s *Server) fillBehind(id string, n int) (fills chan<- cellFill, drain func
 // resubmission, which registers afresh.
 func (s *Server) failCluster(j *job, err error) {
 	s.logRun(j.id, "failed", "err", err)
-	if s.journal != nil {
-		if jerr := s.journal.Finish(j.id); jerr != nil {
-			s.logRun(j.id, "journal finish failed", "err", jerr)
-		}
-	}
+	s.finishJournal(j)
 	j.fail(err)
+}
+
+// finishJournal retires a run from the journal once its register
+// record is down (see job.registered).
+func (s *Server) finishJournal(j *job) {
+	if s.journal == nil {
+		return
+	}
+	<-j.registered
+	if err := s.journal.Finish(j.id); err != nil {
+		s.logRun(j.id, "journal finish failed", "err", err)
+	}
 }
 
 // finishCluster assembles and publishes a completed cluster run,
@@ -182,11 +190,7 @@ func (s *Server) finishCluster(j *job, values [][]float64, hits, misses int) {
 		s.failCluster(j, err)
 		return
 	}
-	if s.journal != nil {
-		if jerr := s.journal.Finish(j.id); jerr != nil {
-			s.logRun(j.id, "journal finish failed", "err", jerr)
-		}
-	}
+	s.finishJournal(j)
 	s.logRun(j.id, "done", "cached", hits, "computed_by_workers", misses)
 	j.finish(res)
 }

@@ -24,6 +24,12 @@ type job struct {
 	// recovered. Written once before the job is enqueued, read only by
 	// the dispatcher.
 	recovered bool
+	// registered is closed once the run's journal register record is
+	// written, and at creation for a recovered run, which the journal
+	// already holds. The finish record waits for it: written first, it
+	// would leave replay keeping the finished run, and the next boot
+	// would run it again.
+	registered chan struct{}
 
 	// live fans the run's trajectory frames out to /live subscribers
 	// (see live.go); closed when the run reaches a terminal state.
@@ -58,9 +64,10 @@ func (e sseEvent) terminal() bool { return e.Type == "done" || e.Type == "error"
 func newJob(id, spec string, seed uint64, cells int) *job {
 	return &job{
 		id: id, spec: spec, seed: seed, cells: cells,
-		state: StateQueued,
-		live:  newLiveHub(),
-		subs:  map[chan sseEvent]struct{}{},
+		state:      StateQueued,
+		registered: make(chan struct{}),
+		live:       newLiveHub(),
+		subs:       map[chan sseEvent]struct{}{},
 	}
 }
 

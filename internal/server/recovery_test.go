@@ -452,3 +452,45 @@ func TestJournalTwoLinesPerRun(t *testing.T) {
 		t.Fatalf("journal after one finished run holds %d lines, want its register and finish:\n%s", len(lines), data)
 	}
 }
+
+// TestJournalFinishFollowsRegister pins the order of a run's two
+// journal lines. The submit handler enqueues a run before it writes
+// the register line, and a fully cached run on an idle dispatcher can
+// finish within that gap; a finish line written first would leave
+// replay keeping the finished run, to be run again on the next boot.
+// Sequential one-cell cached submits hit the gap repeatedly (the race
+// detector's scheduling widens it).
+func TestJournalFinishFollowsRegister(t *testing.T) {
+	const (
+		spec = "n=8 w=1 tau=0.4 reps=1"
+		runs = 300
+	)
+	st := gridseg.NewMemoryStore()
+	for seed := uint64(1); seed <= runs; seed++ {
+		if _, err := gridseg.RunGrid(spec, gridseg.GridOptions{Seed: seed, Workers: 1, Store: st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := fabric.OpenJournal(filepath.Join(t.TempDir(), "fabric.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s, err := New(Options{Store: st, Cluster: true, LeaseTTL: time.Second, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptestNewServer(t, s)
+	for seed := uint64(1); seed <= runs; seed++ {
+		status, code := submit(t, hs.URL, spec, seed)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d status = %d", seed, code)
+		}
+		if final := waitDone(t, hs.URL, status.ID); final.State != StateDone || final.Cache.Hits != 1 {
+			t.Fatalf("run %d = %+v, want done from the store", seed, final)
+		}
+	}
+	if left := j.Runs(); len(left) != 0 {
+		t.Fatalf("journal keeps %d of %d finished runs as unfinished", len(left), runs)
+	}
+}

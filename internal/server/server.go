@@ -195,6 +195,7 @@ func New(opt Options) (*Server, error) {
 	for _, r := range recovered {
 		j := newJob(r.Run, r.Spec, r.Seed, r.Cells)
 		j.recovered = true
+		close(j.registered)
 		s.grids[r.Run] = j
 		s.order = append(s.order, r.Run)
 		s.queue <- j
@@ -414,6 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.logRun(id, "journal register failed", "err", err)
 			}
 		}
+		close(j.registered)
 		s.logRun(id, "queued", "spec", req.Spec, "seed", seed)
 		writeJSON(w, http.StatusAccepted, j.status())
 	default:

@@ -120,7 +120,7 @@ func FuzzObjectHandler(f *testing.F) {
 
 // sameBits reports whether a stored vector matches a wire vector bit
 // for bit.
-func sameBits(stored []float64, wire []nanFloat) bool {
+func sameBits(stored []float64, wire []NaNFloat) bool {
 	if len(stored) != len(wire) {
 		return false
 	}

@@ -120,11 +120,7 @@ func (r *Remote) Get(key string) (values []float64, ok bool, err error) {
 	if obj.Key != key {
 		return nil, false, fmt.Errorf("store: remote object %s holds key %s", key, obj.Key)
 	}
-	out := make([]float64, len(obj.Values))
-	for i, v := range obj.Values {
-		out[i] = float64(v)
-	}
-	return out, true, nil
+	return Float64s(obj.Values), true, nil
 }
 
 // Put implements Backend.
@@ -133,11 +129,7 @@ func (r *Remote) Put(key string, values []float64) (err error) {
 	if !validKey(key) {
 		return fmt.Errorf("store: malformed key %q", key)
 	}
-	obj := object{Key: key, Values: make([]nanFloat, len(values))}
-	for i, v := range values {
-		obj.Values[i] = nanFloat(v)
-	}
-	data, err := json.Marshal(obj)
+	data, err := json.Marshal(object{Key: key, Values: NaNFloats(values)})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -196,12 +188,8 @@ func ObjectHandler(b Backend) http.Handler {
 			http.Error(w, "no such object", http.StatusNotFound)
 			return
 		}
-		obj := object{Key: key, Values: make([]nanFloat, len(values))}
-		for i, v := range values {
-			obj.Values[i] = nanFloat(v)
-		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(obj)
+		json.NewEncoder(w).Encode(object{Key: key, Values: NaNFloats(values)})
 	})
 	mux.HandleFunc("PUT /{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
@@ -218,11 +206,7 @@ func ObjectHandler(b Backend) http.Handler {
 			http.Error(w, fmt.Sprintf("object body holds key %s", obj.Key), http.StatusBadRequest)
 			return
 		}
-		values := make([]float64, len(obj.Values))
-		for i, v := range obj.Values {
-			values[i] = float64(v)
-		}
-		if err := b.Put(key, values); err != nil {
+		if err := b.Put(key, Float64s(obj.Values)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

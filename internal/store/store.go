@@ -247,14 +247,17 @@ func (d *Dir) Root() string { return d.root }
 // rejects) as null.
 type object struct {
 	Key    string     `json:"key"`
-	Values []nanFloat `json:"values"`
+	Values []NaNFloat `json:"values"`
 }
 
-// nanFloat maps NaN <-> null across the JSON boundary.
-type nanFloat float64
+// NaNFloat is a float64 whose JSON encoding maps NaN (the engine's
+// missing-sample marker, which encoding/json rejects) to null and
+// back. It is the one such codec: the store's objects, the batch JSON
+// artifact and the fabric's completion bodies all encode with it.
+type NaNFloat float64
 
 // MarshalJSON encodes NaN as null.
-func (f nanFloat) MarshalJSON() ([]byte, error) {
+func (f NaNFloat) MarshalJSON() ([]byte, error) {
 	if math.IsNaN(float64(f)) {
 		return []byte("null"), nil
 	}
@@ -262,17 +265,35 @@ func (f nanFloat) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes null as NaN.
-func (f *nanFloat) UnmarshalJSON(data []byte) error {
+func (f *NaNFloat) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
-		*f = nanFloat(math.NaN())
+		*f = NaNFloat(math.NaN())
 		return nil
 	}
 	v, err := strconv.ParseFloat(string(data), 64)
 	if err != nil {
 		return err
 	}
-	*f = nanFloat(v)
+	*f = NaNFloat(v)
 	return nil
+}
+
+// NaNFloats converts a metric vector for JSON encoding.
+func NaNFloats(vs []float64) []NaNFloat {
+	out := make([]NaNFloat, len(vs))
+	for i, v := range vs {
+		out[i] = NaNFloat(v)
+	}
+	return out
+}
+
+// Float64s converts a decoded vector back to a metric vector.
+func Float64s(vs []NaNFloat) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // path maps a key to its object file. Keys are hex SHA-256 (64 chars);
@@ -332,11 +353,7 @@ func (d *Dir) read(key string) ([]float64, bool, error) {
 	if json.Unmarshal(data, &obj) != nil || obj.Key != key {
 		return nil, false, errDamaged
 	}
-	out := make([]float64, len(obj.Values))
-	for i, v := range obj.Values {
-		out[i] = float64(v)
-	}
-	return out, true, nil
+	return Float64s(obj.Values), true, nil
 }
 
 // quarantine moves the damaged object under key to corrupt/<key>,
@@ -375,11 +392,7 @@ func (d *Dir) Put(key string, values []float64) (err error) {
 	if !validKey(key) {
 		return fmt.Errorf("store: malformed key %q", key)
 	}
-	obj := object{Key: key, Values: make([]nanFloat, len(values))}
-	for i, v := range values {
-		obj.Values[i] = nanFloat(v)
-	}
-	data, err := json.Marshal(obj)
+	data, err := json.Marshal(object{Key: key, Values: NaNFloats(values)})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

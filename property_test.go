@@ -2,7 +2,11 @@ package gridseg
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"gridseg/internal/grid"
+	"gridseg/internal/rng"
 )
 
 // enginesUnderTest names the Glauber engine implementations every
@@ -231,5 +235,81 @@ func TestTimeIsFiniteAndIncreasing(t *testing.T) {
 			}
 			prev = now
 		}
+	}
+}
+
+// TestGlobalSpinInversion pins the model's exact symmetry under
+// swapping the two types: negating every agent of the initial lattice
+// and replaying the same per-site tau field and dynamics stream gives
+// the mirrored trajectory — equal flip counts, fixation and clock, an
+// exactly negated final lattice and magnetization, and equal happy
+// fraction, interface density and largest-cluster fraction. It holds
+// for Glauber and Move on both engines across the scenario axes.
+// Kawasaki is left out: it draws from its plus-type unhappy set first,
+// so the inverted lattice draws a different pair from the same stream.
+func TestGlobalSpinInversion(t *testing.T) {
+	for _, dyn := range []Dynamic{Glauber, Move} {
+		for _, engine := range enginesUnderTest {
+			for _, b := range []Boundary{BoundaryTorus, BoundaryOpen} {
+				for _, rho := range []float64{0, 0.1} {
+					if dyn == Move && rho == 0 {
+						continue
+					}
+					for _, td := range []string{"global", "uniform:0.3:0.55"} {
+						for _, w := range []int{1, 2} {
+							for _, tau := range []float64{0.30, 0.42, 0.45, 0.50, 0.60} {
+								for seed := uint64(1); seed <= 4; seed++ {
+									checkInversion(t, Config{N: 24, W: w, Tau: tau, Seed: seed, Dynamic: dyn,
+										Engine: engine, Boundary: b, Rho: rho, TauDist: td})
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkInversion runs cfg's lattice and its negation to fixation with
+// the same tau field and dynamics stream (drawn as New draws them) and
+// asserts the mirrored outcome.
+func checkInversion(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	sc, err := cfg.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(cfg.Seed)
+	lat := grid.RandomScenario(cfg.N, cfg.P, cfg.Rho, src.Split(1))
+	taus := sc.TauDist.SampleField(lat.Sites(), cfg.Tau, src.Split(3))
+	neg := lat.Clone()
+	for i := 0; i < neg.Sites(); i++ {
+		neg.SetAt(i, -neg.SpinAt(i))
+	}
+	a, err := newModel(cfg, sc, lat, taus, src.Split(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newModel(cfg, sc, neg, slices.Clone(taus), src.Split(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, xa := a.Run(1 << 20)
+	fb, xb := b.Run(1 << 20)
+	ta, tb := a.Time(), b.Time()
+	if fa != fb || xa != xb || (ta != tb && !(math.IsNaN(ta) && math.IsNaN(tb))) {
+		t.Fatalf("%+v: flips/fixated/time %d/%v/%v, inverted %d/%v/%v", cfg, fa, xa, ta, fb, xb, tb)
+	}
+	for i := 0; i < lat.Sites(); i++ {
+		if neg.SpinAt(i) != -lat.SpinAt(i) {
+			t.Fatalf("%+v: final lattices differ beyond negation at site %d", cfg, i)
+		}
+	}
+	sa, sb := a.SegregationStats(), b.SegregationStats()
+	if sb.Magnetization != -sa.Magnetization || sb.HappyFraction != sa.HappyFraction ||
+		sb.InterfaceDensity != sa.InterfaceDensity || sb.LargestClusterFraction != sa.LargestClusterFraction {
+		t.Fatalf("%+v: stats %+v, inverted %+v", cfg, sa, sb)
 	}
 }

@@ -42,8 +42,8 @@ func NewMemoryStore() CellStore { return store.NewMemory() }
 
 // CacheStats counts how the cells of a sweep were satisfied.
 type CacheStats struct {
-	// Hits is the number of cells served from the checkpoint or the
-	// result store without recomputation.
+	// Hits is the number of cells served from the result store
+	// without recomputation.
 	Hits int
 	// Misses is the number of cells computed this run.
 	Misses int
@@ -67,8 +67,8 @@ type CellProgress struct {
 	TauDist  string
 	Extra    float64
 	Rep      int
-	// Cached reports whether the cell was served from the checkpoint
-	// or the result store instead of being computed.
+	// Cached reports whether the cell was served from the result
+	// store instead of being computed.
 	Cached bool
 	// Worker names the fabric worker that computed the cell when the
 	// sweep ran in cluster mode; empty for in-process sweeps.
@@ -82,19 +82,17 @@ type GridOptions struct {
 	Seed uint64
 	// Workers bounds the sweep worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// CheckpointPath, when non-empty, streams completed cells to a
-	// JSON checkpoint and resumes from it on restart, so long
-	// full-scale sweeps survive interruption. Checkpoints remain valid
-	// across engine selections: engines are bit-identical.
-	CheckpointPath string
 	// Engine selects the engine implementation when the grid
 	// spec has no engine= key (EngineAuto picks the fast bit-packed
 	// engine whenever it applies). Never changes results, only speed.
 	Engine Engine
 	// Store, when non-nil, is the shared content-addressed result
 	// cache: cells already in the store are served without
-	// recomputation, computed cells are written back. Because cell
-	// seeds derive from cell identity, overlapping grids share cells.
+	// recomputation, and each computed cell is written back as it
+	// completes. Because cell seeds derive from cell identity,
+	// overlapping grids share cells, and rerunning an interrupted sweep
+	// against the same store resumes it. Engines are bit-identical, so
+	// a cell cached under one engine serves any other.
 	Store CellStore
 	// Progress, when non-nil, is invoked after each completed cell.
 	Progress func(done, total int)
@@ -108,10 +106,10 @@ type GridOptions struct {
 	// carrying the observables and a binary grid frame. The tap is
 	// purely observational: it never draws from a cell's random stream,
 	// so result bytes are identical with or without it. Cells served
-	// from the checkpoint or the result store never run, hence never
-	// produce samples. Snapshot may be called concurrently from the
-	// sweep workers and must not block for long — a stalled consumer
-	// stalls the cell that called it.
+	// from the result store never run, hence never produce samples.
+	// Snapshot may be called concurrently from the sweep workers and
+	// must not block for long — a stalled consumer stalls the cell that
+	// called it.
 	Snapshot func(LiveSample)
 	// SnapshotEvery is the flip interval between live samples; values
 	// < 1 mean DefaultSnapshotEvery.
@@ -225,11 +223,10 @@ func RunGrid(spec string, opt GridOptions) (*GridResult, error) {
 		g.Engine = opt.Engine.String()
 	}
 	bopt := batch.Options{
-		Seed:           opt.Seed,
-		Scope:          gridScope,
-		Workers:        opt.Workers,
-		CheckpointPath: opt.CheckpointPath,
-		Store:          opt.Store,
+		Seed:    opt.Seed,
+		Scope:   gridScope,
+		Workers: opt.Workers,
+		Store:   opt.Store,
 	}
 	if opt.Progress != nil || opt.ProgressCell != nil {
 		bopt.Progress = func(done, total int, c batch.Cell, cached bool) {
@@ -299,8 +296,8 @@ func buildSweepModel(c batch.Cell, src *rng.Source) (*Model, error) {
 		Boundary: boundary, Rho: c.Rho, TauDist: c.TauDist,
 		// Sweeps pin the parallel engine to one strip, which the engine
 		// table resolves to the fast engine, so the engine label
-		// stays an execution detail and cached cells, checkpoints, and
-		// goldens remain valid across engines. Multi-strip decomposition
+		// stays an execution detail and cached cells and goldens remain
+		// valid across engines. Multi-strip decomposition
 		// is reserved for single giant runs (cmd/segsim, cmd/bench).
 		Par: c.Par, ParStrips: 1,
 	})
@@ -410,8 +407,8 @@ func takeLiveSample(m *Model, c batch.Cell, total int, final bool) LiveSample {
 // replicates) in the sweep.
 func (r *GridResult) Len() int { return r.rs.Len() }
 
-// Cache reports how many cells were served from the checkpoint or the
-// result store versus computed this run. Caching never changes the
+// Cache reports how many cells were served from the result store
+// versus computed this run. Caching never changes the
 // result bytes.
 func (r *GridResult) Cache() CacheStats {
 	return CacheStats{Hits: r.rs.Cache.Hits, Misses: r.rs.Cache.Misses, Err: r.rs.Cache.Err}

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // two intolerances, and the scenario axes (both boundaries, with and
 // without vacancies); 128 cells total. The goldens pin the full
 // determinism contract: spec + seed fixes every byte of the CSV/JSON
-// artifacts, for any worker count, with or without checkpoint-resume,
+// artifacts, for any worker count, with or without a store-backed resume,
 // on any engine — and, because default-scenario cell seeds are
 // identity-stable, the default cells' metric values are pinned across
 // the scenario subsystem's introduction.
@@ -168,11 +168,19 @@ func TestRunGridMoveAcrossEngines(t *testing.T) {
 }
 
 // TestRunGridGoldenCheckpointResume interrupts the golden grid partway
-// (a runner that fails after 10 cells, flushing a partial checkpoint),
-// then resumes through RunGrid and asserts the artifacts still match
-// the goldens byte for byte.
+// (a runner that fails after 10 cells, which are already in the
+// store), then resumes through RunGrid on the store reopened from disk
+// and asserts the 10 cells are served from it and the artifacts still
+// match the goldens byte for byte.
 func TestRunGridGoldenCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "golden.ck.json")
+	dir := filepath.Join(t.TempDir(), "cache")
+	open := func() CellStore {
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	g, err := batch.ParseGrid(goldenSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +194,20 @@ func TestRunGridGoldenCheckpointResume(t *testing.T) {
 		return sweepCell(c, src)
 	}
 	_, err = batch.Run(g, sweepColumns, failing, batch.Options{
-		Seed: goldenSeed, Scope: "grid", Workers: 1, CheckpointPath: path,
+		Seed: goldenSeed, Scope: gridScope, Workers: 1, Store: open(),
 	})
 	if err == nil {
 		t.Fatal("interrupted run must report the failure")
 	}
 
-	csv, json := goldenRun(t, GridOptions{Seed: goldenSeed, Workers: 4, CheckpointPath: path})
+	r, err := RunGrid(goldenSpec, GridOptions{Seed: goldenSeed, Workers: 4, Store: open()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := r.Cache(); cs.Hits != 10 {
+		t.Fatalf("resumed cache = %+v, want the 10 interrupted cells served", cs)
+	}
+	csv, json := artifacts(t, r)
 	if !bytes.Equal(csv, golden(t, "grid_golden.csv", csv)) {
 		t.Error("resumed CSV differs from golden")
 	}

@@ -12,14 +12,14 @@ import (
 
 const testSpec = "n=24 w=1,2 tau=0.4,0.45 reps=2"
 
-func runTestGrid(t *testing.T, workers int, checkpoint string) *GridResult {
+func runTestGrid(t *testing.T, workers int, st CellStore) *GridResult {
 	t.Helper()
 	var last int
 	r, err := RunGrid(testSpec, GridOptions{
-		Seed:           3,
-		Workers:        workers,
-		CheckpointPath: checkpoint,
-		Progress:       func(done, total int) { last = done },
+		Seed:     3,
+		Workers:  workers,
+		Store:    st,
+		Progress: func(done, total int) { last = done },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,15 +27,15 @@ func runTestGrid(t *testing.T, workers int, checkpoint string) *GridResult {
 	if r.Len() != 8 {
 		t.Fatalf("len = %d, want 8", r.Len())
 	}
-	if checkpoint == "" && last != 8 {
+	if last != 8 {
 		t.Fatalf("final progress = %d", last)
 	}
 	return r
 }
 
 func TestRunGridSchedulingIndependence(t *testing.T) {
-	seq := runTestGrid(t, 1, "")
-	par := runTestGrid(t, 8, "")
+	seq := runTestGrid(t, 1, nil)
+	par := runTestGrid(t, 8, nil)
 	var a, b bytes.Buffer
 	if err := seq.WriteCSV(&a); err != nil {
 		t.Fatal(err)
@@ -58,12 +58,23 @@ func TestRunGridSchedulingIndependence(t *testing.T) {
 	}
 }
 
+// TestRunGridCheckpointResume reruns a sweep against its store
+// directory opened afresh, as a restarted process would: every cell is
+// served from disk and the result is reproduced byte for byte.
 func TestRunGridCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ck.json")
-	first := runTestGrid(t, 2, path)
-	// A second run against the same checkpoint restores every cell and
-	// must reproduce the result byte for byte.
-	second := runTestGrid(t, 2, path)
+	dir := filepath.Join(t.TempDir(), "cache")
+	open := func() CellStore {
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	first := runTestGrid(t, 2, open())
+	second := runTestGrid(t, 2, open())
+	if cs := second.Cache(); cs.Hits != 8 || cs.Misses != 0 {
+		t.Fatalf("resumed cache = %+v, want all 8 cells served", cs)
+	}
 	var a, b bytes.Buffer
 	if err := first.WriteCSV(&a); err != nil {
 		t.Fatal(err)
@@ -72,7 +83,7 @@ func TestRunGridCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("checkpoint resume changed results")
+		t.Fatal("store resume changed results")
 	}
 }
 
@@ -93,7 +104,7 @@ func TestRunGridErrors(t *testing.T) {
 // byte-identical to the plain sweep's, a distinct GridID, and CSV
 // headers carrying the geometry columns.
 func TestRunGridGeometryColumns(t *testing.T) {
-	plain := runTestGrid(t, 4, "")
+	plain := runTestGrid(t, 4, nil)
 	geo, err := RunGrid(testSpec+" geom=true", GridOptions{Seed: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +172,7 @@ func TestRunGridSnapshotTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
-	if err := runTestGrid(t, 4, "").WriteCSV(&plain); err != nil {
+	if err := runTestGrid(t, 4, nil).WriteCSV(&plain); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tapped.Bytes(), plain.Bytes()) {
