@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridseg/internal/dynamics"
+	"gridseg/internal/dynamics/fastglauber"
 	"gridseg/internal/dynamics/pareng"
 	"gridseg/internal/grid"
 	"gridseg/internal/rng"
@@ -117,6 +118,68 @@ func checkEngine(t *testing.T, dyn Dynamic, e Engine, kind Kind, typ string) {
 	}
 	if e.Proc == nil || (e.Swap != nil) != (dyn == Kawasaki) || (e.Move != nil) != (dyn == Move) {
 		t.Errorf("handles Proc=%T Swap=%T Move=%T do not match the dynamic", e.Proc, e.Swap, e.Move)
+	}
+}
+
+// TestOneStripBitIdentical pins that a one-strip parallel request runs
+// the fast engine's trajectory flip for flip, on every scenario axis:
+// the table hands the fast engine the same horizon, threshold, scenario
+// and random source the caller gave.
+func TestOneStripBitIdentical(t *testing.T) {
+	cases := []struct {
+		name string
+		rho  float64
+		open bool
+		taus bool
+	}{
+		{name: "torus"},
+		{name: "open", open: true},
+		{name: "rho", rho: 0.08},
+		{name: "taudist", taus: true},
+	}
+	const n, w, tau = 64, 2, 0.45
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scenario := func() (*grid.Lattice, dynamics.Scenario, *rng.Source) {
+				src := rng.New(11)
+				lat := grid.RandomScenario(n, 0.5, c.rho, src.Split(1))
+				sc := dynamics.Scenario{Open: c.open}
+				if c.taus {
+					sc.Taus = make([]float64, n*n)
+					for i := range sc.Taus {
+						sc.Taus[i] = 0.35 + 0.13*float64(i%2)
+					}
+				}
+				return lat, sc, src.Split(2)
+			}
+			lat, sc, src := scenario()
+			e, err := New(Glauber, Parallel, lat, w, tau, sc, src, pareng.Config{Workers: 4, Strips: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEngine(t, Glauber, e, Fast, "*fastglauber.Process")
+			latSeq, scSeq, srcSeq := scenario()
+			seq, err := fastglauber.NewScenario(latSeq, w, tau, scSeq, srcSeq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				i, ok := e.Proc.Step()
+				j, ok2 := seq.Step()
+				if ok != ok2 || i != j {
+					t.Fatalf("diverged at flip %d: one-strip (%d, %v), fast (%d, %v)", e.Proc.Flips(), i, ok, j, ok2)
+				}
+				if !ok {
+					break
+				}
+				if e.Proc.Time() != seq.Time() {
+					t.Fatalf("clock diverged at flip %d: %v vs %v", e.Proc.Flips(), e.Proc.Time(), seq.Time())
+				}
+			}
+			if lat.String() != latSeq.String() {
+				t.Fatalf("terminal configurations differ")
+			}
+		})
 	}
 }
 
