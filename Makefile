@@ -29,7 +29,11 @@ race-stress:
 # retained-run heap bound, the journal's replay/compaction edge cases
 # (old per-cell journals included) and its two lines per finished run,
 # written register first even when a cached run finishes at once,
-# store healing of damaged objects, and the chaos e2es — the
+# store healing of damaged objects, single mode as a coordinator with
+# in-process workers (byte-identical to a coordinator with one worker
+# process, leases renewed past a short TTL so no cell is computed
+# twice, a journaled restart resumed, cached cells counted in
+# gridseg_cells_cached_total), and the chaos e2es — the
 # worker-kill sweep (coordinator + three workers with seeded fault
 # injection, two killed mid-run) and the coordinator-kill restart
 # (journaled coordinator killed mid-sweep and rebooted against the
@@ -44,7 +48,9 @@ cluster-test:
 # Observability gate: boot a segd in-process, submit a grid behind a
 # blocker run, require a live trajectory stream of decodable frames on
 # /grids/{id}/live, then scrape /metrics and require the exposition to
-# parse and carry every expected metric family.
+# parse and carry every expected metric family; last, restart segd on
+# the same store, resubmit the grid and require every cell served from
+# the store, with gridseg_cells_cached_total up by the cell count.
 obscheck:
 	go run ./cmd/obscheck
 

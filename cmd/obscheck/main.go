@@ -3,7 +3,10 @@
 // the run's /grids/{id}/live trajectory stream (requiring a minimum
 // number of frames that decode to real lattices), then scrapes /metrics
 // and validates that the exposition parses and carries the expected
-// metric families. Any failure exits non-zero, so CI can gate on it.
+// metric families. Last it restarts the server on the same store and
+// resubmits the grid, which must be served from the store alone: every
+// cell a hit, and gridseg_cells_cached_total up by the grid's cell
+// count. Any failure exits non-zero, so CI can gate on it.
 //
 //	obscheck
 //	obscheck -spec "n=48 w=2 tau=0.42 reps=4" -frames 20
@@ -12,14 +15,13 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"time"
@@ -79,27 +81,24 @@ func main() {
 	log.Print("ok")
 }
 
+// start serves a single-mode segd over st on a loopback port and
+// returns its base URL and a function that stops it.
+func start(st gridseg.CellStore, liveEvery int64) (string, func(), error) {
+	srv, err := server.New(server.Options{Store: st, LiveEvery: liveEvery})
+	if err != nil {
+		return "", nil, err
+	}
+	hs := httptest.NewServer(srv.Handler())
+	return hs.URL, func() { hs.Close(); srv.Close() }, nil
+}
+
 func check(cfg *config) error {
-	srv, err := server.New(server.Options{
-		Store:     gridseg.NewMemoryStore(),
-		LiveEvery: cfg.liveEvery,
-	})
+	st := gridseg.NewMemoryStore()
+	base, stop, err := start(st, cfg.liveEvery)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
+	defer func() { stop() }()
 
 	// Live sampling only runs while someone is subscribed, so the /live
 	// subscription must attach before the target run finishes. Grid runs
@@ -109,11 +108,12 @@ func check(cfg *config) error {
 	// the race anyway (small frame count, run already done), retry with
 	// fresh seeds and a doubled blocker instead of failing outright.
 	frames := 0
+	var seed uint64
 	for attempt := 0; ; attempt++ {
 		blocker := fmt.Sprintf("n=384 w=1 tau=0.45 reps=%d", 4<<attempt)
 		// Fresh seeds each attempt: cells are seed-keyed, so new seeds
 		// force real recomputation rather than instant cache replays.
-		seed := cfg.seed + uint64(2*attempt)
+		seed = cfg.seed + uint64(2*attempt)
 		if _, err := submit(base, blocker, seed+1); err != nil {
 			return fmt.Errorf("blocker: %w", err)
 		}
@@ -136,7 +136,35 @@ func check(cfg *config) error {
 	}
 	log.Printf("live stream delivered %d decodable frames (want >= %d)", frames, cfg.frames)
 
-	return checkMetrics(base + "/metrics")
+	before, err := checkMetrics(base + "/metrics")
+	if err != nil {
+		return err
+	}
+
+	// A restart on the same store: the registry is gone, so the
+	// resubmitted target runs afresh and must find every cell stored.
+	stop()
+	if base, stop, err = start(st, cfg.liveEvery); err != nil {
+		return err
+	}
+	id, err := submit(base, cfg.spec, seed)
+	if err != nil {
+		return err
+	}
+	if _, err := consumeLive(base + "/grids/" + id + "/live"); err != nil {
+		return fmt.Errorf("warm resubmit: %w", err)
+	}
+	after, err := checkMetrics(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	cells, _ := gridseg.ValidateGridSpec(cfg.spec)
+	const name = "gridseg_cells_cached_total"
+	if d := after[name][0].Value - before[name][0].Value; d != float64(cells) {
+		return fmt.Errorf("gridseg_cells_cached_total rose by %v on a warm resubmit of %d cells", d, cells)
+	}
+	log.Printf("warm resubmit served all %d cells from the store", cells)
+	return nil
 }
 
 // submit posts the grid and returns its run id (202 newly queued or
@@ -226,20 +254,20 @@ func consumeLive(url string) (int, error) {
 	return frames, fmt.Errorf("live stream ended without an end event (err=%v)", sc.Err())
 }
 
-// checkMetrics scrapes the exposition, parses it, and requires every
-// expected family to be present.
-func checkMetrics(url string) error {
+// checkMetrics scrapes the exposition, requires it to parse and carry
+// every expected family, and returns the parsed families.
+func checkMetrics(url string) (map[string][]metrics.Sample, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("metrics: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("metrics: status %d", resp.StatusCode)
 	}
 	fams, err := metrics.ParseText(resp.Body)
 	if err != nil {
-		return fmt.Errorf("metrics exposition does not parse: %w", err)
+		return nil, fmt.Errorf("metrics exposition does not parse: %w", err)
 	}
 	var missing []string
 	for _, name := range requiredMetrics {
@@ -248,8 +276,8 @@ func checkMetrics(url string) error {
 		}
 	}
 	if len(missing) > 0 {
-		return fmt.Errorf("metrics exposition is missing %s", strings.Join(missing, ", "))
+		return nil, fmt.Errorf("metrics exposition is missing %s", strings.Join(missing, ", "))
 	}
 	log.Printf("metrics exposition carries all %d required families", len(requiredMetrics))
-	return nil
+	return fams, nil
 }

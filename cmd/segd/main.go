@@ -1,19 +1,20 @@
 // Command segd serves parameter-grid sweeps over HTTP, backed by the
-// shared content-addressed result store: submitted grids are scheduled
-// through the batch engine, per-cell progress streams over SSE, and
-// finished CSV/JSON artifacts are served straight from cached results.
-// Resubmitting an identical or overlapping grid recomputes nothing.
+// shared content-addressed result store: the cells a grid lacks there
+// are leased to in-process workers, per-cell progress streams over SSE,
+// and finished CSV/JSON artifacts are served straight from cached
+// results. Resubmitting an identical or overlapping grid recomputes
+// nothing, and a restarted segd resumes its unfinished runs.
 //
 //	segd -addr :8080 -store segstore/
 //	curl -X POST localhost:8080/grids -d '{"spec": "n=96 w=2 tau=0.40:0.48:0.02 reps=4", "seed": 1}'
 //	curl localhost:8080/grids/<id>/events        # SSE progress
 //	curl localhost:8080/grids/<id>/artifact.csv  # final artifact
 //
-// segd also scales out: a coordinator decomposes grids into
-// content-addressed cells and leases the ones its store lacks to worker
-// processes, which compute them and report the values back for the
-// coordinator to store. Results are byte-identical to a single
-// process, whatever the cluster does.
+// segd also scales out: a coordinator runs grids the same way but
+// leases the cells its store lacks to worker processes, which compute
+// them and report the values back for the coordinator to store.
+// Results are byte-identical to a single process, whatever the
+// cluster does.
 //
 //	segd -role coordinator -addr :8080 -store segstore/
 //	segd -role worker -peer http://coordinator:8080
@@ -65,14 +66,14 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs := flag.NewFlagSet("segd", flag.ExitOnError)
 	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
 	fs.StringVar(&c.store, "store", "segstore", "content-addressed result store directory (created if missing; shared with cmd/sweep -cache)")
-	fs.IntVar(&c.workers, "workers", 0, "cell worker pool size per grid run (0 = GOMAXPROCS); never affects results")
+	fs.IntVar(&c.workers, "workers", 0, "in-process cell workers of the single role (0 = GOMAXPROCS); never affects results")
 	fs.IntVar(&c.queue, "queue", 64, "maximum queued grid runs before submissions get 503")
 	fs.BoolVar(&c.verbose, "v", false, "per-run lifecycle logging")
 	fs.StringVar(&c.role, "role", "single", "process role: single (serve and compute in-process), coordinator (serve the API and lease cells to workers), or worker (compute cells leased by -peer)")
 	fs.StringVar(&c.peer, "peer", "", "coordinator base URL a worker attaches to, e.g. http://host:8080 (worker role)")
 	fs.StringVar(&c.name, "name", "", "worker name reported in leases and SSE events (worker role; default host-pid)")
 	fs.DurationVar(&c.leaseTTL, "lease-ttl", fabric.DefaultTTL, "how long a leased cell may go unrenewed before it is requeued to another worker (coordinator role)")
-	fs.StringVar(&c.journal, "journal", "", "crash-recovery journal of the coordinator's unfinished runs (coordinator role; empty = <store>/fabric.journal, \"off\" disables); a restarted coordinator replays it and resumes every unfinished run, recomputing only the cells its store lacks")
+	fs.StringVar(&c.journal, "journal", "", "crash-recovery journal of the server's unfinished runs (single and coordinator roles; empty = <store>/fabric.journal, \"off\" disables); a restarted segd replays it and resumes every unfinished run, recomputing only the cells its store lacks")
 	fs.StringVar(&c.token, "token", "", "shared secret gating the /fabric/ and /objects/ endpoints (coordinator role: required of callers when set; worker role: sent as a bearer token)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json (log/slog)")
 	fs.Int64Var(&c.liveEvery, "live-every", 0, "flips between live trajectory frames on /grids/{id}/live (0 = the server default); sampling only runs while someone is subscribed")
@@ -112,8 +113,8 @@ func main() {
 	}
 }
 
-// serve runs the HTTP service, in-process (single) or leasing cells to
-// workers (coordinator).
+// serve runs the HTTP service, leasing cells to in-process workers
+// (single) or to worker processes (coordinator).
 func serve(cfg *config) {
 	st, err := gridseg.OpenStore(cfg.store)
 	if err != nil {
@@ -129,12 +130,11 @@ func serve(cfg *config) {
 		Logger:     newLogger(cfg),
 		LiveEvery:  cfg.liveEvery,
 	}
-	// Coordinators journal beside the store by default, so a crashed or
-	// restarted coordinator resumes its registered runs, losing no cell
-	// whose store fill landed. -journal names another file; "off" opts
-	// out.
+	// Both serving roles journal beside the store by default, so a
+	// restarted segd resumes its registered runs, losing no cell whose
+	// store fill landed. -journal names another file; "off" opts out.
 	var journal *fabric.Journal
-	if cfg.role == "coordinator" && cfg.journal != "off" {
+	if cfg.journal != "off" {
 		path := cfg.journal
 		if path == "" {
 			path = filepath.Join(cfg.store, "fabric.journal")
@@ -162,8 +162,9 @@ func serve(cfg *config) {
 	hs.RegisterOnShutdown(srv.ReleaseLeases)
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,
-	// then drain the dispatcher (the executing grid run finishes; its
-	// completed cells are in the store either way).
+	// then stop the server. A grid still running fails with "server shut
+	// down" and stays in the journal: the next segd on this store
+	// resumes it from the cells whose fills landed.
 	idle := make(chan struct{})
 	go func() {
 		sig := make(chan os.Signal, 1)

@@ -36,7 +36,6 @@ type ChaosTransport struct {
 
 	mu     sync.Mutex
 	src    *rng.Source
-	calls  int
 	faults int
 }
 
@@ -65,7 +64,6 @@ const (
 // RoundTrip implements http.RoundTripper.
 func (c *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.mu.Lock()
-	c.calls++
 	mode := chaosNone
 	r := c.src.Float64()
 	switch {
@@ -123,13 +121,6 @@ func (c *ChaosTransport) Faults() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.faults
-}
-
-// Calls returns the total number of RoundTrip calls observed.
-func (c *ChaosTransport) Calls() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
 }
 
 // timeoutError is the injected pre-dispatch failure; it satisfies

@@ -44,7 +44,7 @@ func (c *Coordinator) Table() *Table { return c.table }
 //	POST /heartbeat  {"worker":..., "leases":[{"run","index","lease"}...]}
 //	                 -> 200 {"lost":[...]}: the listed leases that were
 //	                 requeued or whose run is gone; the rest are renewed
-//	POST /complete   {"worker":..., "cells":[{"run","index","lease","cached","values","error"}...]}
+//	POST /complete   {"worker":..., "cells":[{"run","index","lease","values","error"}...]}
 //	                 -> 204 | 400 naming the entries rejected (the others
 //	                 are applied)
 //	GET  /status     -> per-run cell counts + cumulative protocol metrics
@@ -81,7 +81,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		var errs []error
 		for _, d := range req.Cells {
-			if err := c.table.Complete(d.Run, d.Index, d.Lease, req.Worker, d.Cached, store.Float64s(d.Values), d.Error); err != nil {
+			if err := c.table.Complete(d.Run, d.Index, d.Lease, req.Worker, store.Float64s(d.Values), d.Error); err != nil {
 				errs = append(errs, err)
 			}
 		}

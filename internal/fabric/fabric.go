@@ -132,10 +132,6 @@ type completeRequest struct {
 // completion is one finished cell of a completeRequest.
 type completion struct {
 	LeaseRef
-	// Cached reports that the worker served the cell from a store
-	// instead of computing it. Current workers always compute; the
-	// field is still accepted from older ones.
-	Cached bool `json:"cached,omitempty"`
 	// Values is the metric vector; NaN crosses the wire as null,
 	// mirroring the store's object encoding. Empty when Error is set.
 	Values []store.NaNFloat `json:"values,omitempty"`

@@ -26,7 +26,6 @@ type CellDone struct {
 	Index  int
 	Values []float64
 	Worker string
-	Cached bool
 	Err    string
 }
 
@@ -150,9 +149,6 @@ func NewTable(ttl time.Duration, clock Clock) *Table {
 	return &Table{now: clock, ttl: ttl, runs: map[string]*tableRun{}, completedBy: map[string]int{},
 		active: map[string]time.Time{}, wake: make(chan struct{}), closed: make(chan struct{})}
 }
-
-// TTL returns the lease TTL.
-func (t *Table) TTL() time.Duration { return t.ttl }
 
 // Register adds a run's cells to the table and returns a channel that
 // closes when every cell has completed. onDone fires exactly once per
@@ -400,20 +396,13 @@ func (t *Table) noteExpiry(e time.Time) {
 	}
 }
 
-// Heartbeat renews a lease, reporting whether the lease is still
-// current. An expired lease that nobody has requeued yet can still be
-// renewed — the worker is alive, merely late, and reviving its lease
-// avoids duplicate work. A false return tells the worker its lease was
-// requeued (or the run canceled); it may keep computing — a late
-// completion is still accepted — but renewal is over.
-func (t *Table) Heartbeat(runID string, index int, lease uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.heartbeatLocked(runID, index, lease)
-}
-
-// Renew is the batched Heartbeat: it renews every lease worker lists
-// and returns the ones that are no longer current, in list order.
+// Renew renews every lease worker lists and returns the ones that are
+// no longer current, in list order. An expired lease that nobody has
+// requeued yet can still be renewed — the worker is alive, merely
+// late, and reviving its lease avoids duplicate work. A lost lease
+// tells the worker its cell was requeued (or the run canceled); it may
+// keep computing — a late completion is still accepted — but renewal
+// is over.
 func (t *Table) Renew(worker string, leases []LeaseRef) (lost []LeaseRef) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -426,7 +415,8 @@ func (t *Table) Renew(worker string, leases []LeaseRef) (lost []LeaseRef) {
 	return lost
 }
 
-// heartbeatLocked is Heartbeat's body; t.mu must be held.
+// heartbeatLocked renews one lease, reporting whether it is still
+// current; t.mu must be held.
 func (t *Table) heartbeatLocked(runID string, index int, lease uint64) bool {
 	r, ok := t.runs[runID]
 	if !ok {
@@ -452,7 +442,7 @@ func (t *Table) heartbeatLocked(runID string, index int, lease uint64) bool {
 // carries exactly the bytes the replacement would produce. Only the
 // first completion fires the run's callback, so a cell is never
 // double-reported.
-func (t *Table) Complete(runID string, index int, lease uint64, worker string, cached bool, values []float64, errMsg string) error {
+func (t *Table) Complete(runID string, index int, lease uint64, worker string, values []float64, errMsg string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.active[worker] = t.now()
@@ -492,22 +482,13 @@ func (t *Table) Complete(runID string, index int, lease uint64, worker string, c
 	r.worker[i] = worker
 	r.remaining--
 	if r.onDone != nil {
-		r.onDone(CellDone{Index: index, Values: values, Worker: worker, Cached: cached, Err: errMsg})
+		r.onDone(CellDone{Index: index, Values: values, Worker: worker, Err: errMsg})
 	}
 	if r.remaining == 0 {
 		t.removeLocked(runID)
 		close(r.done)
 	}
 	return nil
-}
-
-// Requeues returns the cumulative number of expired-lease requeues
-// across all runs — an observability counter that survives run
-// completion.
-func (t *Table) Requeues() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.requeues
 }
 
 // RunStatus summarizes one registered run for the status endpoint.

@@ -90,15 +90,15 @@ func TestLeaseExpiryRequeuesOnce(t *testing.T) {
 	if grantB.Job.Index != 0 || grantB.Lease == grantA.Lease {
 		t.Fatalf("bad requeue grant: %+v", grantB)
 	}
-	if n := tab.Requeues(); n != 1 {
-		t.Fatalf("requeues = %d, want 1", n)
+	if _, m := tab.Status(); m.Requeues != 1 {
+		t.Fatalf("requeues = %d, want 1", m.Requeues)
 	}
 	// The requeued lease is live again: exactly once, not repeatedly.
 	if _, ok := tab.Lease("carol"); ok {
 		t.Fatal("requeued cell handed out a second time")
 	}
 
-	if err := tab.Complete("r1", 0, grantB.Lease, "bob", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("r1", 0, grantB.Lease, "bob", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -132,11 +132,11 @@ func TestLeaseBatchGrantOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := tab.LeaseBatch("alice", 3) // a0, a1, a2
-	if err := tab.Complete("a", 1, first[1].Lease, "alice", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("a", 1, first[1].Lease, "alice", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	clock.advance(8 * time.Second)
-	if !tab.Heartbeat("a", 2, first[2].Lease) {
+	if lost := tab.Renew("alice", []LeaseRef{first[2].ref()}); len(lost) != 0 {
 		t.Fatal("heartbeat rejected")
 	}
 	clock.advance(3 * time.Second) // a0 expired, a2 renewed
@@ -147,8 +147,8 @@ func TestLeaseBatchGrantOrder(t *testing.T) {
 	if want := "[a0 a3 a4 b0 b1]"; fmt.Sprint(got) != want {
 		t.Fatalf("grant order %v, want %s", got, want)
 	}
-	if n := tab.Requeues(); n != 1 {
-		t.Fatalf("requeues = %d, want 1", n)
+	if _, m := tab.Status(); m.Requeues != 1 {
+		t.Fatalf("requeues = %d, want 1", m.Requeues)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestLeaseSkipsCellCompletedAheadOfCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Complete("r", 2, 7, "old", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("r", 2, 7, "old", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	grants := tab.LeaseBatch("w", 3)
@@ -184,7 +184,7 @@ func TestLeaseSkipsCellCompletedAheadOfCursor(t *testing.T) {
 			t.Fatalf("run closed with %d of 3 cells reported", got.count())
 		default:
 		}
-		if err := tab.Complete("r", g.Job.Index, g.Lease, "w", false, []float64{1, 2}, ""); err != nil {
+		if err := tab.Complete("r", g.Job.Index, g.Lease, "w", []float64{1, 2}, ""); err != nil {
 			t.Fatal(err)
 		}
 		if k == 0 && got.count() != 2 {
@@ -228,14 +228,14 @@ func TestLateCompletionIdempotent(t *testing.T) {
 
 	// Alice was only presumed dead: her completion lands first, with
 	// the stale lease token.
-	if err := tab.Complete("r1", 0, grantA.Lease, "alice", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("r1", 0, grantA.Lease, "alice", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got.count() != 1 {
 		t.Fatalf("onDone fired %d times after first completion, want 1", got.count())
 	}
 	// Bob finishes the same cell with the same bytes: silently folded.
-	if err := tab.Complete("r1", 0, grantB.Lease, "bob", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("r1", 0, grantB.Lease, "bob", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got.count() != 1 {
@@ -246,7 +246,7 @@ func TestLateCompletionIdempotent(t *testing.T) {
 	if !ok || grantC.Job.Index != 1 {
 		t.Fatalf("second cell grant = %+v, %v", grantC, ok)
 	}
-	if err := tab.Complete("r1", 1, grantC.Lease, "carol", false, []float64{3, 4}, ""); err != nil {
+	if err := tab.Complete("r1", 1, grantC.Lease, "carol", []float64{3, 4}, ""); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -271,7 +271,7 @@ func TestHeartbeatRenewal(t *testing.T) {
 	grant, _ := tab.Lease("alice")
 	for i := 0; i < 5; i++ {
 		clock.advance(8 * time.Second)
-		if !tab.Heartbeat("r1", 0, grant.Lease) {
+		if lost := tab.Renew("alice", []LeaseRef{grant.ref()}); len(lost) != 0 {
 			t.Fatalf("heartbeat %d rejected", i)
 		}
 		if _, ok := tab.Lease("bob"); ok {
@@ -285,7 +285,7 @@ func TestHeartbeatRenewal(t *testing.T) {
 		t.Fatal("lapsed lease must requeue")
 	}
 	// Alice's token is dead once the cell is re-granted.
-	if tab.Heartbeat("r1", 0, grant.Lease) {
+	if lost := tab.Renew("alice", []LeaseRef{grant.ref()}); len(lost) != 1 {
 		t.Fatal("stale heartbeat accepted after re-grant")
 	}
 }
@@ -301,14 +301,14 @@ func TestCompleteErrorAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant, _ := tab.Lease("alice")
-	if err := tab.Complete("r1", grant.Job.Index, grant.Lease, "alice", false, nil, "boom"); err != nil {
+	if err := tab.Complete("r1", grant.Job.Index, grant.Lease, "alice", nil, "boom"); err != nil {
 		t.Fatal(err)
 	}
 	if got.count() != 1 || got.cells[0].Err != "boom" {
 		t.Fatalf("error cell not delivered: %+v", got.cells)
 	}
 	tab.Cancel("r1")
-	if err := tab.Complete("r1", 1, 99, "bob", false, []float64{1, 2}, ""); err != nil {
+	if err := tab.Complete("r1", 1, 99, "bob", []float64{1, 2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got.count() != 1 {
@@ -326,10 +326,10 @@ func TestCompleteValidates(t *testing.T) {
 	if _, err := tab.Register("r1", mkJobs(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Complete("r1", 5, 1, "w", false, []float64{1, 2}, ""); err == nil {
+	if err := tab.Complete("r1", 5, 1, "w", []float64{1, 2}, ""); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if err := tab.Complete("r1", 0, 1, "w", false, []float64{1}, ""); err == nil {
+	if err := tab.Complete("r1", 0, 1, "w", []float64{1}, ""); err == nil {
 		t.Fatal("short value vector accepted")
 	}
 }
@@ -378,9 +378,9 @@ func TestHeartbeatConcurrent(t *testing.T) {
 				// Hold the cell across a couple of heartbeat rounds.
 				for i := 0; i < 2; i++ {
 					time.Sleep(5 * time.Millisecond)
-					tab.Heartbeat("r1", grant.Job.Index, grant.Lease)
+					tab.Renew(name, []LeaseRef{grant.ref()})
 				}
-				if err := tab.Complete("r1", grant.Job.Index, grant.Lease, name, false, []float64{float64(grant.Job.Index), 0}, ""); err != nil {
+				if err := tab.Complete("r1", grant.Job.Index, grant.Lease, name, []float64{float64(grant.Job.Index), 0}, ""); err != nil {
 					t.Error(err)
 					return
 				}
@@ -542,8 +542,8 @@ func TestLeaseGrantSizing(t *testing.T) {
 				t.Fatalf("grant position %d is cell %d, want %d (expired leases first)", i, g.Job.Index, want)
 			}
 		}
-		if n := tab.Requeues(); n != 50 {
-			t.Fatalf("requeues = %d, want 50", n)
+		if _, m := tab.Status(); m.Requeues != 50 {
+			t.Fatalf("requeues = %d, want 50", m.Requeues)
 		}
 		if lost := tab.Renew("a", held["a"]); len(lost) != 50 {
 			t.Fatalf("a renewed its re-granted leases: %d of 50 lost", len(lost))

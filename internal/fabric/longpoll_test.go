@@ -114,8 +114,8 @@ func TestLeaseWaitRegrantsExpiredLease(t *testing.T) {
 	if d < ttl/2 || d > 2*time.Second {
 		t.Fatalf("expired lease re-granted after %v; want about the TTL %v", d, ttl)
 	}
-	if n := tab.Requeues(); n != 1 {
-		t.Fatalf("requeues = %d, want 1", n)
+	if _, m := tab.Status(); m.Requeues != 1 {
+		t.Fatalf("requeues = %d, want 1", m.Requeues)
 	}
 }
 

@@ -194,21 +194,70 @@ func (h *heldLeases) snapshot() []LeaseRef {
 	return out
 }
 
+// renewing starts renewing the held leases: every interval it passes
+// them to renew and drops the ones renew reports lost. A lost lease was
+// requeued; its renewal stops but the computation continues — the
+// completion will still be accepted idempotently. The returned stop
+// ends the loop and returns once it has exited.
+func (h *heldLeases) renewing(ctx context.Context, interval time.Duration, renew func(context.Context, []LeaseRef) []LeaseRef) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for sleep(ctx, interval) {
+			for _, l := range renew(ctx, h.snapshot()) {
+				h.remove(l)
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
+// Work runs an in-process worker on the table until ctx is canceled,
+// then starts no further cell: it leases a batch (LeaseWait), computes
+// each cell with run and completes it at once, renewing the batch's
+// unfinished leases every third of the TTL so that no cell is granted
+// twice, and skipping a cell whose lease is lost before it starts (its
+// run was canceled or failed). An idle worker asks again every half
+// TTL, so grantSizeLocked keeps counting it.
+func (t *Table) Work(ctx context.Context, worker string, run func(Job) ([]float64, error)) {
+	for ctx.Err() == nil {
+		grants := t.LeaseWait(ctx, worker, t.ttl/2)
+		held := newHeldLeases(grants)
+		stop := held.renewing(ctx, max(t.ttl/3, time.Millisecond), func(_ context.Context, leases []LeaseRef) []LeaseRef {
+			return t.Renew(worker, leases)
+		})
+		for _, g := range grants {
+			if ctx.Err() != nil || len(t.Renew(worker, []LeaseRef{g.ref()})) > 0 {
+				continue
+			}
+			values, err := run(g.Job)
+			if err == nil {
+				err = t.Complete(g.Job.Run, g.Job.Index, g.Lease, worker, values, "")
+			}
+			if err != nil {
+				// Either failure would recur on any worker.
+				t.Complete(g.Job.Run, g.Job.Index, g.Lease, worker, nil, err.Error())
+			}
+			held.remove(g.ref())
+		}
+		stop()
+	}
+}
+
 // workBatch handles one lease batch end to end: the cells are computed
-// in order while a heartbeat goroutine renews the leases of the
-// unfinished ones and reports the finished ones on every tick, and the
-// rest are reported when the batch ends. A worker killed mid-batch
+// in order while the held leases are renewed at a third of the TTL by
+// heartbeat, which also reports the finished cells on every tick, and
+// the rest are reported when the batch ends. A worker killed mid-batch
 // stops heartbeating everything, and all its unreported cells' leases
 // expire and requeue. Completions whose post fails stay queued for the
 // next contact (see Run).
 func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 	held := newHeldLeases(grants)
-	hbCtx, stopHB := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		w.heartbeats(hbCtx, grants[0].TTLMilli, held)
-	}()
+	stop := held.renewing(ctx, max(time.Duration(grants[0].TTLMilli)*time.Millisecond/3, time.Millisecond), w.heartbeat)
 	for _, g := range grants {
 		if ctx.Err() != nil {
 			break
@@ -218,8 +267,7 @@ func (w *Worker) workBatch(ctx context.Context, grants []LeaseGrant) {
 		}
 		held.remove(g.ref())
 	}
-	stopHB()
-	<-hbDone
+	stop()
 	if err := w.flush(ctx); err != nil {
 		w.log("complete failed, kept for the next contact", "err", err)
 	}
@@ -280,46 +328,34 @@ func (w *Worker) lease(ctx context.Context, wait time.Duration) ([]LeaseGrant, e
 	return resp.Grants, nil
 }
 
-// heartbeats ticks at a third of the TTL until stopped. Each tick
-// reports the cells finished since the last one and then renews every
-// held lease in one post. A lease the answer lists as lost was
-// requeued; its renewal stops but the computation continues — the
-// completion will still be accepted idempotently. Transport failures
-// are logged and retried on the next tick; the per-request deadline
-// keeps a dead coordinator from hanging the goroutine.
-func (w *Worker) heartbeats(ctx context.Context, ttlMilli int64, held *heldLeases) {
-	interval := time.Duration(ttlMilli) * time.Millisecond / 3
-	if interval <= 0 {
-		interval = time.Second
+// heartbeat is one tick of a batch's renewal: it reports the cells
+// finished since the last tick, then renews every held lease in one
+// post and returns the ones the answer lists as lost. Transport
+// failures are logged and retried on the next tick; the per-request
+// deadline keeps a dead coordinator from hanging the goroutine.
+func (w *Worker) heartbeat(ctx context.Context, leases []LeaseRef) []LeaseRef {
+	if err := w.flush(ctx); err != nil {
+		w.log("complete failed, kept for the next tick", "err", err)
 	}
-	for {
-		if !sleep(ctx, interval) {
-			return
-		}
-		if err := w.flush(ctx); err != nil {
-			w.log("complete failed, kept for the next tick", "err", err)
-		}
-		leases := held.snapshot()
-		if len(leases) == 0 {
-			continue
-		}
-		status, body, err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, Leases: leases}, 0)
-		if err == nil && status != http.StatusOK {
-			err = errors.New(respError(status, body))
-		}
-		var resp heartbeatResponse
-		if err == nil {
-			err = json.Unmarshal(body, &resp)
-		}
-		if err != nil {
-			w.log("heartbeat failed", "leases", len(leases), "err", err)
-			continue
-		}
-		for _, l := range resp.Lost {
-			w.log("lease lost", "run", l.Run, "cell", l.Index)
-			held.remove(l)
-		}
+	if len(leases) == 0 {
+		return nil
 	}
+	status, body, err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, Leases: leases}, 0)
+	if err == nil && status != http.StatusOK {
+		err = errors.New(respError(status, body))
+	}
+	var resp heartbeatResponse
+	if err == nil {
+		err = json.Unmarshal(body, &resp)
+	}
+	if err != nil {
+		w.log("heartbeat failed", "leases", len(leases), "err", err)
+		return nil
+	}
+	for _, l := range resp.Lost {
+		w.log("lease lost", "run", l.Run, "cell", l.Index)
+	}
+	return resp.Lost
 }
 
 // queue adds a finished cell to the completions awaiting delivery.

@@ -19,10 +19,9 @@ type job struct {
 	seed  uint64
 	cells int
 
-	// recovered marks a run re-enqueued by coordinator restart
-	// recovery; runCluster counts the cells it finds in the store as
-	// recovered. Written once before the job is enqueued, read only by
-	// the dispatcher.
+	// recovered marks a run re-enqueued by restart recovery; run
+	// counts the cells it finds in the store as recovered. Written
+	// once before the job is enqueued, read only by the dispatcher.
 	recovered bool
 	// registered is closed once the run's journal register record is
 	// written, and at creation for a recovered run, which the journal

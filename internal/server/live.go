@@ -14,7 +14,7 @@ import (
 )
 
 // Live trajectory streaming: the engine-side snapshot tap of a running
-// grid (gridseg.GridOptions.Snapshot) publishes binary grid frames and
+// grid (gridseg.LiveTap) publishes binary grid frames and
 // per-sample observables into a per-run liveHub, and GET
 // /grids/{id}/live fans them out as Server-Sent Events.
 //
@@ -30,10 +30,6 @@ import (
 // consumer more than a few frames behind is better served by fresher
 // frames than by a deep backlog of stale ones.
 const liveQueueCap = 8
-
-// defaultLiveEvery is the flip interval between live samples when
-// Options.LiveEvery is unset.
-const defaultLiveEvery = 2048
 
 // liveFrame is one published sample: the pre-rendered SSE payload
 // (encoded once, shared by all subscribers).
@@ -59,7 +55,7 @@ func newLiveHub() *liveHub {
 }
 
 // watched reports whether anyone is consuming the stream; it is the
-// SnapshotActive gate of the sweep tap.
+// Active gate of the run's live tap.
 func (h *liveHub) watched() bool { return h.watchers.Load() > 0 }
 
 // publish fans a rendered sample out to every subscriber without ever
@@ -171,7 +167,8 @@ type liveEvent struct {
 }
 
 // publishLive renders one engine sample and hands it to the run's hub.
-// It is the GridOptions.Snapshot callback, called from sweep workers.
+// It is the Sample callback of the run's live tap, called from the
+// in-process workers.
 func (j *job) publishLive(s gridseg.LiveSample) {
 	ev := liveEvent{
 		Dynamic: s.Cell.Dynamic, N: s.Cell.N, W: s.Cell.W,

@@ -1,9 +1,10 @@
 // Package server is the HTTP serving layer of the cached sweep
 // pipeline (cmd/segd): it accepts parameter-grid specs in the
-// cmd/sweep -grid syntax, schedules their cells through the batch
-// engine against the shared content-addressed result store, streams
-// per-cell progress over Server-Sent Events, and serves the resulting
-// CSV/JSON artifacts.
+// cmd/sweep -grid syntax, serves the cells the shared content-addressed
+// result store already holds, leases the rest through a lease table
+// (internal/fabric) to the server's in-process workers or, in cluster
+// mode, to worker processes, streams per-cell progress over
+// Server-Sent Events, and serves the resulting CSV/JSON artifacts.
 //
 // Grid runs are content-addressed too: the ID of a run is a stable
 // digest of its normalized spec and seed (gridseg.GridID), so
@@ -42,12 +43,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -65,27 +68,26 @@ const (
 	StateFailed  = "failed"
 )
 
-// Server owns the run registry, the job queue, and the shared store.
+// Server owns the run registry, the job queue, the lease table, and
+// the shared store.
 type Server struct {
 	store     gridseg.CellStore
-	workers   int
 	maxRuns   int
 	liveEvery int64
 	logger    *slog.Logger
-	// runGrid executes one grid run; it is gridseg.RunGrid except in
-	// tests, which stub it to exercise run-time failure paths that
-	// valid specs can no longer reach (spec validation got stricter
-	// with the scenario axes).
-	runGrid func(spec string, opt gridseg.GridOptions) (*gridseg.GridResult, error)
-	// fabric is the lease coordinator of cluster mode; nil when the
-	// server computes grids in-process (the default).
-	fabric *fabric.Coordinator
-	// journal is the coordinator's crash-recovery log; nil outside
-	// cluster mode or when journaling is disabled.
+	// fabric holds the lease table every run registers its missing
+	// cells with; its workers are the server's own goroutines, or in
+	// cluster mode worker processes on the /fabric/ endpoints.
+	fabric  *fabric.Coordinator
+	cluster bool
+	// journal is the crash-recovery log of unfinished runs; nil when
+	// journaling is disabled.
 	journal *fabric.Journal
 	// token, when non-empty, gates the /fabric/ and /objects/ endpoint
 	// groups behind a constant-time bearer check.
 	token string
+	// writers is the number of store writers per run (see fillBehind).
+	writers int
 
 	mu    sync.Mutex
 	grids map[string]*job
@@ -93,16 +95,19 @@ type Server struct {
 
 	queue chan *job
 	stop  chan struct{}
-	wg    sync.WaitGroup
+	// halt stops the in-process workers.
+	halt context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // Options configures a Server.
 type Options struct {
 	// Store is the shared content-addressed result cache; required.
 	Store gridseg.CellStore
-	// Workers bounds the cell worker pool of each grid run; 0 means
-	// GOMAXPROCS. Runs execute one at a time off a FIFO queue, so this
-	// also bounds the server's total simulation concurrency.
+	// Workers is the number of in-process worker goroutines, which
+	// lease cells from the server's lease table for as long as it lives
+	// (0 means GOMAXPROCS; cluster mode starts none). Runs execute one
+	// at a time, so this bounds the server's simulation concurrency.
 	Workers int
 	// QueueDepth bounds how many runs may wait behind the executing
 	// one before submissions are rejected with 503; 0 means 64.
@@ -116,8 +121,8 @@ type Options struct {
 	// (log/slog) tagged with per-run attrs; nil discards them.
 	Logger *slog.Logger
 	// LiveEvery is the flip interval between live trajectory frames on
-	// the /grids/{id}/live stream; values < 1 mean the package default
-	// (defaultLiveEvery). Sampling runs only while someone is
+	// the /grids/{id}/live stream; values < 1 mean
+	// gridseg.DefaultSnapshotEvery. Sampling runs only while someone is
 	// subscribed, so an unwatched server pays nothing for it.
 	LiveEvery int64
 	// Cluster switches the server into coordinator mode: submitted
@@ -130,14 +135,14 @@ type Options struct {
 	// until one arrives.
 	Cluster bool
 	// LeaseTTL bounds how long a leased cell may go unrenewed before it
-	// is requeued to another worker (cluster mode; 0 means
-	// fabric.DefaultTTL). Workers heartbeat at a third of the TTL.
+	// is requeued to another worker (0 means fabric.DefaultTTL).
+	// Workers, in-process or not, renew at a third of the TTL.
 	LeaseTTL time.Duration
-	// Journal, when non-nil in cluster mode, makes run registrations
-	// crash-durable: New replays the journal and re-enqueues every
-	// unfinished run, which absorbs the cells already in the store
-	// without recomputation. The server takes ownership of the journal;
-	// close it after Close.
+	// Journal, when non-nil, makes run registrations crash-durable:
+	// New replays the journal and re-enqueues every unfinished run,
+	// which absorbs the cells already in the store without
+	// recomputation. The server takes ownership of the journal; close
+	// it after Close.
 	Journal *fabric.Journal
 	// Token, when non-empty, requires "Authorization: Bearer <Token>"
 	// on every /fabric/ and /objects/ request (compared in constant
@@ -145,16 +150,21 @@ type Options struct {
 	Token string
 }
 
-// New builds a Server and starts its dispatcher. Call Close to drain.
-// In cluster mode with a journal, New first replays the journal and
-// re-enqueues every run the previous coordinator process left
-// unfinished, so a restart resumes where the crash interrupted.
-func New(opt Options) (*Server, error) {
+// New builds a Server and starts its dispatcher and, outside cluster
+// mode, its in-process workers. Call Close to stop them. With a
+// journal, New first replays it and re-enqueues every run the previous
+// process left unfinished, so a restart resumes where the crash
+// interrupted.
+func New(opt Options) (*Server, error) { return newServer(opt, gridseg.ComputeJobLive) }
+
+// newServer is New with the in-process workers' cell function, which
+// is gridseg.ComputeJobLive except in tests.
+func newServer(opt Options, compute func(fabric.Job, *gridseg.LiveTap) ([]float64, error)) (*Server, error) {
 	if opt.Store == nil {
 		return nil, fmt.Errorf("server: Options.Store is required")
 	}
 	var recovered []fabric.RecoveredRun
-	if opt.Cluster && opt.Journal != nil {
+	if opt.Journal != nil {
 		recovered = opt.Journal.Runs()
 	}
 	depth := opt.QueueDepth
@@ -169,28 +179,31 @@ func New(opt Options) (*Server, error) {
 	if maxRuns <= 0 {
 		maxRuns = 256
 	}
-	liveEvery := opt.LiveEvery
-	if liveEvery < 1 {
-		liveEvery = defaultLiveEvery
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	if opt.Cluster {
+		workers = 0
+	}
+	ctx, halt := context.WithCancel(context.Background())
 	s := &Server{
 		store:     opt.Store,
-		workers:   opt.Workers,
 		maxRuns:   maxRuns,
-		liveEvery: liveEvery,
+		liveEvery: opt.LiveEvery,
 		logger:    opt.Logger,
-		runGrid:   gridseg.RunGrid,
+		fabric:    fabric.NewCoordinator(opt.LeaseTTL, nil),
+		cluster:   opt.Cluster,
+		journal:   opt.Journal,
+		token:     opt.Token,
+		writers:   max(workers, 1),
 		grids:     map[string]*job{},
 		queue:     make(chan *job, depth),
 		stop:      make(chan struct{}),
-	}
-	if opt.Cluster {
-		s.fabric = fabric.NewCoordinator(opt.LeaseTTL, nil)
-		s.token = opt.Token
-		s.journal = opt.Journal
+		halt:      halt,
 	}
 	// Replay-recovered runs are enqueued before the dispatcher starts,
-	// in their original registration order; runCluster absorbs the cells
+	// in their original registration order; run absorbs the cells
 	// their store holds and counts them as recovered.
 	for _, r := range recovered {
 		j := newJob(r.Run, r.Spec, r.Seed, r.Cells)
@@ -205,13 +218,35 @@ func New(opt Options) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.dispatch()
+	cell := func(fj fabric.Job) ([]float64, error) { return compute(fj, s.liveTap(fj.Run)) }
+	for i := range workers {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.fabric.Table().Work(ctx, fmt.Sprintf("local-%d", i), cell)
+		}()
+	}
 	return s, nil
 }
 
-// Close stops accepting queued work and waits for the executing run
-// (if any) to finish.
+// liveTap taps a run's cells into its live hub; the watched gate skips
+// all measurement while nobody is subscribed.
+func (s *Server) liveTap(id string) *gridseg.LiveTap {
+	s.mu.Lock()
+	j := s.grids[id]
+	s.mu.Unlock()
+	if j == nil {
+		return nil
+	}
+	return &gridseg.LiveTap{Every: s.liveEvery, Active: j.live.watched, Sample: j.publishLive}
+}
+
+// Close stops the dispatcher and the in-process workers (each after its
+// current cell) and waits for them. A run still executing fails with
+// "server shut down" and stays in the journal for the next server.
 func (s *Server) Close() {
 	close(s.stop)
+	s.halt()
 	s.wg.Wait()
 }
 
@@ -220,15 +255,8 @@ func (s *Server) Close() {
 // http.Server does not wait out held long polls: register it with
 // http.Server.RegisterOnShutdown. It is a no-op outside cluster mode.
 func (s *Server) ReleaseLeases() {
-	if s.fabric != nil {
+	if s.cluster {
 		s.fabric.Table().Close()
-	}
-}
-
-// log emits a free-form lifecycle line through the structured logger.
-func (s *Server) log(format string, args ...interface{}) {
-	if s.logger != nil {
-		s.logger.Info(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -260,42 +288,6 @@ func (s *Server) dispatch() {
 	}
 }
 
-// run executes one grid run to completion and broadcasts its events.
-func (s *Server) run(j *job) {
-	if s.fabric != nil {
-		s.runCluster(j)
-		return
-	}
-	j.setState(StateRunning)
-	s.logRun(j.id, "running", "spec", j.spec, "seed", j.seed, "cells", j.cells)
-	res, err := s.runGrid(j.spec, gridseg.GridOptions{
-		Seed:    j.seed,
-		Workers: s.workers,
-		Store:   s.store,
-		ProgressCell: func(p gridseg.CellProgress) {
-			j.progress(p)
-		},
-		// The live trajectory tap: frames flow into the run's fan-out
-		// hub, and the SnapshotActive gate skips all measurement while
-		// nobody is subscribed. Purely observational — result bytes are
-		// identical with or without subscribers.
-		Snapshot:       j.publishLive,
-		SnapshotEvery:  s.liveEvery,
-		SnapshotActive: j.live.watched,
-	})
-	if err != nil {
-		s.logRun(j.id, "failed", "err", err)
-		j.fail(err)
-		return
-	}
-	cs := res.Cache()
-	if cs.Err != "" {
-		s.logRun(j.id, "result store disabled mid-run", "err", cs.Err)
-	}
-	s.logRun(j.id, "done", "cached", cs.Hits, "computed", cs.Misses)
-	j.finish(res)
-}
-
 // Handler returns the routing table of the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -312,7 +304,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	if s.fabric != nil {
+	if s.cluster {
 		// Cluster mode: the lease protocol for workers and the shared
 		// object store for external readers. Both groups sit behind the
 		// shared-secret check when one is configured; the public grid
@@ -439,7 +431,7 @@ func (s *Server) evictLocked() {
 		}
 		delete(s.grids, id)
 		s.order = append(s.order[:i], s.order[i+1:]...)
-		s.log("grid %s: evicted from the registry (cells remain cached)", id)
+		s.logRun(id, "evicted from the registry (cells remain cached)")
 	}
 }
 
@@ -501,7 +493,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
-		s.log("grid %s: rendering cells: %v", j.id, err)
+		s.logRun(j.id, "rendering cells failed", "err", err)
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("rendering cells"))
 		return
 	}
@@ -520,7 +512,7 @@ func (s *Server) handleArtifactCSV(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", j.id+".csv"))
 		if err := res.WriteCSV(w); err != nil {
-			s.log("grid %s: writing CSV: %v", j.id, err)
+			s.logRun(j.id, "writing CSV failed", "err", err)
 		}
 	}
 }
@@ -533,7 +525,7 @@ func (s *Server) handleArtifactJSON(w http.ResponseWriter, r *http.Request) {
 	if res := finished(w, j); res != nil {
 		w.Header().Set("Content-Type", "application/json")
 		if err := res.WriteJSON(w); err != nil {
-			s.log("grid %s: writing JSON: %v", j.id, err)
+			s.logRun(j.id, "writing JSON failed", "err", err)
 		}
 	}
 }

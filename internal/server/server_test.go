@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridseg"
+	"gridseg/internal/fabric"
 )
 
 const testSpec = "n=16 w=1 tau=0.4,0.45 reps=2"
@@ -255,19 +257,26 @@ func TestSSELiveStream(t *testing.T) {
 // content-addressed ID: resubmitting re-enqueues a fresh attempt
 // instead of returning the stale failure forever.
 func TestFailedRunRetry(t *testing.T) {
-	st := gridseg.NewMemoryStore()
-	srv, hs := newTestServer(t, st)
 	// Validation now catches every spec-level mistake synchronously,
-	// so stub the executor to fail once — modeling an environmental
-	// failure (full disk, poisoned checkpoint) — then recover.
-	failures := 1
-	srv.runGrid = func(spec string, opt gridseg.GridOptions) (*gridseg.GridResult, error) {
-		if failures > 0 {
-			failures--
+	// so stub the in-process runner to fail once — modeling an
+	// environmental failure (full disk, poisoned checkpoint) — then
+	// recover.
+	var failures atomic.Int32
+	failures.Store(1)
+	srv, err := newServer(Options{Store: gridseg.NewMemoryStore(), Workers: 2}, func(j fabric.Job, tap *gridseg.LiveTap) ([]float64, error) {
+		if failures.Add(-1) >= 0 {
 			return nil, errors.New("synthetic environmental failure")
 		}
-		return gridseg.RunGrid(spec, opt)
+		return gridseg.ComputeJobLive(j, tap)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
 	const spec = "n=16 w=1 tau=0.4 reps=1"
 	a, code := submit(t, hs.URL, spec, 1)
 	if code != http.StatusAccepted {

@@ -70,8 +70,8 @@ type CellProgress struct {
 	// Cached reports whether the cell was served from the result
 	// store instead of being computed.
 	Cached bool
-	// Worker names the fabric worker that computed the cell when the
-	// sweep ran in cluster mode; empty for in-process sweeps.
+	// Worker names the worker process that computed the cell; empty
+	// unless a cluster coordinator ran the sweep.
 	Worker string
 }
 
@@ -96,41 +96,37 @@ type GridOptions struct {
 	Store CellStore
 	// Progress, when non-nil, is invoked after each completed cell.
 	Progress func(done, total int)
-	// ProgressCell, when non-nil, is invoked after each completed cell
-	// with its parameters and cache provenance (the HTTP service uses
-	// it to stream per-cell SSE events).
-	ProgressCell func(p CellProgress)
-	// Snapshot, when non-nil, taps the trajectories of computed cells:
-	// every SnapshotEvery flips — and once at each cell's end — the
-	// runner measures the live configuration and delivers a LiveSample
-	// carrying the observables and a binary grid frame. The tap is
-	// purely observational: it never draws from a cell's random stream,
-	// so result bytes are identical with or without it. Cells served
-	// from the result store never run, hence never produce samples.
-	// Snapshot may be called concurrently from the sweep workers and
-	// must not block for long — a stalled consumer stalls the cell that
-	// called it.
-	Snapshot func(LiveSample)
-	// SnapshotEvery is the flip interval between live samples; values
-	// < 1 mean DefaultSnapshotEvery.
-	SnapshotEvery int64
-	// SnapshotActive, when non-nil, is consulted before measuring each
+}
+
+// LiveTap taps the trajectory of one computed cell (ComputeJobLive):
+// every Every flips, and once at the cell's end, Sample receives a
+// LiveSample of the live configuration. The tap never draws from the
+// cell's random stream, so the cell's values are identical with or
+// without it. Sample runs on the computing goroutine: a stalled
+// consumer stalls the cell.
+type LiveTap struct {
+	// Every is the flip interval between samples; values < 1 mean
+	// DefaultSnapshotEvery.
+	Every int64
+	// Active, when non-nil, is consulted before measuring each
 	// non-final sample: returning false skips the measurement and the
-	// frame encoding entirely, so an unwatched run pays almost nothing
+	// frame encoding entirely, so an unwatched cell pays almost nothing
 	// for the tap. Final samples are always delivered.
-	SnapshotActive func() bool
+	Active func() bool
+	// Sample receives each sample.
+	Sample func(LiveSample)
 }
 
 // DefaultSnapshotEvery is the live-sample flip interval used when
-// GridOptions.SnapshotEvery is unset.
+// LiveTap.Every is unset.
 const DefaultSnapshotEvery = 2048
 
 // LiveSample is one live snapshot of a running sweep cell: the cell's
 // identity, the instantaneous observables, and the configuration
 // encoded in the binary grid codec (grid.UnmarshalBinary decodes it).
 type LiveSample struct {
-	// Cell identifies the sampled cell. Done is zero (the cell has not
-	// completed); Total is the size of the surrounding sweep.
+	// Cell identifies the sampled cell. Done and Total are zero: the
+	// cell has not completed, and a tapped job knows nothing of its grid.
 	Cell CellProgress
 	// Flips is the trajectory clock at the sample (effective flips for
 	// Glauber, twice the swaps for Kawasaki, moves for Move).
@@ -228,24 +224,13 @@ func RunGrid(spec string, opt GridOptions) (*GridResult, error) {
 		Workers: opt.Workers,
 		Store:   opt.Store,
 	}
-	if opt.Progress != nil || opt.ProgressCell != nil {
-		bopt.Progress = func(done, total int, c batch.Cell, cached bool) {
-			if opt.Progress != nil {
-				opt.Progress(done, total)
-			}
-			if opt.ProgressCell != nil {
-				opt.ProgressCell(CellProgress{
-					Done: done, Total: total,
-					Dynamic: c.Dynamic, N: c.N, W: c.W,
-					Tau: c.Tau, P: c.P,
-					Boundary: c.Boundary, Rho: c.Rho, TauDist: c.TauDist,
-					Extra: c.Extra, Rep: c.Rep,
-					Cached: cached,
-				})
-			}
-		}
+	if opt.Progress != nil {
+		bopt.Progress = func(done, total int, _ batch.Cell, _ bool) { opt.Progress(done, total) }
 	}
-	rs, err := batch.Run(g, columnsFor(g), cellRunner(g.Geometry, opt, g.Size()), bopt)
+	runner := func(c batch.Cell, src *rng.Source) ([]float64, error) {
+		return runCell(c, src, g.Geometry, nil)
+	}
+	rs, err := batch.Run(g, columnsFor(g), runner, bopt)
 	if err != nil {
 		return nil, fmt.Errorf("gridseg: %w", err)
 	}
@@ -329,62 +314,44 @@ func measureSweepCell(m *Model, c batch.Cell, fixated, geometry bool) []float64 
 	return values
 }
 
-// sweepCell runs one grid cell to fixation and measures it — the
-// canonical runner of plain (geom=false, untapped) sweeps.
-func sweepCell(c batch.Cell, src *rng.Source) ([]float64, error) {
+// runCell runs one grid cell to fixation and measures it, appending
+// the geometry columns when the grid opted in: the one cell body of
+// RunGrid and ComputeJob. A non-nil tap streams live samples of the
+// trajectory; RunSampled is bit-identical to Run, so the tap never
+// changes the values, and the first nine columns of a geometry sweep
+// equal the plain sweep's.
+func runCell(c batch.Cell, src *rng.Source, geometry bool, tap *LiveTap) ([]float64, error) {
 	m, err := buildSweepModel(c, src)
 	if err != nil {
 		return nil, err
 	}
-	_, fixated := m.Run(0)
-	metricFlips.Add(uint64(m.Flips()))
-	return measureSweepCell(m, c, fixated, false), nil
-}
-
-// cellRunner returns the batch runner of a grid: sweepCell itself for
-// plain untapped grids, otherwise a wrapper that measures geometry
-// columns and/or streams live samples through the snapshot tap. Every
-// variant drives the identical trajectory (RunSampled is bit-identical
-// to Run), so the first nine columns of a geometry sweep equal the
-// plain sweep's and the tap never changes bytes.
-func cellRunner(geometry bool, opt GridOptions, total int) func(batch.Cell, *rng.Source) ([]float64, error) {
-	if !geometry && opt.Snapshot == nil {
-		return sweepCell
-	}
-	return func(c batch.Cell, src *rng.Source) ([]float64, error) {
-		m, err := buildSweepModel(c, src)
-		if err != nil {
-			return nil, err
+	var fixated bool
+	if tap != nil {
+		every := tap.Every
+		if every < 1 {
+			every = DefaultSnapshotEvery
 		}
-		var fixated bool
-		if opt.Snapshot != nil {
-			every := opt.SnapshotEvery
-			if every < 1 {
-				every = DefaultSnapshotEvery
+		_, fixated = m.RunSampled(0, every, func(final bool) {
+			if !final && tap.Active != nil && !tap.Active() {
+				return
 			}
-			_, fixated = m.RunSampled(0, every, func(final bool) {
-				if !final && opt.SnapshotActive != nil && !opt.SnapshotActive() {
-					return
-				}
-				opt.Snapshot(takeLiveSample(m, c, total, final))
-			})
-		} else {
-			_, fixated = m.Run(0)
-		}
-		metricFlips.Add(uint64(m.Flips()))
-		return measureSweepCell(m, c, fixated, geometry), nil
+			tap.Sample(takeLiveSample(m, c, final))
+		})
+	} else {
+		_, fixated = m.Run(0)
 	}
+	metricFlips.Add(uint64(m.Flips()))
+	return measureSweepCell(m, c, fixated, geometry), nil
 }
 
 // takeLiveSample measures the model's live state into a LiveSample. A
 // pure read: the trajectory and its random stream are untouched.
-func takeLiveSample(m *Model, c batch.Cell, total int, final bool) LiveSample {
+func takeLiveSample(m *Model, c batch.Cell, final bool) LiveSample {
 	st := m.SegregationStats()
 	open := c.Boundary == batch.BoundaryOpen
 	frame, _ := m.MarshalConfiguration()
 	return LiveSample{
 		Cell: CellProgress{
-			Total:   total,
 			Dynamic: c.Dynamic, N: c.N, W: c.W,
 			Tau: c.Tau, P: c.P,
 			Boundary: c.Boundary, Rho: c.Rho, TauDist: c.TauDist,

@@ -191,7 +191,7 @@ func TestRunGridGoldenCheckpointResume(t *testing.T) {
 		if done.Add(1) > 10 {
 			return nil, errors.New("synthetic interruption")
 		}
-		return sweepCell(c, src)
+		return runCell(c, src, false, nil)
 	}
 	_, err = batch.Run(g, sweepColumns, failing, batch.Options{
 		Seed: goldenSeed, Scope: gridScope, Workers: 1, Store: open(),

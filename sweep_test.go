@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"gridseg/internal/grid"
@@ -147,23 +146,25 @@ func TestRunGridGeometryColumns(t *testing.T) {
 	}
 }
 
-// TestRunGridSnapshotTap checks the live-snapshot tap: samples arrive
-// with decodable frames and a final sample per computed cell, the
-// SnapshotActive gate suppresses non-final measurement, and — the
-// byte-stability contract — a tapped sweep's artifacts are identical
-// to an untapped one's.
-func TestRunGridSnapshotTap(t *testing.T) {
-	var mu sync.Mutex
+// TestComputeJobLiveTap checks the live-snapshot tap of a job: samples
+// arrive with decodable frames and a final sample per computed cell,
+// the Active gate suppresses non-final measurement, and — the
+// byte-stability contract — the tapped jobs assemble to the artifacts
+// of an untapped RunGrid.
+func TestComputeJobLiveTap(t *testing.T) {
+	jobs, err := GridJobs(testSpec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var samples []LiveSample
-	r, err := RunGrid(testSpec, GridOptions{
-		Seed: 3, Workers: 4,
-		SnapshotEvery: 16,
-		Snapshot: func(s LiveSample) {
-			mu.Lock()
-			samples = append(samples, s)
-			mu.Unlock()
-		},
-	})
+	tap := &LiveTap{Every: 16, Sample: func(s LiveSample) { samples = append(samples, s) }}
+	values := make([][]float64, len(jobs))
+	for _, j := range jobs {
+		if values[j.Index], err = ComputeJobLive(j, tap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := AssembleGrid(testSpec, values, CacheStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +194,6 @@ func TestRunGridSnapshotTap(t *testing.T) {
 		if lat.N() != s.Cell.N {
 			t.Fatalf("frame n = %d, cell n = %d", lat.N(), s.Cell.N)
 		}
-		if s.Cell.Total != 8 {
-			t.Fatalf("sample total = %d, want 8", s.Cell.Total)
-		}
 	}
 	if finals != 8 {
 		t.Fatalf("final samples = %d, want one per cell (8)", finals)
@@ -206,16 +204,15 @@ func TestRunGridSnapshotTap(t *testing.T) {
 
 	// An inactive tap still delivers exactly the final samples.
 	var gated []LiveSample
-	_, err = RunGrid(testSpec, GridOptions{
-		Seed: 3, Workers: 1,
-		SnapshotEvery:  16,
-		SnapshotActive: func() bool { return false },
-		Snapshot: func(s LiveSample) {
-			gated = append(gated, s)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	tap = &LiveTap{
+		Every:  16,
+		Active: func() bool { return false },
+		Sample: func(s LiveSample) { gated = append(gated, s) },
+	}
+	for _, j := range jobs {
+		if _, err := ComputeJobLive(j, tap); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(gated) != 8 {
 		t.Fatalf("gated samples = %d, want 8 finals only", len(gated))
