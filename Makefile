@@ -79,13 +79,13 @@ fuzz:
 # dynamics — plus run-to-fixation at small and giant scale and the
 # grid cell rate) into the committed baseline.
 bench:
-	go run ./cmd/bench -out BENCH_2.json
+	go run ./cmd/bench -out BENCH_3.json
 
 # Fail when any trajectory metric regresses >20% vs the committed
 # baseline (same-machine comparison; record the baseline with `make
 # bench` on the machine you compare on).
 bench-check:
-	go run ./cmd/bench -baseline BENCH_2.json
+	go run ./cmd/bench -baseline BENCH_3.json
 
 # CI variant for heterogeneous runners: machine-independent fast-vs-
 # reference speedup gate (>= 3x in the same run), a parallel-vs-
@@ -93,7 +93,7 @@ bench-check:
 # CPUs, reported otherwise), plus a loose 2x absolute backstop against
 # catastrophic regressions.
 bench-check-ci:
-	go run ./cmd/bench -baseline BENCH_2.json -tolerance 1.0 -minspeedup 3 -minscaling 3
+	go run ./cmd/bench -baseline BENCH_3.json -tolerance 1.0 -minspeedup 3 -minscaling 3
 
 # Giant-grid memory gate: run the n=4096 fixation probe with the
 # allocator returning freed pages eagerly (so VmHWM reflects live

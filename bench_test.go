@@ -219,6 +219,14 @@ func BenchmarkFlipThroughputTauDistFast(b *testing.B) {
 	benchConfigThroughput(b, Config{N: 256, W: 10, Tau: 0.42, TauDist: "mix:0.35,0.45:0.5", Engine: EngineFast})
 }
 
+// BenchmarkFlipThroughputSweepDefaultFast measures the fast engine on
+// the default cell of the sweep's heavy template: the paper's torus at
+// horizon w=1 (flip_sweep_fast). The other default-path probes run at
+// w=10.
+func BenchmarkFlipThroughputSweepDefaultFast(b *testing.B) {
+	benchConfigThroughput(b, Config{N: 512, W: 1, Tau: 0.46, Engine: EngineFast})
+}
+
 // BenchmarkFlipThroughputSweepVacanciesFast measures the fast engine
 // on the shape that dominates the sweep's CPU: a large vacancy-diluted
 // torus at horizon w=1, where nearly every lane of a flip's band sits

@@ -1,18 +1,18 @@
 // Command bench records the repository's benchmark trajectory: it
 // measures the hot-path metrics (flip throughput on both engines — on
-// the default path and on every scenario axis the fast engine covers:
-// open boundaries, vacancies, heterogeneous tau, the Kawasaki swap
-// dynamic, the Move relocation dynamic, and the domain-decomposed
-// parallel engine — plus complete runs to fixation at small and giant
-// scale on both the sequential and parallel engines and the
-// batch-engine grid cell rate), writes them to a JSON baseline file,
-// and — in check mode —
+// the default path, on the fast default path at the sweep's w=1, and
+// on every scenario axis the fast engine covers: open boundaries,
+// vacancies, heterogeneous tau, the Kawasaki swap dynamic, the Move
+// relocation dynamic, and the domain-decomposed parallel engine — plus
+// complete runs to fixation at small and giant scale on both the
+// sequential and parallel engines and the batch-engine grid cell
+// rate), writes them to a JSON baseline file, and — in check mode —
 // fails when any metric regresses more than a tolerance against a
 // committed baseline.
 //
-//	bench -out BENCH_2.json              # record a new baseline
-//	bench -baseline BENCH_2.json         # fail on >20% regression
-//	bench -baseline BENCH_2.json -out BENCH_2.json  # check then refresh
+//	bench -out BENCH_3.json              # record a new baseline
+//	bench -baseline BENCH_3.json         # fail on >20% regression
+//	bench -baseline BENCH_3.json -out BENCH_3.json  # check then refresh
 //	bench -minspeedup 3                  # fail unless fast >= 3x reference
 //	                                     # on every fast/reference pair
 //	bench -minscaling 3                  # fail unless the parallel engine
@@ -200,10 +200,14 @@ func measure(reps int, only string) []metric {
 	move.Dynamic = gridseg.Move
 	big := fig1
 	big.N = 1024
+	// The default cell of the sweep's heavy template: the paper's torus
+	// at w=1, where a flip's band touches one or two count words a row.
+	sweep := gridseg.Config{N: 512, W: 1, Tau: 0.46}
 	probes := []probe{
 		{name: "flip_fig1_fast", unit: "flip", perOp: 1, run: flipThroughput(fig1, gridseg.EngineFast)},
 		{name: "flip_fig1_reference", unit: "flip", perOp: 1, run: flipThroughput(fig1, gridseg.EngineReference)},
 		{name: "flip_n1024_fast", unit: "flip", perOp: 1, run: flipThroughput(big, gridseg.EngineFast)},
+		{name: "flip_sweep_fast", unit: "flip", perOp: 1, run: flipThroughput(sweep, gridseg.EngineFast)},
 		{name: "flip_open_fast", unit: "flip", perOp: 1, run: flipThroughput(open, gridseg.EngineFast)},
 		{name: "flip_open_reference", unit: "flip", perOp: 1, run: flipThroughput(open, gridseg.EngineReference)},
 		{name: "flip_rho_fast", unit: "flip", perOp: 1, run: flipThroughput(rho, gridseg.EngineFast)},

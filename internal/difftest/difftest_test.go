@@ -93,6 +93,16 @@ var acceptanceCells = []Cell{
 	{N: 66, W: 1, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 71, Boundary: gridseg.BoundaryOpen, Rho: 0.1, TauDist: "mix:0.4,1:0.5"},
 	{N: 64, W: 1, Tau: 0.45, P: 0.5, Dynamic: gridseg.Glauber, Seed: 72, Rho: 0.6},
 	{N: 96, W: 1, Tau: 0.42, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 73, Boundary: gridseg.BoundaryOpen, Rho: 0.1, TauDist: "mix:0.40,0.48:0.5"},
+	// Default-path edge cells for the same scan on the broadcast T and
+	// D: a partial last count word under a window that does not span
+	// the torus (n=13), rows crossing the 64-bit spin word (n=66), the
+	// D = 0 broadcast (tau=1), and tau=1/2 at w=1, where boundary values
+	// coincide (T-1 = D), once per dynamic.
+	{N: 13, W: 1, Tau: 0.45, P: 0.5, Dynamic: gridseg.Glauber, Seed: 74},
+	{N: 66, W: 2, Tau: 0.44, P: 0.5, Dynamic: gridseg.Glauber, Seed: 75},
+	{N: 66, W: 1, Tau: 1.0, P: 0.5, Dynamic: gridseg.Glauber, Seed: 76},
+	{N: 64, W: 1, Tau: 0.5, P: 0.5, Dynamic: gridseg.Glauber, Seed: 77},
+	{N: 66, W: 1, Tau: 0.5, P: 0.5, Dynamic: gridseg.Kawasaki, Seed: 78},
 	// Fast Move coverage cells (PR 6): fast-vs-reference lockstep for
 	// the relocation dynamic across both boundaries, sparse and dense
 	// vacancy fractions, heterogeneous intolerance, and the

@@ -29,25 +29,25 @@
 // per-site sweep inserts them, so every later random draw is
 // unchanged.
 //
-// The engine covers every scenario of the topology subsystem. In the
-// paper's default setting (torus, full occupancy, global tau) the
-// boundary count values are the same four lane-broadcast words for
-// every site. Open hard walls, vacancies, and per-site intolerance all
-// reduce to the same generalization: each site u gets its own integer
-// threshold T = ceil(tau_u * occ(u)) over its own occupied window count
-// occ(u). The engine keeps two more packed 16-bit lane arrays in the
-// count layout — the threshold T and the slack D = occ(u) - T of every
-// site, with a sentinel on vacant sites — and the SWAR scan derives,
-// in-register and with additions only, the two boundary values of each
-// lane's own spin from the count word, T, D and the packed spin
-// nibble. Occupancy and thresholds are static
-// under flip and swap dynamics, so the lanes are built once at
+// The engine covers every scenario of the topology subsystem with one
+// classification rule. Each site u has an integer threshold
+// T = ceil(tau_u * occ(u)) over its occupied window count occ(u) and a
+// slack D = occ(u) - T. In the paper's default setting (torus, full
+// occupancy, global tau) every site shares one (T, D), held in two
+// lane-broadcast words. Open hard walls, vacancies and per-site
+// intolerance give each site its own pair, so the engine keeps two more
+// packed 16-bit lane arrays in the count layout — T and D of every
+// site, with a sentinel on vacant sites. Either way one SWAR scan
+// derives, in-register and with additions only, the two boundary
+// values of each lane's own spin from the count word, T, D and the
+// packed spin nibble (see updateSegment). Occupancy and thresholds are
+// static under flip and swap dynamics, so the lanes are built once at
 // construction, streamed from the occupied window-count lanes. Open
 // boundaries additionally clamp the flip's row band at the grid edges
 // instead of splitting it into wrapped segments.
 //
-// Site reclassification is division-free: the segment scans know the
-// row and column of every lane they flag and hand them to refreshAt,
+// Site reclassification is division-free: the segment scan knows the
+// row and column of every lane it flags and hands them to refreshAt,
 // which addresses the spin, count and threshold words directly.
 //
 // The relocation dynamic Move changes occupancy, so it trades the
@@ -136,16 +136,13 @@ type Process struct {
 	flippable *sampleset.Set
 	time      float64
 	flips     int64
-	// upVals/downVals are the lane-broadcast count values at which a
-	// site's classification can change after a +1/-1 count update.
-	// Unused slots hold the unmatchable sentinel (counts never exceed
-	// 0x7fff), so the hot path always tests all four branch-free.
-	// They drive the default-scenario scan; scenarios use the per-site
-	// threshold and slack lanes below instead.
-	upVals   [4]uint64
-	downVals [4]uint64
-	nUp      int
-	nDown    int
+	// thrB and slackB broadcast the threshold T = thresh and the slack
+	// D = N - T of the default scenario (torus, full occupancy, global
+	// tau) to every lane: there every site shares one (T, D), so they
+	// stand in for the threshold and slack lanes below without per-site
+	// memory.
+	thrB   uint64
+	slackB uint64
 	// Scenario state, all nil in the default scenario. thrL and slackL
 	// are packed 16-bit lanes in the counts layout: lane x&3 of word
 	// y*cpr + x>>2 holds, for the site at (x, y), its integer threshold
@@ -198,10 +195,6 @@ type Process struct {
 	// warm keeps the loads of warmBand alive.
 	warm uint64
 }
-
-// noBoundary is a lane-broadcast value no count lane can ever equal;
-// it pads unused boundary slots.
-const noBoundary = 0xffff * uint64(laneOnes)
 
 // vacantLane is the threshold and slack lane of a vacant site. Counts
 // never exceed 0x7fff, so c, c+1 and c+2 stay below it, and the scan's
@@ -289,7 +282,7 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 	p.agents = p.bits.CountOccupied()
 	if sc.Open || p.agents < lat.Sites() || sc.Taus != nil {
 		// Some axis deviates from the paper's setting: materialize the
-		// per-site lanes; the broadcast upVals and downVals stay unused.
+		// per-site lanes; the broadcasts thrB and slackB stay unused.
 		p.tauOf = sc.Taus
 		if sc.Taus == nil {
 			p.threshTab = thresholdTable(tauTilde, nbhd)
@@ -308,23 +301,8 @@ func newScenario(lat *grid.Lattice, w int, tauTilde float64, sc dynamics.Scenari
 			p.buildThresholdLanes()
 		}
 	} else {
-		// Classification boundaries: a +1 count update can change a
-		// site's class only when the new count hits one of these values
-		// (and symmetrically for -1). Values outside [0, N] never match.
-		addBoundary(&p.upVals, &p.nUp, p.nbhd, p.thresh)              // plus site becomes happy
-		addBoundary(&p.upVals, &p.nUp, p.nbhd, p.nbhd+2-p.thresh)     // plus site loses flip eligibility
-		addBoundary(&p.upVals, &p.nUp, p.nbhd, p.nbhd-p.thresh+1)     // minus site becomes unhappy
-		addBoundary(&p.upVals, &p.nUp, p.nbhd, p.thresh-1)            // minus site gains flip eligibility
-		addBoundary(&p.downVals, &p.nDown, p.nbhd, p.thresh-1)        // plus site becomes unhappy
-		addBoundary(&p.downVals, &p.nDown, p.nbhd, p.nbhd+1-p.thresh) // plus site gains flip eligibility
-		addBoundary(&p.downVals, &p.nDown, p.nbhd, p.nbhd-p.thresh)   // minus site becomes happy
-		addBoundary(&p.downVals, &p.nDown, p.nbhd, p.thresh-2)        // minus site loses flip eligibility
-		for i := p.nUp; i < 4; i++ {
-			p.upVals[i] = noBoundary
-		}
-		for i := p.nDown; i < 4; i++ {
-			p.downVals[i] = noBoundary
-		}
+		p.thrB = uint64(p.thresh) * laneOnes
+		p.slackB = uint64(p.nbhd-p.thresh) * laneOnes
 	}
 	p.classify()
 	return p, nil
@@ -358,27 +336,25 @@ func orNibble(set []uint64, j int, nib uint64) {
 // Per lane, with threshold T and slack D = occ - T, a plus site is
 // unhappy at c < T and flippable when also c <= D+1, a minus site
 // unhappy at c > D and flippable when also c+1 >= T: the verdicts of
-// refreshAt. T and D are broadcast values in the default scenario, the
-// threshold and slack lanes under flip and swap scenarios, and derived
-// from the occupancy lanes under relocation; vacant lanes are zeroed
-// before the compares (keeping every operand at most 0x7fff) and the
-// verdicts gated by the occupancy and spin nibbles. The flippable sites
-// are loaded into the sampler in ascending site order — the order in
-// which a row-major sweep of refreshAt inserts them — so every later
-// draw is the same.
+// refreshAt. T and D are the broadcasts thrB and slackB in the default
+// scenario, the threshold and slack lanes under flip and swap
+// scenarios, and derived from the occupancy lanes under relocation;
+// vacant lanes are zeroed before the compares (keeping every operand
+// at most 0x7fff) and the verdicts gated by the occupancy and spin
+// nibbles. The flippable sites are loaded into the sampler in
+// ascending site order — the order in which a row-major sweep of
+// refreshAt inserts them — so every later draw is the same.
 func (p *Process) classify() {
 	n, cpr, wpr := p.n, p.cpr, p.bits.WordsPerRow()
 	p.counts = make([]uint64, n*cpr)
 	flip := make([]uint64, len(p.unhappy))
-	tB := uint64(p.thresh) * laneOnes
-	dB := uint64(p.nbhd-p.thresh) * laneOnes
 	p.bits.VisitPlusWindowLanes(p.w, p.open, func(y int, lanes []uint64) {
 		copy(p.counts[y*cpr:], lanes)
 		for k, cw := range lanes {
 			idx, x4 := y*cpr+k, 4*k
 			occNib := p.occupiedNibble(k, y)
 			om := nibbleMask[occNib]
-			t, d := tB, dB
+			t, d := p.thrB, p.slackB
 			switch {
 			case p.thrL != nil:
 				t, d = p.thrL[idx]&om, p.slackL[idx]&om
@@ -476,22 +452,6 @@ func (p *Process) thresholdLanes(ow, occNib uint64, x4, y int) uint64 {
 		}
 	}
 	return t
-}
-
-// addBoundary appends the lane-broadcast form of count value v if it is
-// reachable and not already present.
-func addBoundary(arr *[4]uint64, cnt *int, nbhd, v int) {
-	if v < 0 || v > nbhd {
-		return
-	}
-	bv := uint64(v) * laneOnes
-	for i := 0; i < *cnt; i++ {
-		if arr[i] == bv {
-			return
-		}
-	}
-	arr[*cnt] = bv
-	*cnt++
 }
 
 // Lattice returns the underlying lattice (live view).
@@ -630,42 +590,36 @@ func (p *Process) HappyFraction() float64 {
 func (p *Process) Fixated() bool { return p.flippable.Len() == 0 }
 
 // refreshAt recomputes the classification of site j = y*n + x from its
-// current count c and spin, and updates the unhappy bitset and
-// flippable set — the same transition the reference engine's refresh
-// performs, applied only to sites whose count crossed a classification
-// boundary. The caller supplies the column and row, so every word is
-// addressed without a division. Vacant sites are neither unhappy nor
-// flippable. It serves the flip path only: construction classifies a
-// word at a time (classify), and the relocation engine reclassifies
-// its windows itself.
+// current count c, its spin, and its threshold T and slack D — its
+// lanes, or the default scenario's constants — and updates the unhappy
+// bitset and flippable set: the same transition the reference engine's
+// refresh performs, applied only to sites whose count crossed a
+// classification boundary. The caller supplies the column and row, so
+// every word is addressed without a division. Vacant sites are neither
+// unhappy nor flippable. It serves the flip path only: construction
+// classifies a word at a time (classify), and the relocation engine
+// reclassifies its windows itself.
 func (p *Process) refreshAt(j, x, y, c int) {
 	if j < p.ownLo || j >= p.ownHi {
 		// The site belongs to a neighboring strip; the phase protocol's
 		// merge barrier re-derives it.
 		return
 	}
-	plus := p.bits.SpinWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0
-	var unhappy, flippable bool
-	switch {
-	case p.thrL != nil:
+	th, d := p.thresh, p.nbhd-p.thresh
+	if p.thrL != nil {
 		// A vacant site reads as minus, and its sentinel slack exceeds
 		// every count, so it is never unhappy.
 		li, sh := y*p.cpr+x>>2, uint(16*(x&3))
-		th := int(p.thrL[li] >> sh & 0xffff)
-		d := int(p.slackL[li] >> sh & 0xffff)
-		if plus {
-			unhappy = c < th
-			flippable = unhappy && c <= d+1
-		} else {
-			unhappy = c > d
-			flippable = unhappy && c >= th-1
-		}
-	case plus:
-		unhappy = c < p.thresh
-		flippable = unhappy && c <= p.nbhd+1-p.thresh
-	default:
-		unhappy = c > p.nbhd-p.thresh
-		flippable = unhappy && c >= p.thresh-1
+		th = int(p.thrL[li] >> sh & 0xffff)
+		d = int(p.slackL[li] >> sh & 0xffff)
+	}
+	var unhappy, flippable bool
+	if p.bits.SpinWord(y*p.bits.WordsPerRow()+x>>6)>>uint(x&63)&1 != 0 {
+		unhappy = c < th
+		flippable = unhappy && c <= d+1
+	} else {
+		unhappy = c > d
+		flippable = unhappy && c >= th-1
 	}
 	wi, bm := j>>6, uint64(1)<<uint(j&63)
 	toggled := (p.unhappy[wi]&bm != 0) != unhappy
@@ -709,72 +663,30 @@ func segmentMask(k, a, b int) uint64 {
 
 // updateSegment applies the ±1 count update to columns [a, b] of row y
 // (no wrap within a segment) and refreshes, in ascending column order,
-// every site whose new count sits on a classification boundary, tested
-// against the four lane-broadcast values of the default scenario.
-// forceX, when in [a, b], is unconditionally refreshed at its column
-// position — the flipped site changes class by spin, not by count.
-func (p *Process) updateSegment(y, a, b int, add bool, vals *[4]uint64, forceX int) {
-	base := y * p.cpr
-	row := y * p.n
-	fk := -1
-	var fbit uint64
-	if forceX >= a && forceX <= b {
-		fk = forceX >> 2
-		fbit = 0x8000 << uint(16*(forceX&3))
-	}
-	v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-	for k := a >> 2; k <= b>>2; k++ {
-		am := segmentMask(k, a, b)
-		idx := base + k
-		cw := p.counts[idx]
-		if add {
-			cw += am
-		} else {
-			cw -= am
-		}
-		p.counts[idx] = cw
-		// SWAR zero-lane scan of cw against the four boundary values.
-		// With lanes always <= 0x7fff the scan never misses an equal
-		// lane; borrow propagation can flag a non-matching neighbor
-		// lane, which is harmless because refreshAt is a no-op when
-		// the classification did not change.
-		x0 := cw ^ v0
-		x1 := cw ^ v1
-		x2 := cw ^ v2
-		x3 := cw ^ v3
-		flags := ((x0 - laneOnes) & ^x0) | ((x1 - laneOnes) & ^x1) |
-			((x2 - laneOnes) & ^x2) | ((x3 - laneOnes) & ^x3)
-		flags &= am << 15
-		if k == fk {
-			flags |= fbit
-		}
-		for flags != 0 {
-			x := k<<2 + bits.TrailingZeros64(flags)>>4
-			p.refreshAt(row+x, x, y, int(cw>>uint(16*(x&3))&0xffff))
-			flags &= flags - 1
-		}
-	}
-}
-
-// updateSegmentLanes is the scenario variant of updateSegment: each
+// every site whose new count sits on a classification boundary. Each
 // count word scans against boundary values derived in-register from
-// its own threshold and slack lanes and its spin nibble, instead of
-// four broadcast values. For a site with threshold T and slack
-// D = occ - T, a +1 update can change the class of a plus site only at
-// c = T (happy) and c = D+2 (no longer flippable), of a minus site only
-// at c = T-1 (flippable) and c = D+1 (unhappy); a -1 update changes a
-// plus site at c = T-1 and c = D+1, a minus site at c = T-2 and c = D.
-// The scan tests exactly the two values of each lane's own spin,
+// its threshold and slack lanes — the broadcasts thrB and slackB in the
+// default scenario — and its spin nibble. For a site with threshold T
+// and slack D = occ - T, a +1 update can change the class of a plus
+// site only at c = T (happy) and c = D+2 (no longer flippable), of a
+// minus site only at c = T-1 (flippable) and c = D+1 (unhappy); a -1
+// update changes a plus site at c = T-1 and c = D+1, a minus site at
+// c = T-2 and c = D. The scan tests exactly the two values of each
+// lane's own spin,
 //
 //	up:   plus c == T,   c == D+2;  minus c+1 == T, c == D+1
 //	down: plus c+1 == T, c == D+1;  minus c+2 == T, c+1 == D+1
 //
 // so every comparand is a sum of non-negative lanes and none can
 // borrow. Vacant lanes read as minus and hold vacantLane, which none
-// of c, c+1, c+2 reaches. The zero-lane test itself, its harmless
-// borrow false positives and the ascending refresh order are those of
-// updateSegment.
-func (p *Process) updateSegmentLanes(y, a, b int, add bool, forceX int) {
+// of c, c+1, c+2 reaches. No comparand lane reaches 0x10000, so no
+// addition carries into the next lane and the SWAR zero-lane test never
+// misses an equal lane; its borrow propagation can flag a non-matching
+// neighbor lane, which is harmless because refreshAt is a no-op when
+// the classification did not change.
+// forceX, when in [a, b], is unconditionally refreshed at its column
+// position — the flipped site changes class by spin, not by count.
+func (p *Process) updateSegment(y, a, b int, add bool, forceX int) {
 	base := y * p.cpr
 	row := y * p.n
 	srow := y * p.bits.WordsPerRow()
@@ -797,8 +709,10 @@ func (p *Process) updateSegmentLanes(y, a, b int, add bool, forceX int) {
 		x4 := k << 2
 		sm := nibbleMask[p.bits.SpinWord(srow+x4>>6)>>uint(x4&63)&0xf]
 		mo := ^sm & laneOnes // 1 in every minus (or vacant) lane
-		t := p.thrL[idx]
-		d1 := p.slackL[idx] + laneOnes
+		t, d1 := p.thrB, p.slackB+laneOnes
+		if p.thrL != nil {
+			t, d1 = p.thrL[idx], p.slackL[idx]+laneOnes
+		}
 		var x0, x1 uint64
 		if add {
 			x0 = (cw + mo) ^ t
@@ -818,21 +732,6 @@ func (p *Process) updateSegmentLanes(y, a, b int, add bool, forceX int) {
 			flags &= flags - 1
 		}
 	}
-}
-
-// segment applies the ±1 count update and boundary scan to columns
-// [a, b] of row y, routing to the broadcast scan (default scenario) or
-// the threshold/slack lane scan.
-func (p *Process) segment(y, a, b int, add bool, forceX int) {
-	if p.thrL != nil {
-		p.updateSegmentLanes(y, a, b, add, forceX)
-		return
-	}
-	vals := &p.downVals
-	if add {
-		vals = &p.upVals
-	}
-	p.updateSegment(y, a, b, add, vals, forceX)
 }
 
 // applyFlip flips site i and updates counts and set membership of every
@@ -872,7 +771,7 @@ func (p *Process) applyFlip(i int) {
 			if dy == 0 {
 				forceX = x0
 			}
-			p.segment(y, xlo, xhi, plus, forceX)
+			p.updateSegment(y, xlo, xhi, plus, forceX)
 		}
 		p.flipSite = -1
 		return
@@ -894,10 +793,10 @@ func (p *Process) applyFlip(i int) {
 			forceX = x0
 		}
 		if xlo+width <= n {
-			p.segment(y, xlo, xlo+width-1, plus, forceX)
+			p.updateSegment(y, xlo, xlo+width-1, plus, forceX)
 		} else {
-			p.segment(y, xlo, n-1, plus, forceX)
-			p.segment(y, 0, xlo+width-1-n, plus, forceX)
+			p.updateSegment(y, xlo, n-1, plus, forceX)
+			p.updateSegment(y, 0, xlo+width-1-n, plus, forceX)
 		}
 	}
 	p.flipSite = -1
